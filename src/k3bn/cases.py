@@ -13,21 +13,29 @@ r_i <= r_{i+1} + ... + r_n for i < n, and s_n >= 1.  The h^0 floor of a
 group is max(chi, 1), chi computed from the profile.
 
 A raw sweep of the default four-part box has ~10^13 instances, so the
-checker decides the same quantified statement exactly in three layers:
+checker decides the same quantified statement exactly in three layers, the
+cheapest first:
 
-1.  Per eps-class, the exact maximum P of (sum r)(sum s) over feasible
-    filtration data in the box.  Profiles with genus >= P admit no violating
-    filtration data; profiles with genus <= 0 are certified by any split
-    (floors are >= 1).
-2.  For each remaining genus value g, a failing profile must have every
-    one-part split fail, which forces row sums
-    row_i >= g + 1 - eps_i - g // (eps_i + 2); summing rows gives a linear
-    condition on g that the checker tests directly.  Genera failing it are
-    ruled out arithmetically.
-3.  Genera that survive get an exhaustive slice enumeration (all x-matrices
-    with the matching coordinate sum), each profile checked against every
-    split; any failing profile is paired with an explicit violating
-    filtration and recorded as a counterexample.
+1.  The row-sum test.  Every one-part split of a failing profile of genus g
+    forces row_i >= g + 1 - eps_i - g // (eps_i + 2); the rows sum to twice
+    the x-coordinate sum, 2 (g - E - 1) with E = sum eps, so genera whose
+    forced row bounds exceed that are ruled out, and so are genera <= 0
+    (floors are >= 1).  The test bounds g by the analytic
+    P <= (n r_max)(n s_max) and is symmetric in eps, so it runs once per
+    sorted eps multiset.  For n >= 4 it closes every class:
+    sum_i (g + 1 - eps_i - g // (eps_i + 2)) >= 2g + 4 - E > 2 (g - E - 1),
+    since each floor is at most g / 2.
+2.  For classes with a surviving genus, the exact maximum P of
+    (sum r)(sum s) over feasible filtration data in the box.  Genera >= P
+    admit no violating filtration data; an empty feasible set closes the
+    class.
+3.  Genera that survive both get an exhaustive slice enumeration (all
+    x-matrices with the matching coordinate sum), each profile checked
+    against every split; any failing profile is paired with an explicit
+    violating filtration and recorded as a counterexample.
+
+Layer 1 keeps a superset of the genera the exact maximum would keep, so the
+order changes no count and no counterexample.
 
 Counterexamples re-verify from scratch via :func:`verify_counterexample`;
 an empty list is the expected outcome.
@@ -38,10 +46,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterator, Sequence
 
-from . import parallel
 from .errors import InputError
 
 _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
@@ -383,13 +390,7 @@ def _violating_fp(
 
 
 def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list[int]:
-    """Genera a failing profile could have, after the row-sum test.
-
-    Every one-part split of a failing profile forces
-    row_i >= g + 1 - eps_i - g // (eps_i + 2); their sum equals twice the
-    x-coordinate sum 2 (g - E - 1), so genera where the sum of the forced
-    row bounds exceeds that are impossible.
-    """
+    """Genera below pmax that a failing profile could have: the row-sum test."""
     total_eps = sum(eps)
     n_pairs = n * (n - 1) // 2
     lo = max(1, total_eps + n_pairs * box.x_min + 1)
@@ -400,6 +401,12 @@ def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list
         if 2 * (g - total_eps - 1) >= forced:
             out.append(g)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _row_sum_survivors(n: int, eps_multiset: tuple[int, ...], box: Box) -> tuple[int, ...]:
+    """Layer 1 under the analytic bound P <= (n r_max)(n s_max), per eps multiset."""
+    return tuple(_surviving_genera(n, eps_multiset, box, n * box.r_max * n * box.s_max))
 
 
 def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -438,10 +445,10 @@ def _check_eps_class(
     n: int, box: Box, eps: tuple[int, ...], max_cex: int
 ) -> tuple[bool, int, list[BoxCounterexample]]:
     """Decide one eps-class: (closed_form, profiles_enumerated, counterexamples)."""
-    pmax = _max_fp_product(n, eps, box)
-    if pmax is None:
-        return True, 0, []
-    genera = _surviving_genera(n, eps, box, pmax)
+    genera = _row_sum_survivors(n, tuple(sorted(eps)), box)
+    if genera:
+        pmax = _max_fp_product(n, eps, box)
+        genera = [g for g in genera if pmax is not None and g < pmax]
     if not genera:
         return True, 0, []
     total_eps = sum(eps)
@@ -472,22 +479,6 @@ def _check_eps_class(
             if len(cexs) >= max_cex:
                 return False, enumerated, cexs
     return False, enumerated, cexs
-
-
-def _eps_batch_worker(
-    n: int, box: Box, max_cex: int, batch: tuple[tuple[int, ...], ...]
-) -> tuple[int, int, list[BoxCounterexample]]:
-    closed = 0
-    enumerated = 0
-    cexs: list[BoxCounterexample] = []
-    for eps in batch:
-        was_closed, count, found = _check_eps_class(n, box, eps, max_cex - len(cexs))
-        closed += was_closed
-        enumerated += count
-        cexs.extend(found)
-        if len(cexs) >= max_cex:
-            break
-    return closed, enumerated, cexs
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +559,6 @@ def exhaustive_case_check(
     n: int,
     box: Box | None = None,
     *,
-    workers: int | None = None,
     max_counterexamples: int = 50,
 ) -> BoxReport:
     """Run the box verification for n in {2, 3, 4}.
@@ -582,26 +572,18 @@ def exhaustive_case_check(
     started = time.perf_counter()
 
     eps_space = list(itertools.product(range(box.eps_max + 1), repeat=n))
-    nworkers = parallel.resolve_workers(workers)
-    batches: list[tuple[tuple[int, ...], ...]] = []
-    batch_count = max(1, min(len(eps_space), nworkers * 8))
-    step = (len(eps_space) + batch_count - 1) // batch_count
-    for k in range(0, len(eps_space), step):
-        batches.append(tuple(eps_space[k : k + step]))
-
-    rvec_count = sum(len(b) for b in _chain_r_vectors(n, box.r_max).values())
-    work_estimate = len(eps_space) * rvec_count
-    worker = partial(_eps_batch_worker, n, box, max_counterexamples)
-
     closed_form = 0
     enumerated = 0
     counterexamples: list[BoxCounterexample] = []
-    for closed, count, cexs in parallel.ordered_imap(
-        worker, batches, nworkers, big_enough=work_estimate
-    ):
+    for eps in eps_space:
+        closed, count, cexs = _check_eps_class(
+            n, box, eps, max_counterexamples - len(counterexamples)
+        )
         closed_form += closed
         enumerated += count
         counterexamples.extend(cexs)
+        if len(counterexamples) >= max_counterexamples:
+            break
 
     cross_checks: list[str] = []
     if n == 2:

@@ -80,6 +80,26 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_int_vector(v) -> bool:
+    return isinstance(v, list) and all(_is_int(e) for e in v)
+
+
+def _require_shapes(data: dict, vectors=(), vector_lists=(), bool_lists=()) -> None:
+    """Reject fields of the wrong JSON shape before they reach the library."""
+    checks = [(k, "an integer vector", _is_int_vector) for k in vectors]
+    checks += [
+        (k, "a list of integer vectors", lambda v: isinstance(v, list) and all(map(_is_int_vector, v)))
+        for k in vector_lists
+    ]
+    checks += [
+        (k, "a list of booleans", lambda v: isinstance(v, list) and all(isinstance(b, bool) for b in v))
+        for k in bool_lists
+    ]
+    bad = [f"{k}: expected {what}" for k, what, ok in checks if k in data and not ok(data[k])]
+    if bad:
+        raise SpecValidationError(bad)
+
+
 def parse_surface_spec(text: str) -> SurfaceSpec:
     """Parse and validate a surface document; collect every schema violation."""
     try:
@@ -112,7 +132,7 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
                         bad.append(f"gram[{i}][{j}]: not symmetric")
 
     h = data.get("H")
-    if not isinstance(h, list) or not all(_is_int(v) for v in h):
+    if not _is_int_vector(h):
         bad.append("H: required, an integer vector")
     elif rank is not None and len(h) != rank:
         bad.append(f"H: length {len(h)} does not match rank {rank}")
@@ -134,7 +154,7 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
         roots = []
     else:
         for k, r in enumerate(roots):
-            if not isinstance(r, list) or not all(_is_int(v) for v in r):
+            if not _is_int_vector(r):
                 bad.append(f"roots[{k}]: expected an integer vector")
             elif rank is not None and len(r) != rank:
                 bad.append(f"roots[{k}]: length {len(r)} does not match rank {rank}")
@@ -169,6 +189,7 @@ def _parse_decomposition_profile(text: str) -> tuple[DecompositionProfile, list[
         raise SpecValidationError([f"profile: not valid JSON ({exc})"]) from exc
     if not isinstance(data, dict) or "sq" not in data or "x" not in data:
         raise SpecValidationError(["profile: expected an object with 'sq' and 'x'"])
+    _require_shapes(data, vectors=["sq"], vector_lists=["x"], bool_lists=["h0_at_least_2"])
     profile = DecompositionProfile(tuple(data["sq"]), tuple(tuple(r) for r in data["x"]))
     flags = data.get("h0_at_least_2", [True] * profile.n)
     return profile, list(flags)
@@ -181,6 +202,7 @@ def _parse_filtration_profile(text: str) -> FiltrationProfile:
         raise SpecValidationError([f"profile: not valid JSON ({exc})"]) from exc
     if not isinstance(data, dict) or "entries" not in data:
         raise SpecValidationError(["profile: expected an object with 'entries'"])
+    _require_shapes(data, vector_lists=["entries"])
     return FiltrationProfile(tuple(tuple(e) for e in data["entries"]))
 
 
@@ -323,7 +345,7 @@ def _cmd_verify_cases(args) -> tuple[RunReport, int]:
             x_min=args.x_min if args.x_min is not None else base.x_min,
             x_max=args.x_max if args.x_max is not None else base.x_max,
         )
-    box_report = cases.exhaustive_case_check(args.n, box, workers=args.workers)
+    box_report = cases.exhaustive_case_check(args.n, box)
     for cex in box_report.counterexamples:
         if not cases.verify_counterexample(args.n, cex):
             raise RuntimeError("a reported counterexample failed re-verification")
@@ -368,6 +390,7 @@ def _cmd_reduce_fixed(args) -> tuple[RunReport, int]:
         raise SpecValidationError([f"data: not valid JSON ({exc})"]) from exc
     if not isinstance(data, dict) or "parts" not in data or "delta" not in data:
         raise SpecValidationError(["data: expected an object with 'parts' and 'delta'"])
+    _require_shapes(data, vector_lists=["parts", "delta"])
     parts = [DivClass(tuple(v)) for v in data["parts"]]
     delta = [DivClass(tuple(v)) for v in data["delta"]]
     reduced = reduce_fixed_components(pol, parts, delta, roots)
@@ -443,7 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_workers(p):
-        p.add_argument("--workers", type=int, default=None, help="worker processes (default: K3BN_WORKERS or all cores)")
+        p.add_argument(
+            "--workers", type=int, default=None,
+            help="worker processes, capped at the usable cores (default: K3BN_WORKERS or all of them)",
+        )
 
     p = sub.add_parser("bn-check", help="search for a Brill-Noether violation certificate")
     p.add_argument("--surface", required=True, help="surface spec JSON file ('-' for stdin)")
@@ -463,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-box", action="store_true", help="force the default box")
     for opt in ("r-max", "s-min", "s-max", "eps-max", "x-min", "x-max"):
         p.add_argument(f"--{opt}", type=int, default=None)
-    add_workers(p)
 
     p = sub.add_parser("triples", help="enumerate exceptional triples of the determinant condition")
     p.add_argument("--a-max", type=int, required=True)
@@ -483,31 +508,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, status = run(args)
-    except SpecValidationError as exc:
-        error_report = {
-            "command": args.command,
-            "inputs_echo": {},
-            "verdict": "input error",
-            "certificates": [],
-            "bounds": {},
-            "warnings": exc.violations,
-            "elapsed_ms": 0.0,
-            "results": {},
-        }
-        print(json.dumps(error_report, indent=2))
-        return EXIT_INPUT_ERROR
-    except (InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
-        error_report = {
-            "command": args.command,
-            "inputs_echo": {},
-            "verdict": "input error",
-            "certificates": [],
-            "bounds": {},
-            "warnings": [str(exc)],
-            "elapsed_ms": 0.0,
-            "results": {},
-        }
-        print(json.dumps(error_report, indent=2))
+    except (SpecValidationError, InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
+        warnings = exc.violations if isinstance(exc, SpecValidationError) else [str(exc)]
+        error_report = RunReport(args.command, inputs_echo={}, verdict="input error", warnings=warnings)
+        print(json.dumps(error_report.to_dict(), indent=2))
         return EXIT_INPUT_ERROR
     if args.human:
         print(_render_human(report))

@@ -3,8 +3,9 @@
 Long enumerations split into independent slices whose results merge in slice
 order, so the output never depends on the worker count.  The worker count
 comes from an explicit argument, the K3BN_WORKERS environment variable, or
-the number of available execution units, in that order.  Small jobs stay
-sequential: the split is a throughput knob, not a semantic one.
+the number of cores this process may run on, in that order, and never
+exceeds that core count.  Small jobs stay sequential: the split is a
+throughput knob, not a semantic one.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 from typing import Callable, Iterable, Iterator, TypeVar
+
+from .errors import InputError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -22,13 +25,24 @@ WORKERS_ENV = "K3BN_WORKERS"
 _PARALLEL_THRESHOLD = 200_000
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
 def resolve_workers(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get(WORKERS_ENV, "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    cores = _usable_cores()
+    if explicit is None:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        if not env:
+            return cores
+        try:
+            explicit = int(env)
+        except ValueError:
+            raise InputError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return max(1, min(int(explicit), cores))
 
 
 def _context():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3bn.cases as cases
 from k3bn import (
@@ -210,7 +212,7 @@ def test_forced_false_alarm_is_detectable(monkeypatch):
 def test_small_boxes_have_no_counterexamples():
     box = Box(r_max=3, s_min=-3, s_max=3, eps_max=2, x_min=-2, x_max=6)
     for n in (2, 3, 4):
-        report = exhaustive_case_check(n, box, workers=1)
+        report = exhaustive_case_check(n, box)
         assert report.counterexamples == []
         assert report.eps_classes == 3**n
         assert report.box == box
@@ -218,7 +220,7 @@ def test_small_boxes_have_no_counterexamples():
 
 def test_report_counts_cover_the_box():
     box = Box(r_max=2, s_min=-2, s_max=2, eps_max=1, x_min=-1, x_max=3)
-    report = exhaustive_case_check(2, box, workers=1)
+    report = exhaustive_case_check(2, box)
     assert report.instances_checked == (1 + 1) ** 2 * 5
     assert report.eps_classes_closed_form <= report.eps_classes
 
@@ -257,13 +259,93 @@ def test_verify_counterexample_rejects_bogus_reports():
     assert not verify_counterexample(2, BoxCounterexample(kind="unknown"))
 
 
-def test_workers_do_not_change_reports():
-    box = Box(r_max=3, s_min=-3, s_max=3, eps_max=2, x_min=-2, x_max=6)
-    a = exhaustive_case_check(3, box, workers=1)
-    b = exhaustive_case_check(3, box, workers=2)
-    assert a.counterexamples == b.counterexamples
-    assert a.eps_classes_closed_form == b.eps_classes_closed_form
-    assert a.profiles_enumerated == b.profiles_enumerated
+def _seed_check_eps_class(n, box, eps, max_cex):
+    """The procedure before the reorder: exact product maximum first, then rows."""
+    pmax = cases._max_fp_product(n, eps, box)
+    if pmax is None:
+        return True, 0, []
+    genera = cases._surviving_genera(n, eps, box, pmax)
+    if not genera:
+        return True, 0, []
+    n_pairs = n * (n - 1) // 2
+    enumerated = 0
+    cexs = []
+    for g in genera:
+        coord_sum = g - sum(eps) - 1
+        for upper_x in cases._iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
+            enumerated += 1
+            if not cases._is_failing(n, eps, upper_x, g):
+                continue
+            fp = cases._violating_fp(n, eps, box, g)
+            if fp is None:
+                continue
+            r, s = fp
+            cexs.append(
+                BoxCounterexample(
+                    kind="partition", eps=eps, upper_x=upper_x, r=r, s=s, genus=g,
+                    note=f"(sum r)(sum s) = {sum(r) * sum(s)} > genus with no certifying split",
+                )
+            )
+            if len(cexs) >= max_cex:
+                return False, enumerated, cexs
+    return False, enumerated, cexs
+
+
+@st.composite
+def small_boxes(draw):
+    s_max = draw(st.integers(1, 4))
+    x_min = draw(st.integers(-3, 3))
+    return Box(
+        r_max=draw(st.integers(1, 4)),
+        s_min=draw(st.integers(-4, s_max)),
+        s_max=s_max,
+        eps_max=draw(st.integers(0, 3)),
+        x_min=x_min,
+        x_max=x_min + draw(st.integers(0, 8)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from((2, 3, 4)), box=small_boxes(), forced=st.none() | st.integers(0, 40))
+def test_row_sum_first_matches_seed_procedure(n, box, forced):
+    # forced: replace the exact maximum by another upper bound that depends
+    # on eps, and give every failing profile violating data, so genera reach
+    # the slice sweep and the counterexample cap; real small boxes close
+    # before the sweep
+    with pytest.MonkeyPatch.context() as mp:
+        if forced is not None:
+            mp.setattr(
+                cases, "_max_fp_product",
+                lambda n, eps, box: min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps)),
+            )
+            mp.setattr(cases, "_violating_fp", lambda n, eps, box, g: ((1,) * n, (1,) * n))
+        for eps in itertools.product(range(box.eps_max + 1), repeat=n):
+            assert cases._check_eps_class(n, box, eps, 5) == _seed_check_eps_class(n, box, eps, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.sampled_from((4, 5, 6)))
+def test_row_sum_test_closes_every_class_from_four_parts(data, n):
+    # sum_i (g + 1 - eps_i - g // (eps_i + 2)) >= 2g + 4 - E > 2 (g - E - 1)
+    x_min = data.draw(st.integers(-1000, 1000))
+    box = Box(
+        r_max=data.draw(st.integers(1, 1000)),
+        s_min=-1000,
+        s_max=data.draw(st.integers(1, 1000)),
+        eps_max=data.draw(st.integers(0, 1000)),
+        x_min=x_min,
+        x_max=x_min + data.draw(st.integers(0, 1000)),
+    )
+    eps = tuple(data.draw(st.lists(st.integers(0, box.eps_max), min_size=n, max_size=n)))
+    assert cases._surviving_genera(n, eps, box, n * box.r_max * n * box.s_max) == []
+
+
+def test_row_sum_test_runs_once_per_eps_multiset():
+    cases._row_sum_survivors.cache_clear()
+    report = exhaustive_case_check(4)
+    assert report.eps_classes == 9**4
+    assert report.eps_classes_closed_form == 9**4
+    assert cases._row_sum_survivors.cache_info().misses == 495  # C(8 + 4, 4)
 
 
 def test_exhaustive_check_rejects_bad_n():
@@ -275,7 +357,7 @@ def test_tiny_box_brute_force_agrees_with_decision_procedure():
     from k3bn import DecompositionProfile
 
     box = Box(r_max=2, s_min=-2, s_max=2, eps_max=1, x_min=0, x_max=3)
-    report = exhaustive_case_check(3, box, workers=1)
+    report = exhaustive_case_check(3, box)
     assert report.counterexamples == []
     # independent brute force over every instance in the box, built on the
     # profile methods rather than the checker internals

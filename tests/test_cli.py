@@ -147,7 +147,6 @@ def test_verify_cases_small_box():
             "verify-cases", "--n", "2",
             "--r-max", "3", "--s-min", "-3", "--s-max", "3",
             "--eps-max", "2", "--x-min", "-2", "--x-max", "6",
-            "--workers", "1",
         ]
     )
     assert code == EXIT_OK
@@ -156,7 +155,7 @@ def test_verify_cases_small_box():
 
 
 def test_verify_cases_echoes_default_box():
-    code, rep = run_cli(["verify-cases", "--n", "2", "--default-box", "--workers", "1"])
+    code, rep = run_cli(["verify-cases", "--n", "2", "--default-box"])
     assert code == EXIT_OK
     assert rep["bounds"] == {
         "r_max": 12, "s_min": -12, "s_max": 12,
@@ -202,6 +201,31 @@ def test_reduce_fixed_inconsistent_is_input_error(tmp_path):
     )
     code, rep = run_cli(["reduce-fixed", "--surface", surface, "--data", data])
     assert code == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("classify", {"sq": 5, "x": []}),
+        ("classify", {"sq": [2, 2, 2], "x": [1, 2, 3]}),
+        ("classify", {"sq": [2, 2], "x": [[0, 1], [1, 0]], "h0_at_least_2": 1}),
+        ("classify", {"sq": [2, 2, 0], "x": [[0, 3, 3], [3, 0, 3], [3, 3, 0]], "h0_at_least_2": ["no"] * 3}),
+        ("reduce-fixed", {"parts": [1], "delta": []}),
+        ("reduce-fixed", {"parts": [[1, 0, 0]], "delta": [[0, 0, "1"]]}),
+        ("profile-check", {"entries": [1, 2]}),
+    ],
+)
+def test_malformed_field_shapes_are_input_errors(tmp_path, command, payload):
+    doc = write(tmp_path, "doc.json", payload)
+    if command == "reduce-fixed":
+        surface = write(tmp_path, "s.json", {"gram": [[0, 1, 0], [1, 0, 1], [0, 1, -2]], "H": [1, 1, 1]})
+        argv = [command, "--surface", surface, "--data", doc]
+    else:
+        argv = [command, "--profile", doc]
+    code, rep = run_cli(argv)
+    assert code == EXIT_INPUT_ERROR
+    assert rep["verdict"] == "input error"
+    assert rep["warnings"]
 
 
 def test_profile_check_command(tmp_path):
