@@ -11,12 +11,14 @@ the genus.  Certificates are verified on construction, never trusted.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Sequence
 
 from . import parallel
-from .divisors import Effectivity, RootSet, effectivity_status, h0_lower_bound
+from .divisors import Effectivity, EffectivityVerdict, RootSet, effectivity_status, h0_floor
 from .errors import InconsistentGeometryError, InputError, PreconditionError
 from .lattice import DivClass, QuasiPolarization
 
@@ -195,8 +197,8 @@ def check_pair(
         v = effectivity_status(pol, d, roots)
         if v.status is not Effectivity.EFFECTIVE:
             raise PreconditionError(f"{name} is not certified effective: {v.witness}")
-    lb1 = h0_lower_bound(pol, d1, roots)
-    lb2 = h0_lower_bound(pol, d2, roots)
+    lb1 = h0_floor(pol, d1)
+    lb2 = h0_floor(pol, d2)
     g = pol.genus
     if lb1 * lb2 > g:
         return ViolationCertificate(d1, d2, lb1, lb2, g)
@@ -221,18 +223,77 @@ class PairRecord:
         }
 
 
+# How the scan's effectivity verdicts were reached, as "<status>_<rule>"
+# keys; every key is reported, zero or not.
+SCAN_VERDICT_KEYS = (
+    "effective_riemann_roch",
+    "effective_peeling",
+    "effective_root_search",
+    "not_effective_peeling",
+    "unknown_root_nef_residual",
+    "unknown_search_exhausted",
+)
+
+
 @dataclass
 class DecompositionScan:
     violations: list[ViolationCertificate] = field(default_factory=list)
     pairs: list[PairRecord] = field(default_factory=list)
     candidates_scanned: int = 0
     unknown_candidates: int = 0
+    # one count per effectivity verdict (D1, and D2 = H - D1 when D1 is
+    # Effective), keyed as in SCAN_VERDICT_KEYS
+    verdicts: Counter = field(default_factory=Counter)
 
     def merge(self, other: "DecompositionScan") -> None:
         self.violations.extend(other.violations)
         self.pairs.extend(other.pairs)
         self.candidates_scanned += other.candidates_scanned
         self.unknown_candidates += other.unknown_candidates
+        self.verdicts.update(other.verdicts)
+
+    def _settle(self, verdict: EffectivityVerdict) -> bool:
+        """Count one verdict; True when it is Effective."""
+        status = verdict.status
+        self.verdicts[f"{status.name.lower()}_{verdict.rule}"] += 1
+        if status is Effectivity.UNKNOWN:
+            self.unknown_candidates += 1
+        return status is Effectivity.EFFECTIVE
+
+    def stats(self) -> dict:
+        """Candidates in the degree window and how each verdict was reached."""
+        return {
+            "candidates_scanned": self.candidates_scanned,
+            **dict.fromkeys(SCAN_VERDICT_KEYS, 0),
+            **self.verdicts,
+        }
+
+
+def _degree_window(
+    covector: tuple[int, ...], first: int, bound: int, h2: int
+) -> Iterator[tuple[int, ...]]:
+    """Tails t in [-bound, bound]^(rank-1), lexicographic, with 0 < (first, *t) . H < h2.
+
+    ``covector`` is H^T (gram), so the degree is a dot product; for each head
+    of the tail the admissible last coordinates form an interval.
+    """
+    base = first * covector[0]
+    if len(covector) == 1:
+        if 0 < base < h2:
+            yield ()
+        return
+    *mid, w = covector[1:]
+    box = range(-bound, bound + 1)
+    for head in itertools.product(box, repeat=len(mid)):
+        part = base + sum(map(operator.mul, head, mid))
+        if w == 0:
+            lasts = box if 0 < part < h2 else ()
+        elif w > 0:  # 0 < part + c w < h2
+            lasts = range(max(-bound, -part // w + 1), min(bound, (h2 - part - 1) // w) + 1)
+        else:
+            lasts = range(max(-bound, (part - h2) // -w + 1), min(bound, (part - 1) // -w) + 1)
+        for c in lasts:
+            yield (*head, c)
 
 
 def _scan_slice(
@@ -243,32 +304,20 @@ def _scan_slice(
     stop_at_first_violation: bool,
     first_coord: int,
 ) -> DecompositionScan:
-    lat = pol.lattice
     h = pol.h
-    h2 = lat.square(h)
+    h2 = pol.degree(h)
+    g = pol.genus
     out = DecompositionScan()
-    tail_dims = lat.rank - 1
-    rng = range(-degree_bound, degree_bound + 1)
-    for tail in itertools.product(rng, repeat=tail_dims):
+    for tail in _degree_window(pol.h_covector, first_coord, degree_bound, h2):
         d1 = DivClass((first_coord, *tail))
-        deg = pol.degree(d1)
-        if not 0 < deg < h2:
-            continue
         out.candidates_scanned += 1
-        v1 = effectivity_status(pol, d1, roots)
-        if v1.status is Effectivity.UNKNOWN:
-            out.unknown_candidates += 1
-        if v1.status is not Effectivity.EFFECTIVE:
+        if not out._settle(effectivity_status(pol, d1, roots)):
             continue
         d2 = h - d1
-        v2 = effectivity_status(pol, d2, roots)
-        if v2.status is Effectivity.UNKNOWN:
-            out.unknown_candidates += 1
-        if v2.status is not Effectivity.EFFECTIVE:
+        if not out._settle(effectivity_status(pol, d2, roots)):
             continue
-        lb1 = h0_lower_bound(pol, d1, roots)
-        lb2 = h0_lower_bound(pol, d2, roots)
-        g = pol.genus
+        lb1 = h0_floor(pol, d1)
+        lb2 = h0_floor(pol, d2)
         violates = lb1 * lb2 > g
         if collect_pairs:
             out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))

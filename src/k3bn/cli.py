@@ -257,6 +257,7 @@ def _cmd_bn_check(args) -> tuple[RunReport, int]:
         report.warnings.append(
             f"{scan.unknown_candidates} candidate classes had Unknown effectivity and were skipped"
         )
+    report.results["stats"] = scan.stats()
     if scan.violations:
         cert = scan.violations[0]
         _reverify_violation(pol, roots, cert)
@@ -294,6 +295,7 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
         pairs.append(rec)
     report.results["decompositions"] = [rec.to_dict() for rec in pairs]
     report.results["count"] = len(pairs)
+    report.results["stats"] = scan.stats()
     for cert in scan.violations:
         _reverify_violation(pol, roots, cert)
         report.certificates.append(cert.to_dict())
@@ -456,8 +458,18 @@ def _render_human(report: RunReport) -> str:
     return "\n".join(lines)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors, so that they get the JSON input-error report.
+
+    Subparsers are built from the same class, so their errors are raised too.
+    """
+
+    def error(self, message: str):
+        raise SpecValidationError([f"{self.prog}: {message}"])
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="k3bn",
         description="Divisor arithmetic and Brill-Noether generality certificates "
         "on even class lattices.",
@@ -504,13 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(argv)
         report, status = run(args)
     except (SpecValidationError, InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
         warnings = exc.violations if isinstance(exc, SpecValidationError) else [str(exc)]
-        error_report = RunReport(args.command, inputs_echo={}, verdict="input error", warnings=warnings)
+        command = next((a for a in argv if a in _HANDLERS), "k3bn")
+        error_report = RunReport(command, inputs_echo={}, verdict="input error", warnings=warnings)
         print(json.dumps(error_report.to_dict(), indent=2))
         return EXIT_INPUT_ERROR
     if args.human:

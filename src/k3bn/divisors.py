@@ -1,15 +1,48 @@
 """Effectivity certificates, h^0 lower bounds, and divisor decomposition moves.
 
 Everything here is a numeric shadow of statements about effective divisors on
-a surface with an even class lattice: the sufficient criterion for
-effectivity is Riemann-Roch style (chi >= 1 and positive degree), bounded
-cone searches certify sums of declared (-2)-classes, and an honest Unknown is
-returned when neither route applies.
+a surface with an even class lattice.  ``effectivity_status`` decides a class
+D in this order:
+
+1. the zero class and negative degree on the (nef) polarization H are
+   obstructions; positive degree with D^2 >= -2 is Effective by
+   Riemann-Roch (chi >= 1 forces sections);
+2. degree zero: D is Effective exactly when it is a bounded nonnegative
+   combination of the declared degree-zero roots;
+3. positive degree, D^2 < -2: root peeling.  If D is effective and
+   D . R < 0 for an irreducible (-2)-curve R, then R is a fixed component of
+   |D|, so D is effective exactly when D - R is (Saint-Donat, *Projective
+   models of K-3 surfaces*, 1974; the same fact drives the fixed-component
+   absorption in ``reduce_fixed_components``).  Declared roots with
+   D . R < 0 are subtracted, one at a time and at most ``coeff_bound`` times
+   each, carrying H . D, D^2 and every D . R_j as plain integers.  The
+   residual D' decides:
+
+   * D' = 0, or D' of positive degree with D'^2 >= -2: Effective, with the
+     peel multiplicities as certificate;
+   * D' of positive degree and D'^2 < -2 (D' meets every declared root
+     nonnegatively): Unknown, when the declared roots form a configuration H
+     contracts -- degree zero, pairwise products >= 0, negative definite.
+     For such roots a bounded certificate of D would survive every peel and
+     force D'^2 >= -2, so the bounded root search cannot succeed here and is
+     skipped;
+   * anything else (a residual of degree <= 0, a root needing more than
+     ``coeff_bound`` peels, roots of positive degree left root-nef with
+     D'^2 < -2) goes to the bounded search over root multiplicities in
+     [0, coeff_bound].  A search hit is Effective; otherwise a residual of
+     negative degree is NotEffective by peeling and anything left is Unknown.
+     The search runs before the peeling obstruction is claimed because on
+     input whose declared roots are not really irreducible under a nef H the
+     two can disagree; there the search's certificate is kept.
+
+Unknown is the honest third value, and every verdict records the rule that
+reached it.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import operator
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 from .errors import InconsistentGeometryError, InputError, PreconditionError
@@ -23,16 +56,43 @@ DEFAULT_COEFF_BOUND = 10
 _MAX_SEARCH_STATES = 5_000_000
 
 
+def _negative_definite(gram: tuple[tuple[int, ...], ...]) -> bool:
+    """Sylvester's criterion for -gram, with fraction-free (Bareiss) elimination.
+
+    After step k the pivot a[k][k] is the (k+1)-th leading principal minor of
+    -gram, and every division is exact.
+    """
+    a = [[-x for x in row] for row in gram]
+    n, prev = len(a), 1
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return True
+
+
 @dataclass(frozen=True)
 class RootSet:
     """Declared classes of irreducible curves with self-intersection -2.
 
     Construction checks R^2 = -2 and R.H >= 0 for every root (a nef
-    polarization has nonnegative degree on every irreducible curve).
+    polarization has nonnegative degree on every irreducible curve), and
+    computes once the integers root peeling needs: each covector R^T (gram),
+    each degree H.R and every product R_i.R_j.  ``contracted`` records
+    whether the roots form a configuration H contracts: all of degree zero,
+    distinct roots meeting nonnegatively, negative definite.
     """
 
     pol: InitVar[QuasiPolarization]
     roots: tuple[DivClass, ...] = ()
+    polarization: QuasiPolarization = field(init=False, repr=False, compare=False)
+    covectors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    products: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    contracted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, pol: QuasiPolarization) -> None:
         roots = tuple(self.roots)
@@ -46,10 +106,30 @@ class RootSet:
                 raise InputError(
                     f"roots[{k}] has negative degree {pol.degree(r)} on the polarization"
                 )
-        object.__setattr__(self, "roots", roots)
+        covectors = tuple(lat.covector(r) for r in roots)
+        products = tuple(tuple(_dot(cv, r.coords) for r in roots) for cv in covectors)
+        degrees = tuple(pol.degree(r) for r in roots)
+        contracted = (
+            not any(degrees)
+            and all(products[i][j] >= 0 for i in range(len(roots)) for j in range(len(roots)) if i != j)
+            and _negative_definite(products)
+        )
+        for name, value in (
+            ("roots", roots),
+            ("polarization", pol),
+            ("covectors", covectors),
+            ("degrees", degrees),
+            ("products", products),
+            ("contracted", contracted),
+        ):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.roots)
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, u, v))
 
 
 class Effectivity(Enum):
@@ -64,11 +144,15 @@ class EffectivityVerdict:
 
     An Effective verdict always stores a certificate and a NotEffective
     verdict always stores an obstruction; Unknown is the honest third value.
+    ``rule`` names the step that decided: zero_class, negative_degree,
+    riemann_roch, degree_zero_roots, peeling, root_search, or, for Unknown,
+    the reason root_nef_residual or search_exhausted.
     """
 
     status: Effectivity
     witness: str
     combination: tuple[int, ...] | None = None
+    rule: str = ""
 
     def __post_init__(self) -> None:
         if self.status in (Effectivity.EFFECTIVE, Effectivity.NOT_EFFECTIVE) and not self.witness:
@@ -128,6 +212,45 @@ def _root_combination(
     return None
 
 
+def _peel(
+    d: DivClass, roots: RootSet, deg: int, sq: int, bound: int
+) -> tuple[tuple[int, ...], int, int] | None:
+    """Subtract the first root R with D.R < 0 until none is left.
+
+    Works on integers only, using (D - R)^2 = D^2 - 2 D.R - 2.  Returns the
+    peel multiplicities with the degree and square of the residual, or None
+    when some root would be peeled more than ``bound`` times.
+    """
+    dots = [_dot(cv, d.coords) for cv in roots.covectors]
+    mult = [0] * len(dots)
+    while True:
+        j = next((j for j, x in enumerate(dots) if x < 0), None)
+        if j is None:
+            return tuple(mult), deg, sq
+        if mult[j] == bound:
+            return None
+        mult[j] += 1
+        sq -= 2 * dots[j] + 2
+        deg -= roots.degrees[j]
+        dots = [x - p for x, p in zip(dots, roots.products[j])]
+
+
+def _residual(d: DivClass, roots: RootSet, mult: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(
+        x - sum(m * r.coords[i] for m, r in zip(mult, roots.roots)) for i, x in enumerate(d.coords)
+    )
+
+
+def _root_certificate(coeffs: tuple[int, ...], rem: tuple[int, ...], rule: str) -> EffectivityVerdict:
+    tail = "zero remainder" if not any(rem) else f"remainder {rem} carries its own certificate"
+    return EffectivityVerdict(
+        Effectivity.EFFECTIVE,
+        f"root multiplicities {coeffs}, {tail}",
+        combination=coeffs,
+        rule=rule,
+    )
+
+
 def effectivity_status(
     pol: QuasiPolarization,
     d: DivClass,
@@ -138,28 +261,41 @@ def effectivity_status(
 
     Certificates, in order of attempt:
       * nonzero, positive degree and square >= -2 (chi >= 1 forces sections);
-      * a bounded nonnegative combination of declared roots, possibly plus a
-        remainder that carries its own Riemann-Roch certificate.
+      * degree zero: a bounded nonnegative combination of degree-zero roots;
+      * root peeling (see the module docstring): subtract declared roots R
+        with D.R < 0, at most ``coeff_bound`` times each; a zero residual or
+        one with positive degree and square >= -2 certifies D;
+      * the bounded root search, reached only when peeling cannot settle D: a
+        nonnegative combination of declared roots with coefficients
+        <= ``coeff_bound``, possibly plus a remainder that carries its own
+        Riemann-Roch certificate.
     Obstructions: the zero class, negative degree on the (nef) polarization,
-    or degree zero with no bounded combination of degree-zero roots.
+    degree zero with no bounded combination of degree-zero roots, or a peeled
+    residual of negative degree that the bounded search does not contradict.
+    Unknown: a root-nef residual with square < -2 when the roots form a
+    configuration H contracts, otherwise no certificate within the bound.
     """
     lat = pol.lattice
     lat._check(d)
     if coeff_bound < 0:
         raise InputError("coefficient bound must be nonnegative")
+    if roots is not None and roots.polarization != pol:
+        raise PreconditionError("the root set was declared for a different polarization")
     if d.is_zero:
-        return EffectivityVerdict(Effectivity.NOT_EFFECTIVE, "the zero class is excluded")
+        return EffectivityVerdict(Effectivity.NOT_EFFECTIVE, "the zero class is excluded", rule="zero_class")
     deg = pol.degree(d)
     if deg < 0:
         return EffectivityVerdict(
             Effectivity.NOT_EFFECTIVE,
             f"degree {deg} < 0 on the polarization",
+            rule="negative_degree",
         )
     sq = lat.square(d)
     if deg > 0 and sq >= -2:
         return EffectivityVerdict(
             Effectivity.EFFECTIVE,
             f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0",
+            rule="riemann_roch",
         )
     declared = roots.roots if roots is not None else ()
     if deg == 0:
@@ -170,24 +306,53 @@ def effectivity_status(
                 Effectivity.EFFECTIVE,
                 f"nonnegative combination of degree-zero roots, multiplicities {hit[0]}",
                 combination=hit[0],
+                rule="degree_zero_roots",
             )
         return EffectivityVerdict(
             Effectivity.NOT_EFFECTIVE,
             f"degree 0 and not a combination of degree-zero roots with coefficients <= {coeff_bound}",
+            rule="degree_zero_roots",
         )
+    peeled = _peel(d, roots, deg, sq, coeff_bound) if roots else ((), deg, sq)
+    if peeled is not None:
+        mult, rdeg, rsq = peeled
+        if (rdeg > 0 and rsq >= -2) or (rdeg == 0 and not any(_residual(d, roots, mult))):
+            return _root_certificate(mult, _residual(d, roots, mult), "peeling")
+        if rdeg > 0 and (not roots or roots.contracted):
+            return EffectivityVerdict(
+                Effectivity.UNKNOWN,
+                f"root-nef residual with square < -2 (square {rsq} after peeling multiplicities {mult})",
+                rule="root_nef_residual",
+            )
     hit = _root_combination(pol, d, declared, coeff_bound, allow_remainder=True)
     if hit is not None:
-        coeffs, rem = hit
-        tail = "zero remainder" if rem.is_zero else f"remainder {rem.coords} carries its own certificate"
+        return _root_certificate(hit[0], hit[1].coords, "root_search")
+    if peeled is not None and peeled[1] < 0:
         return EffectivityVerdict(
-            Effectivity.EFFECTIVE,
-            f"root multiplicities {coeffs}, {tail}",
-            combination=coeffs,
+            Effectivity.NOT_EFFECTIVE,
+            f"peeling root multiplicities {peeled[0]} leaves a residual of degree {peeled[1]} < 0",
+            rule="peeling",
         )
     return EffectivityVerdict(
         Effectivity.UNKNOWN,
         f"no certificate within coefficient bound {coeff_bound}",
+        rule="search_exhausted",
     )
+
+
+def h0_floor(pol: QuasiPolarization, d: DivClass) -> int:
+    """The h^0 lower bound of a class the caller already certified Effective.
+
+    Base bound max(chi, 0); for a multiple k*P of a primitive isotropic class
+    of positive degree the pencil count k + 1 is used instead when larger.
+    """
+    lat = pol.lattice
+    lb = max(lat.chi(d), 0)
+    k = d.content()
+    p = d.primitive()
+    if lat.square(p) == 0 and pol.degree(p) > 0:
+        lb = max(lb, k + 1)
+    return lb
 
 
 def h0_lower_bound(
@@ -196,23 +361,13 @@ def h0_lower_bound(
     roots: RootSet | None = None,
     coeff_bound: int = DEFAULT_COEFF_BOUND,
 ) -> int:
-    """A valid lower bound for h^0 of a class already certified Effective.
-
-    Base bound max(chi, 0); for a multiple k*P of a primitive isotropic class
-    of positive degree the pencil count k + 1 is used instead when larger.
-    """
+    """A valid lower bound for h^0 of a class certified Effective here (``h0_floor``)."""
     verdict = effectivity_status(pol, d, roots, coeff_bound)
     if verdict.status is not Effectivity.EFFECTIVE:
         raise PreconditionError(
             f"h0_lower_bound requires an Effective class, got {verdict.status.value}: {verdict.witness}"
         )
-    lat = pol.lattice
-    lb = max(lat.chi(d), 0)
-    k = d.content()
-    p = d.primitive()
-    if lat.square(p) == 0 and pol.degree(p) > 0:
-        lb = max(lb, k + 1)
-    return lb
+    return h0_floor(pol, d)
 
 
 def reduce_fixed_components(

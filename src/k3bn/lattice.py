@@ -8,8 +8,9 @@ computed with exact (arbitrary-precision) integers.
 
 from __future__ import annotations
 
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 
@@ -119,16 +120,19 @@ class GramLattice:
         if d.dim != self.rank:
             raise InputError(f"class of length {d.dim} does not live in a rank-{self.rank} lattice")
 
+    def covector(self, d: DivClass) -> tuple[int, ...]:
+        """The row vector d^T (gram), so that d . e is its dot product with e.coords."""
+        self._check(d)
+        return tuple(sum(map(operator.mul, d.coords, col)) for col in zip(*self.gram))
+
     def intersect(self, d: DivClass, e: DivClass) -> int:
         """The intersection product d . e, i.e. d^T (gram) e."""
         self._check(d)
         self._check(e)
         total = 0
-        for i, di in enumerate(d.coords):
-            if di == 0:
-                continue
-            row = self.gram[i]
-            total += di * sum(g * ej for g, ej in zip(row, e.coords))
+        for di, row in zip(d.coords, self.gram):
+            if di:
+                total += di * sum(map(operator.mul, row, e.coords))
         return total
 
     def square(self, d: DivClass) -> int:
@@ -159,17 +163,18 @@ class QuasiPolarization:
     lattice: GramLattice
     h: DivClass
     asserts_nef: bool = True
+    # H^T (gram), computed once: the degree of a class is a dot product with it
+    h_covector: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.lattice._check(self.h)
-        if self.lattice.square(self.h) <= 0:
-            raise InputError(
-                f"quasi-polarization must have positive square, got {self.lattice.square(self.h)}"
-            )
+        object.__setattr__(self, "h_covector", self.lattice.covector(self.h))
+        if self.degree(self.h) <= 0:
+            raise InputError(f"quasi-polarization must have positive square, got {self.degree(self.h)}")
 
     def degree(self, d: DivClass) -> int:
         """Degree of a class against the polarization: H . d."""
-        return self.lattice.intersect(self.h, d)
+        self.lattice._check(d)
+        return sum(map(operator.mul, self.h_covector, d.coords))
 
     @property
     def genus(self) -> int:

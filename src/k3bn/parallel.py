@@ -10,7 +10,6 @@ throughput knob, not a semantic one.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -46,6 +45,10 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 
 def _context():
+    # imported here: most runs never start a pool, and the import is a large
+    # share of the package's import time
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-forking platforms

@@ -23,6 +23,7 @@ from k3bn import (
     no_negative_intersections,
     scan_decompositions,
 )
+from k3bn.bn import _degree_window
 from conftest import rank_one
 
 even = st.integers(-500, 500).map(lambda v: 2 * v)
@@ -122,6 +123,8 @@ def test_scan_reports_unknown_candidates(U, ef):
     pol = QuasiPolarization(U, e + f)
     scan = scan_decompositions(pol, degree_bound=3, collect_pairs=True, workers=1)
     assert scan.unknown_candidates > 0
+    # no roots are declared: every Unknown is a root-nef residual
+    assert scan.stats()["unknown_root_nef_residual"] == scan.unknown_candidates
     assert all(rec.d1 + rec.d2 == pol.h for rec in scan.pairs)
 
 
@@ -132,6 +135,19 @@ def test_scan_deterministic_across_workers(U, ef):
     par = scan_decompositions(pol, degree_bound=4, collect_pairs=True, workers=2)
     assert [r.to_dict() for r in seq.pairs] == [r.to_dict() for r in par.pairs]
     assert [v.to_dict() for v in seq.violations] == [v.to_dict() for v in par.violations]
+    assert seq.stats() == par.stats()
+
+
+@given(
+    cov=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    first=st.integers(-3, 3),
+    bound=st.integers(3, 4),
+    h2=st.integers(1, 14),
+)
+def test_degree_window_matches_filtering_the_box(cov, first, bound, h2):
+    box = itertools.product(range(-bound, bound + 1), repeat=len(cov) - 1)
+    naive = [t for t in box if 0 < first * cov[0] + sum(a * b for a, b in zip(t, cov[1:])) < h2]
+    assert list(_degree_window(tuple(cov), first, bound, h2)) == naive
 
 
 def test_violation_certificate_invariant(U, ef):

@@ -4,6 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from k3bn.bn import SCAN_VERDICT_KEYS
 from k3bn.cli import (
     EXIT_EXCEPTIONAL,
     EXIT_INPUT_ERROR,
@@ -226,6 +227,44 @@ def test_malformed_field_shapes_are_input_errors(tmp_path, command, payload):
     assert code == EXIT_INPUT_ERROR
     assert rep["verdict"] == "input error"
     assert rep["warnings"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cases", "--n", "2", "--workers", "1"],
+        ["bn-check", "--surface", "{surface}", "--degree-bound", "abc"],
+        ["verify-cases", "--n", "7"],
+        ["decompose"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_errors_are_input_errors(tmp_path, argv):
+    surface = write(tmp_path, "u.json", U_DOC)
+    code, rep = run_cli([a.format(surface=surface) for a in argv])
+    assert code == EXIT_INPUT_ERROR
+    assert rep["verdict"] == "input error"
+    assert rep["warnings"]
+    assert rep["command"] == (argv[0] if argv and argv[0] != "no-such-command" else "k3bn")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bn-check", "--help"])
+    assert exc.value.code == 0
+    assert "--degree-bound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["bn-check", "decompose"])
+def test_scan_reports_pin_stats_keys(tmp_path, command):
+    path = write(tmp_path, "u.json", {"gram": [[0, 1], [1, 0]], "H": [1, 3]})
+    _, rep = run_cli([command, "--surface", path, "--degree-bound", "4", "--workers", "1"])
+    stats = rep["results"]["stats"]
+    assert set(stats) == {"candidates_scanned", *SCAN_VERDICT_KEYS}
+    unknown = stats["unknown_root_nef_residual"] + stats["unknown_search_exhausted"]
+    assert unknown > 0
+    assert rep["warnings"] == [f"{unknown} candidate classes had Unknown effectivity and were skipped"]
 
 
 def test_profile_check_command(tmp_path):
