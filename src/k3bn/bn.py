@@ -14,12 +14,10 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterator, Sequence
 
-from . import parallel
 from .divisors import Effectivity, EffectivityVerdict, RootSet, effectivity_status, h0_floor
-from .errors import InconsistentGeometryError, InputError, PreconditionError
+from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size
 from .lattice import DivClass, QuasiPolarization
 
 
@@ -245,13 +243,6 @@ class DecompositionScan:
     # Effective), keyed as in SCAN_VERDICT_KEYS
     verdicts: Counter = field(default_factory=Counter)
 
-    def merge(self, other: "DecompositionScan") -> None:
-        self.violations.extend(other.violations)
-        self.pairs.extend(other.pairs)
-        self.candidates_scanned += other.candidates_scanned
-        self.unknown_candidates += other.unknown_candidates
-        self.verdicts.update(other.verdicts)
-
     def _settle(self, verdict: EffectivityVerdict) -> bool:
         """Count one verdict; True when it is Effective."""
         status = verdict.status
@@ -269,23 +260,16 @@ class DecompositionScan:
         }
 
 
-def _degree_window(
-    covector: tuple[int, ...], first: int, bound: int, h2: int
-) -> Iterator[tuple[int, ...]]:
-    """Tails t in [-bound, bound]^(rank-1), lexicographic, with 0 < (first, *t) . H < h2.
+def _degree_window(covector: tuple[int, ...], bound: int, h2: int) -> Iterator[tuple[int, ...]]:
+    """Vectors v in [-bound, bound]^rank, lexicographic, with 0 < v . H < h2.
 
     ``covector`` is H^T (gram), so the degree is a dot product; for each head
-    of the tail the admissible last coordinates form an interval.
+    of v the admissible last coordinates form an interval.
     """
-    base = first * covector[0]
-    if len(covector) == 1:
-        if 0 < base < h2:
-            yield ()
-        return
-    *mid, w = covector[1:]
+    *mid, w = covector
     box = range(-bound, bound + 1)
     for head in itertools.product(box, repeat=len(mid)):
-        part = base + sum(map(operator.mul, head, mid))
+        part = sum(map(operator.mul, head, mid))
         if w == 0:
             lasts = box if 0 < part < h2 else ()
         elif w > 0:  # 0 < part + c w < h2
@@ -296,20 +280,32 @@ def _degree_window(
             yield (*head, c)
 
 
-def _scan_slice(
+def scan_decompositions(
     pol: QuasiPolarization,
-    roots: RootSet | None,
-    degree_bound: int,
-    collect_pairs: bool,
-    stop_at_first_violation: bool,
-    first_coord: int,
+    roots: RootSet | None = None,
+    degree_bound: int = 10,
+    *,
+    collect_pairs: bool = False,
+    stop_at_first_violation: bool = False,
 ) -> DecompositionScan:
+    """Enumerate candidate classes D1 in the coordinate box and test pairs.
+
+    Candidates run in lexicographic order over coordinates in
+    [-degree_bound, degree_bound], restricted to 0 < D1.H < H^2 with both
+    D1 and H - D1 certified effective.  The search box is a hard cutoff and
+    is echoed by callers; results outside it are simply not seen.
+    """
+    if degree_bound <= 0:
+        raise InputError("degree bound must be positive")
+    check_search_size(
+        (2 * degree_bound + 1) ** pol.lattice.rank, "candidate classes", "lower the degree bound"
+    )
     h = pol.h
     h2 = pol.degree(h)
     g = pol.genus
     out = DecompositionScan()
-    for tail in _degree_window(pol.h_covector, first_coord, degree_bound, h2):
-        d1 = DivClass((first_coord, *tail))
+    for coords in _degree_window(pol.h_covector, degree_bound, h2):
+        d1 = DivClass(coords)
         out.candidates_scanned += 1
         if not out._settle(effectivity_status(pol, d1, roots)):
             continue
@@ -324,69 +320,21 @@ def _scan_slice(
         if violates:
             out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
             if stop_at_first_violation:
-                return out
-    return out
-
-
-def scan_decompositions(
-    pol: QuasiPolarization,
-    roots: RootSet | None = None,
-    degree_bound: int = 10,
-    *,
-    collect_pairs: bool = False,
-    stop_at_first_violation: bool = False,
-    workers: int | None = None,
-) -> DecompositionScan:
-    """Enumerate candidate classes D1 in the coordinate box and test pairs.
-
-    Candidates run in lexicographic order over coordinates in
-    [-degree_bound, degree_bound], restricted to 0 < D1.H < H^2 with both
-    D1 and H - D1 certified effective.  The search box is a hard cutoff and
-    is echoed by callers; results outside it are simply not seen.
-    """
-    if degree_bound <= 0:
-        raise InputError("degree bound must be positive")
-    candidates = (2 * degree_bound + 1) ** pol.lattice.rank
-    if candidates > 10**8:
-        raise InputError(
-            f"bound overflow: {candidates} candidate classes; lower the degree bound"
-        )
-    firsts = list(range(-degree_bound, degree_bound + 1))
-    worker = partial(
-        _scan_slice, pol, roots, degree_bound, collect_pairs, stop_at_first_violation
-    )
-    nworkers = parallel.resolve_workers(workers)
-    total = DecompositionScan()
-    if stop_at_first_violation:
-        for piece in parallel.ordered_imap(worker, firsts, nworkers, big_enough=candidates):
-            total.merge(piece)
-            if piece.violations:
                 break
-    else:
-        for piece in parallel.ordered_imap(worker, firsts, nworkers, big_enough=candidates):
-            total.merge(piece)
-    return total
+    return out
 
 
 def find_violation(
     pol: QuasiPolarization,
     roots: RootSet | None = None,
     degree_bound: int = 10,
-    *,
-    workers: int | None = None,
 ) -> ViolationCertificate | None:
     """First violation certificate in scan order, or None.
 
     None means no violation was found within the bounds -- never that the
     polarization is Brill-Noether general.
     """
-    scan = scan_decompositions(
-        pol,
-        roots,
-        degree_bound,
-        stop_at_first_violation=True,
-        workers=workers,
-    )
+    scan = scan_decompositions(pol, roots, degree_bound, stop_at_first_violation=True)
     return scan.violations[0] if scan.violations else None
 
 

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import InputError
+from .errors import InputError, check_search_size
 
 _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
 
@@ -123,16 +123,19 @@ def profile_feasible(fp: FiltrationProfile) -> bool:
 def enumerate_exceptional_triples(a_max: int) -> list[tuple[int, int, int]]:
     """All a1 >= a2 >= a3 >= 1 with a1 <= a_max and a1 a2 a3 - a1 - a2 - a3 - 2 < 0.
 
-    Brute force, lexicographically sorted.
+    Closed form, lexicographically sorted.  For a3 >= 2 the expression is
+    already 0 at (2, 2, 2) and grows in every entry; for a3 = 1 it is
+    (a1 - 1)(a2 - 1) - 4, negative for a2 = 1 and, with a2 >= 2, only at
+    (2, 2, 1), (3, 2, 1) and (4, 2, 1).
     """
     if a_max < 1:
         raise InputError("a_max must be at least 1")
+    check_search_size(a_max, "values of a1", "lower a_max")
     out = []
     for a1 in range(1, a_max + 1):
-        for a2 in range(1, a1 + 1):
-            for a3 in range(1, a2 + 1):
-                if a1 * a2 * a3 - a1 - a2 - a3 - 2 < 0:
-                    out.append((a1, a2, a3))
+        out.append((a1, 1, 1))
+        if 2 <= a1 <= 4:
+            out.append((a1, 2, 1))
     return out
 
 
@@ -564,11 +567,19 @@ def exhaustive_case_check(
     """Run the box verification for n in {2, 3, 4}.
 
     Longer decompositions reduce to these lengths through the case analysis
-    in :mod:`k3bn.bn` and are deliberately not enumerated here.
+    in :mod:`k3bn.bn` and are deliberately not enumerated here.  A box with
+    more eps-classes, rank vectors or (at n = 2) cross-check tuples than the
+    search ceiling is refused as bound overflow before any work starts.
     """
     if n not in (2, 3, 4):
         raise InputError("exhaustive checks cover n = 2, 3, 4")
     box = box or default_box(n)
+    check_search_size((box.eps_max + 1) ** n, "eps-classes", "lower eps_max")
+    check_search_size(box.r_max**n, "rank vectors", "lower r_max")
+    if n == 2:
+        check_search_size(
+            box.r_max**2 * box.s_max**2, "cross-check (r, s) tuples", "lower r_max or s_max"
+        )
     started = time.perf_counter()
 
     eps_space = list(itertools.product(range(box.eps_max + 1), repeat=n))

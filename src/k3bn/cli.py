@@ -84,8 +84,18 @@ def _is_int_vector(v) -> bool:
     return isinstance(v, list) and all(_is_int(e) for e in v)
 
 
-def _require_shapes(data: dict, vectors=(), vector_lists=(), bool_lists=()) -> None:
-    """Reject fields of the wrong JSON shape before they reach the library."""
+def _load_object(
+    text: str, label: str, required: tuple[str, ...], vectors=(), vector_lists=(), bool_lists=()
+) -> dict:
+    """Parse a JSON object with the required keys; reject fields of the wrong
+    JSON shape before they reach the library."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecValidationError([f"{label}: not valid JSON ({exc})"]) from exc
+    if not isinstance(data, dict) or any(k not in data for k in required):
+        keys = " and ".join(f"'{k}'" for k in required)
+        raise SpecValidationError([f"{label}: expected an object with {keys}"])
     checks = [(k, "an integer vector", _is_int_vector) for k in vectors]
     checks += [
         (k, "a list of integer vectors", lambda v: isinstance(v, list) and all(map(_is_int_vector, v)))
@@ -98,6 +108,7 @@ def _require_shapes(data: dict, vectors=(), vector_lists=(), bool_lists=()) -> N
     bad = [f"{k}: expected {what}" for k, what, ok in checks if k in data and not ok(data[k])]
     if bad:
         raise SpecValidationError(bad)
+    return data
 
 
 def parse_surface_spec(text: str) -> SurfaceSpec:
@@ -183,26 +194,16 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
 
 
 def _parse_decomposition_profile(text: str) -> tuple[DecompositionProfile, list[bool]]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"profile: not valid JSON ({exc})"]) from exc
-    if not isinstance(data, dict) or "sq" not in data or "x" not in data:
-        raise SpecValidationError(["profile: expected an object with 'sq' and 'x'"])
-    _require_shapes(data, vectors=["sq"], vector_lists=["x"], bool_lists=["h0_at_least_2"])
+    data = _load_object(
+        text, "profile", ("sq", "x"), vectors=["sq"], vector_lists=["x"], bool_lists=["h0_at_least_2"]
+    )
     profile = DecompositionProfile(tuple(data["sq"]), tuple(tuple(r) for r in data["x"]))
     flags = data.get("h0_at_least_2", [True] * profile.n)
     return profile, list(flags)
 
 
 def _parse_filtration_profile(text: str) -> FiltrationProfile:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"profile: not valid JSON ({exc})"]) from exc
-    if not isinstance(data, dict) or "entries" not in data:
-        raise SpecValidationError(["profile: expected an object with 'entries'"])
-    _require_shapes(data, vector_lists=["entries"])
+    data = _load_object(text, "profile", ("entries",), vector_lists=["entries"])
     return FiltrationProfile(tuple(tuple(e) for e in data["entries"]))
 
 
@@ -250,9 +251,7 @@ def _cmd_bn_check(args) -> tuple[RunReport, int]:
         bounds={"degree_bound": args.degree_bound},
     )
     report.warnings.extend(hyperbolic_plane_warnings(pol))
-    scan = scan_decompositions(
-        pol, roots, args.degree_bound, stop_at_first_violation=True, workers=args.workers
-    )
+    scan = scan_decompositions(pol, roots, args.degree_bound, stop_at_first_violation=True)
     if scan.unknown_candidates:
         report.warnings.append(
             f"{scan.unknown_candidates} candidate classes had Unknown effectivity and were skipped"
@@ -277,9 +276,7 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
         verdict="",
         bounds={"degree_bound": args.degree_bound},
     )
-    scan = scan_decompositions(
-        pol, roots, args.degree_bound, collect_pairs=True, workers=args.workers
-    )
+    scan = scan_decompositions(pol, roots, args.degree_bound, collect_pairs=True)
     if scan.unknown_candidates:
         report.warnings.append(
             f"{scan.unknown_candidates} candidate classes had Unknown effectivity and were skipped"
@@ -386,13 +383,7 @@ def _cmd_triples(args) -> tuple[RunReport, int]:
 def _cmd_reduce_fixed(args) -> tuple[RunReport, int]:
     spec = parse_surface_spec(_read(args.surface))
     lat, pol, roots = spec.build()
-    try:
-        data = json.loads(_read(args.data))
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"data: not valid JSON ({exc})"]) from exc
-    if not isinstance(data, dict) or "parts" not in data or "delta" not in data:
-        raise SpecValidationError(["data: expected an object with 'parts' and 'delta'"])
-    _require_shapes(data, vector_lists=["parts", "delta"])
+    data = _load_object(_read(args.data), "data", ("parts", "delta"), vector_lists=["parts", "delta"])
     parts = [DivClass(tuple(v)) for v in data["parts"]]
     delta = [DivClass(tuple(v)) for v in data["delta"]]
     reduced = reduce_fixed_components(pol, parts, delta, roots)
@@ -477,21 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_workers(p):
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="worker processes, capped at the usable cores (default: K3BN_WORKERS or all of them)",
-        )
-
     p = sub.add_parser("bn-check", help="search for a Brill-Noether violation certificate")
     p.add_argument("--surface", required=True, help="surface spec JSON file ('-' for stdin)")
     p.add_argument("--degree-bound", type=int, default=10)
-    add_workers(p)
 
     p = sub.add_parser("decompose", help="enumerate effective decompositions up to the bound")
     p.add_argument("--surface", required=True)
     p.add_argument("--degree-bound", type=int, default=10)
-    add_workers(p)
 
     p = sub.add_parser("classify", help="match a decomposition profile against the case list")
     p.add_argument("--profile", required=True, help="profile JSON file with 'sq' and 'x'")

@@ -129,7 +129,7 @@ def test_criterion_5_hyperbolic_violations(tmp_path):
         doc = {"gram": [[0, 1], [1, 0]], "H": [1, k]}
         path = tmp_path / f"u{k}.json"
         path.write_text(json.dumps(doc))
-        code, rep = _run_cli(["bn-check", "--surface", str(path), "--workers", "1"])
+        code, rep = _run_cli(["bn-check", "--surface", str(path)])
         if code != 10 or not rep["certificates"]:
             ok = False
             details.append(f"k={k}: no certificate")
@@ -155,7 +155,7 @@ def test_criterion_6_rank_one_sanity(tmp_path):
         doc = {"gram": [[2 * g - 2]], "H": [1]}
         path = tmp_path / f"r{g}.json"
         path.write_text(json.dumps(doc))
-        code, rep = _run_cli(["bn-check", "--surface", str(path), "--workers", "1"])
+        code, rep = _run_cli(["bn-check", "--surface", str(path)])
         if code != 0 or rep["certificates"]:
             ok = False
     elapsed = time.perf_counter() - started

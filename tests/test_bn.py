@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -7,23 +8,29 @@ from hypothesis import strategies as st
 
 from k3bn import (
     DecompositionProfile,
+    DivClass,
+    Effectivity,
     ExceptionalProfile,
+    GramLattice,
     InconsistentGeometryError,
     InputError,
     NotBNGeneral,
     PreconditionError,
     QuasiPolarization,
+    RootSet,
     ViolationCertificate,
     check_pair,
     chi_product_identity_gap,
     classify_multi_decomposition,
+    effectivity_status,
     elliptic_multiple,
     find_violation,
     n4_low_intersections,
     no_negative_intersections,
     scan_decompositions,
 )
-from k3bn.bn import _degree_window
+from k3bn.bn import SCAN_VERDICT_KEYS, _degree_window
+from k3bn.divisors import h0_floor
 from conftest import rank_one
 
 even = st.integers(-500, 500).map(lambda v: 2 * v)
@@ -96,7 +103,7 @@ def test_check_pair_preconditions(u_pol, ef):
 
 def test_find_violation_hyperbolic(u_pol, ef):
     e, f = ef
-    cert = find_violation(u_pol, degree_bound=5, workers=1)
+    cert = find_violation(u_pol, degree_bound=5)
     assert cert is not None
     assert {cert.d1, cert.d2} == {e, f}
 
@@ -104,13 +111,13 @@ def test_find_violation_hyperbolic(u_pol, ef):
 def test_find_violation_rank_one_none():
     for m in (2, 4):
         lat, pol = rank_one(m)
-        assert find_violation(pol, degree_bound=5, workers=1) is None
+        assert find_violation(pol, degree_bound=5) is None
 
 
 def test_violation_implies_find_violation(u_pol, ef):
     e, f = ef
     assert check_pair(u_pol, e, f) is not None
-    assert find_violation(u_pol, degree_bound=1, workers=1) is not None
+    assert find_violation(u_pol, degree_bound=1) is not None
 
 
 def test_find_violation_bound_validation(u_pol):
@@ -121,33 +128,86 @@ def test_find_violation_bound_validation(u_pol):
 def test_scan_reports_unknown_candidates(U, ef):
     e, f = ef
     pol = QuasiPolarization(U, e + f)
-    scan = scan_decompositions(pol, degree_bound=3, collect_pairs=True, workers=1)
+    scan = scan_decompositions(pol, degree_bound=3, collect_pairs=True)
     assert scan.unknown_candidates > 0
     # no roots are declared: every Unknown is a root-nef residual
     assert scan.stats()["unknown_root_nef_residual"] == scan.unknown_candidates
     assert all(rec.d1 + rec.d2 == pol.h for rec in scan.pairs)
 
 
-def test_scan_deterministic_across_workers(U, ef):
-    e, f = ef
-    pol = QuasiPolarization(U, e + 4 * f)
-    seq = scan_decompositions(pol, degree_bound=4, collect_pairs=True, workers=1)
-    par = scan_decompositions(pol, degree_bound=4, collect_pairs=True, workers=2)
-    assert [r.to_dict() for r in seq.pairs] == [r.to_dict() for r in par.pairs]
-    assert [v.to_dict() for v in seq.violations] == [v.to_dict() for v in par.violations]
-    assert seq.stats() == par.stats()
+def reference_scan(pol, roots, bound, stop_at_first_violation):
+    """The scan by brute force: filter the whole box by degree, then decide each class."""
+    h2 = pol.degree(pol.h)
+    pairs, violations, verdicts = [], [], Counter()
+    scanned = unknown = 0
+    for coords in itertools.product(range(-bound, bound + 1), repeat=pol.lattice.rank):
+        d1 = DivClass(coords)
+        if not 0 < pol.degree(d1) < h2:
+            continue
+        scanned += 1
+        d2 = pol.h - d1
+        for d in (d1, d2):
+            v = effectivity_status(pol, d, roots)
+            verdicts[f"{v.status.name.lower()}_{v.rule}"] += 1
+            unknown += v.status is Effectivity.UNKNOWN
+            if v.status is not Effectivity.EFFECTIVE:
+                break
+        else:
+            lb1, lb2 = h0_floor(pol, d1), h0_floor(pol, d2)
+            violates = lb1 * lb2 > pol.genus
+            pairs.append((d1.coords, d2.coords, lb1, lb2, violates))
+            if violates:
+                violations.append(ViolationCertificate(d1, d2, lb1, lb2, pol.genus).to_dict())
+                if stop_at_first_violation:
+                    break
+    stats = {"candidates_scanned": scanned, **dict.fromkeys(SCAN_VERDICT_KEYS, 0), **verdicts}
+    return pairs, violations, scanned, unknown, stats
+
+
+_A2 = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, 1), (0, 0, 1, -2))
+SCAN_CASES = [
+    # (gram, H, roots, degree bound)
+    (((4,),), (1,), [], 5),
+    (((2,),), (2,), [], 4),
+    (((0, 1), (1, 0)), (1, 1), [], 3),
+    (((0, 1), (1, 0)), (1, 4), [], 4),
+    (((0, 1), (1, 0)), (2, 3), [], 3),
+    (((0, 1, 0), (1, 0, 0), (0, 0, -2)), (1, 2, 0), [(0, 0, 1)], 3),
+    (((0, 1, 0), (1, 0, 0), (0, 0, -2)), (2, 3, 1), [(0, 0, -1)], 2),
+    (_A2, (1, 2, 0, 0), [(0, 0, 1, 0), (0, 0, 0, 1)], 2),
+    (_A2, (1, 4, -1, 1), [(0, 0, 1, 0), (0, 0, 0, -1)], 2),
+]
+
+
+@pytest.mark.parametrize(
+    "gram, h, roots, bound",
+    SCAN_CASES,
+    ids=["rank1", "rank1-violation", "U-e+f", "U-e+4f", "U-2e+3f", "UA1", "UA1-root-degree", "UA2", "UA2-root-degree"],
+)
+@pytest.mark.parametrize("decompose", [True, False], ids=["decompose", "bn-check"])
+def test_scan_matches_brute_force(gram, h, roots, bound, decompose):
+    pol = QuasiPolarization(GramLattice(gram), DivClass(h))
+    root_set = RootSet(pol, tuple(DivClass(r) for r in roots)) if roots else None
+    scan = scan_decompositions(
+        pol, root_set, bound, collect_pairs=decompose, stop_at_first_violation=not decompose
+    )
+    pairs, violations, scanned, unknown, stats = reference_scan(pol, root_set, bound, not decompose)
+    got_pairs = [(r.d1.coords, r.d2.coords, r.lb1, r.lb2, r.violates) for r in scan.pairs]
+    assert got_pairs == (pairs if decompose else [])
+    assert [v.to_dict() for v in scan.violations] == violations
+    assert (scan.candidates_scanned, scan.unknown_candidates) == (scanned, unknown)
+    assert scan.stats() == stats
 
 
 @given(
     cov=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-    first=st.integers(-3, 3),
-    bound=st.integers(3, 4),
+    bound=st.integers(1, 4),
     h2=st.integers(1, 14),
 )
-def test_degree_window_matches_filtering_the_box(cov, first, bound, h2):
-    box = itertools.product(range(-bound, bound + 1), repeat=len(cov) - 1)
-    naive = [t for t in box if 0 < first * cov[0] + sum(a * b for a, b in zip(t, cov[1:])) < h2]
-    assert list(_degree_window(tuple(cov), first, bound, h2)) == naive
+def test_degree_window_matches_filtering_the_box(cov, bound, h2):
+    box = itertools.product(range(-bound, bound + 1), repeat=len(cov))
+    naive = [v for v in box if 0 < sum(a * b for a, b in zip(v, cov)) < h2]
+    assert list(_degree_window(tuple(cov), bound, h2)) == naive
 
 
 def test_violation_certificate_invariant(U, ef):

@@ -18,6 +18,7 @@ from k3bn import (
     profile_feasible,
     verify_counterexample,
 )
+from k3bn.errors import SEARCH_CEILING
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +79,23 @@ def test_triples_shape_stabilizes():
 def test_triples_rejects_bad_bound():
     with pytest.raises(InputError):
         enumerate_exceptional_triples(0)
+    with pytest.raises(InputError, match="bound overflow"):
+        enumerate_exceptional_triples(SEARCH_CEILING + 1)
+
+
+def brute_force_triples(a_max):
+    return [
+        (a1, a2, a3)
+        for a1 in range(1, a_max + 1)
+        for a2 in range(1, a1 + 1)
+        for a3 in range(1, a2 + 1)
+        if a1 * a2 * a3 - a1 - a2 - a3 - 2 < 0
+    ]
+
+
+def test_triples_closed_form_matches_brute_force():
+    for a_max in range(1, 61):
+        assert enumerate_exceptional_triples(a_max) == brute_force_triples(a_max)
 
 
 def test_dynkin_labels():
@@ -126,6 +144,15 @@ def test_box_validation():
         Box(r_max=1, s_min=0, s_max=1, eps_max=0, x_min=2, x_max=1)
     with pytest.raises(InputError):
         Box(r_max=10**7, s_min=-1, s_max=1, eps_max=0, x_min=0, x_max=1)
+
+
+# the n = 3 boxes of the benchmark's box-verify workload (SEEDED_BOXES in perfbench/workloads.py)
+BENCHMARK_BOXES = [Box(r, -r, r, e, -10, xh) for r in (9, 10) for e in (10, 11) for xh in (30, 32)]
+
+
+def test_default_and_benchmark_boxes_stay_under_the_ceiling():
+    for n, box in [(n, default_box(n)) for n in (2, 3, 4)] + [(3, b) for b in BENCHMARK_BOXES]:
+        assert exhaustive_case_check(n, box).counterexamples == []
 
 
 def test_default_boxes():

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
+import k3bn
 from k3bn.bn import SCAN_VERDICT_KEYS
 from k3bn.cli import (
     EXIT_EXCEPTIONAL,
@@ -83,7 +88,7 @@ def test_spec_round_trip():
 
 def test_bn_check_violation(tmp_path):
     path = write(tmp_path, "u.json", U_DOC)
-    code, rep = run_cli(["bn-check", "--surface", path, "--workers", "1"])
+    code, rep = run_cli(["bn-check", "--surface", path])
     assert code == EXIT_VIOLATION
     assert rep["verdict"] == "violation"
     cert = rep["certificates"][0]
@@ -110,7 +115,7 @@ def test_bn_check_input_error(tmp_path):
 
 def test_decompose_lists_pairs(tmp_path):
     path = write(tmp_path, "u.json", {"gram": [[0, 1], [1, 0]], "H": [1, 3]})
-    code, rep = run_cli(["decompose", "--surface", path, "--degree-bound", "4", "--workers", "1"])
+    code, rep = run_cli(["decompose", "--surface", path, "--degree-bound", "4"])
     assert code == EXIT_VIOLATION  # violations exist on this surface
     assert rep["results"]["count"] >= 1
     for rec in rep["results"]["decompositions"]:
@@ -238,6 +243,7 @@ def test_malformed_field_shapes_are_input_errors(tmp_path, command, payload):
         ["decompose"],
         ["no-such-command"],
         [],
+        ["bn-check", "--surface", "{surface}", "--workers", "2"],
     ],
 )
 def test_usage_errors_are_input_errors(tmp_path, argv):
@@ -247,6 +253,37 @@ def test_usage_errors_are_input_errors(tmp_path, argv):
     assert rep["verdict"] == "input error"
     assert rep["warnings"]
     assert rep["command"] == (argv[0] if argv and argv[0] != "no-such-command" else "k3bn")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-cases", "--n", "2", "--r-max", "1000000"],
+        ["verify-cases", "--n", "4", "--eps-max", "1000000"],
+        ["verify-cases", "--n", "2", "--r-max", "200", "--s-max", "100"],
+        ["triples", "--a-max", "100000001"],
+    ],
+)
+def test_oversized_searches_are_refused_before_any_work(argv):
+    started = time.perf_counter()
+    code, rep = run_cli(argv)
+    assert code == EXIT_INPUT_ERROR
+    assert rep["warnings"][0].startswith("bound overflow: ")
+    assert time.perf_counter() - started < 1.0
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # every command pays the import; multiprocessing is a large share of it
+    src = os.path.dirname(os.path.dirname(k3bn.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, k3bn.cli; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_help_still_exits_zero(capsys):
@@ -259,7 +296,7 @@ def test_help_still_exits_zero(capsys):
 @pytest.mark.parametrize("command", ["bn-check", "decompose"])
 def test_scan_reports_pin_stats_keys(tmp_path, command):
     path = write(tmp_path, "u.json", {"gram": [[0, 1], [1, 0]], "H": [1, 3]})
-    _, rep = run_cli([command, "--surface", path, "--degree-bound", "4", "--workers", "1"])
+    _, rep = run_cli([command, "--surface", path, "--degree-bound", "4"])
     stats = rep["results"]["stats"]
     assert set(stats) == {"candidates_scanned", *SCAN_VERDICT_KEYS}
     unknown = stats["unknown_root_nef_residual"] + stats["unknown_search_exhausted"]
@@ -280,7 +317,7 @@ def test_profile_check_command(tmp_path):
 
 def test_report_schema_fields(tmp_path):
     path = write(tmp_path, "u.json", U_DOC)
-    _, rep = run_cli(["bn-check", "--surface", path, "--workers", "1"])
+    _, rep = run_cli(["bn-check", "--surface", path])
     for key in ("command", "inputs_echo", "verdict", "certificates", "bounds", "warnings", "elapsed_ms", "results"):
         assert key in rep
     assert rep["inputs_echo"]["gram"] == U_DOC["gram"]
@@ -290,7 +327,7 @@ def test_human_rendering(tmp_path):
     path = write(tmp_path, "u.json", U_DOC)
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(["--human", "bn-check", "--surface", path, "--workers", "1"])
+        code = main(["--human", "bn-check", "--surface", path])
     assert code == EXIT_VIOLATION
     text = buf.getvalue()
     assert text.startswith("bn-check: violation")
