@@ -12,6 +12,7 @@ profile, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -498,10 +499,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `main` uses, built on the first call and reused by every later
+# call in the process (parsing keeps its state in locals and a new Namespace).
+# `build_parser()` still returns a fresh parser that callers may change freely.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         report, status = run(args)
     except (SpecValidationError, InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
         warnings = exc.violations if isinstance(exc, SpecValidationError) else [str(exc)]

@@ -9,7 +9,6 @@ computed with exact (arbitrary-precision) integers.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
@@ -181,30 +180,57 @@ class QuasiPolarization:
         return self.lattice.genus(self.h)
 
 
-def hyperbolic_plane_warnings(
-    pol: QuasiPolarization, trials: int = 16, seed: int = 7
-) -> list[str]:
-    """Advisory diagnostic: sample 2-planes through H and test their type.
+def hyperbolic_plane_warnings(pol: QuasiPolarization) -> list[str]:
+    """Advisory diagnostic: exact test for a 2-plane through H of positive type.
 
     On a surface the pairing has signature (1, rank-1), so the plane spanned
-    by H (with H^2 > 0) and any independent class must have nonpositive Gram
-    determinant.  A positive determinant means the input lattice cannot be a
-    surface class group with H ample-like; callers get a warning, never an
-    error -- the check is sampled, not exhaustive.
+    by H (with H^2 > 0) and any class d must have Gram determinant
+    H^2 d^2 - (H.d)^2 <= 0.  That determinant is d^T M d for
+    M = H^2 G - c c^T with c = G h, so a bad plane exists exactly when M is
+    not negative semidefinite, that is, when the form has more than one
+    positive direction.  Since M h = 0, the test runs on M with the row and
+    column of one index k with h_k != 0 deleted, by fraction-free (Bareiss)
+    symmetric elimination: a positive pivot, or a zero pivot with a nonzero
+    entry in its row, yields a witness d; a negative pivot is eliminated.
+    A bad plane gets a warning naming d, never an error.
     """
     lat = pol.lattice
+    h, c = pol.h.coords, pol.h_covector
     h2 = lat.square(pol.h)
-    rng = random.Random(seed)
-    warnings: list[str] = []
-    for _ in range(trials):
-        d = DivClass(tuple(rng.randint(-3, 3) for _ in range(lat.rank)))
-        if d.is_zero:
-            continue
-        det2 = h2 * lat.square(d) - pol.degree(d) ** 2
-        if det2 > 0:
-            warnings.append(
-                f"plane spanned by H and {d.coords} has positive Gram determinant {det2}; "
-                "the form does not look hyperbolic"
-            )
+    k = next(i for i, x in enumerate(h) if x)
+    idx = [i for i in range(lat.rank) if i != k]
+    m = len(idx)
+    a = [[h2 * lat.gram[i][j] - c[i] * c[j] for j in idx] for i in idx]
+    # a is M with row and column k deleted, then its scaled Schur complements;
+    # v[i]^T M v[j] is the same positive multiple of a[i][j] for all i, j >= p
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+    prev = 1
+    for p in range(m):
+        piv = -a[p][p]
+        if piv < 0:
+            witness = v[p]
             break
-    return warnings
+        if piv == 0:
+            q = next((q for q in range(p + 1, m) if a[p][q]), None)
+            if q is None:
+                continue
+            # (t v_p + v_q)^T M (t v_p + v_q) is a positive multiple of 2 t a_pq + a_qq
+            t = (abs(a[q][q]) + 1) * (1 if a[p][q] > 0 else -1)
+            witness = [t * x + y for x, y in zip(v[p], v[q])]
+            break
+        # Bareiss: both divisions by the previous pivot are exact
+        for i in range(p + 1, m):
+            for j in range(i, m):
+                a[i][j] = a[j][i] = (piv * a[i][j] + a[i][p] * a[p][j]) // prev
+            v[i] = [(piv * x + a[p][i] * y) // prev for x, y in zip(v[i], v[p])]
+        prev = piv
+    else:
+        return []
+    witness.insert(k, 0)
+    g = reduce(gcd, witness, 0)
+    d = DivClass(tuple(x // g for x in witness))
+    det2 = h2 * lat.square(d) - pol.degree(d) ** 2
+    return [
+        f"plane spanned by H and {d.coords} has positive Gram determinant {det2}; "
+        "the form is not hyperbolic"
+    ]

@@ -9,13 +9,16 @@ from contextlib import redirect_stdout
 import pytest
 
 import k3bn
+from k3bn import cli
 from k3bn.bn import SCAN_VERDICT_KEYS
+from k3bn.cases import default_box
 from k3bn.cli import (
     EXIT_EXCEPTIONAL,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VIOLATION,
     SpecValidationError,
+    build_parser,
     main,
     parse_surface_spec,
 )
@@ -272,17 +275,21 @@ def test_oversized_searches_are_refused_before_any_work(argv):
     assert time.perf_counter() - started < 1.0
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # every command pays the import; multiprocessing is a large share of it
+def _python(*args):
+    """Run a fresh interpreter that imports k3bn from this source tree."""
     src = os.path.dirname(os.path.dirname(k3bn.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, k3bn.cli; print('multiprocessing' in sys.modules)"],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
-        check=True,
         timeout=60,
     )
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # every command pays the import; multiprocessing is a large share of it
+    out = _python("-c", "import sys, k3bn.cli; print('multiprocessing' in sys.modules)")
     assert out.stdout.strip() == "False"
 
 
@@ -291,6 +298,104 @@ def test_help_still_exits_zero(capsys):
         main(["bn-check", "--help"])
     assert exc.value.code == 0
     assert "--degree-bound" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _drop_elapsed(doc):
+    if isinstance(doc, dict):
+        return {k: _drop_elapsed(v) for k, v in doc.items() if k != "elapsed_ms"}
+    return doc
+
+
+def _capture(argv):
+    """Exit code (or SystemExit code) and stdout of one `main` call, with the
+    run times taken out so that two runs can be compared."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out = buf.getvalue()
+    try:
+        doc = json.loads(out)
+    except json.JSONDecodeError:
+        return code, [line for line in out.splitlines() if not line.startswith("  elapsed: ")]
+    return code, _drop_elapsed(doc)
+
+
+def _assert_reuse_matches_fresh(monkeypatch, argvs):
+    reused = [_capture(argv) for argv in argvs]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", build_parser)
+        fresh = [_capture(argv) for argv in argvs]
+    assert reused == fresh
+    return reused
+
+
+def test_main_reuses_one_parser():
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    hits = cli._parser.cache_info().hits
+    run_cli(["triples", "--a-max", "3"])
+    assert cli._parser.cache_info().hits == hits + 1
+
+
+def test_reused_parser_human_then_json(tmp_path, monkeypatch):
+    path = write(tmp_path, "u.json", U_DOC)
+    (code1, text), (code2, doc) = _assert_reuse_matches_fresh(
+        monkeypatch,
+        [["--human", "bn-check", "--surface", path], ["bn-check", "--surface", path]],
+    )
+    assert code1 == code2 == EXIT_VIOLATION
+    assert text[0].startswith("bn-check: violation")
+    assert doc["command"] == "bn-check"
+
+
+def test_reused_parser_forgets_previous_options(monkeypatch):
+    (_, custom), (_, default) = _assert_reuse_matches_fresh(
+        monkeypatch, [["verify-cases", "--n", "2", "--r-max", "5"], ["verify-cases", "--n", "2"]]
+    )
+    assert custom["bounds"]["r_max"] == 5
+    assert default["bounds"] == default_box(2).to_dict()
+
+
+def test_reused_parser_after_usage_error_and_help(monkeypatch):
+    runs = _assert_reuse_matches_fresh(
+        monkeypatch, [["verify-cases", "--n", "7"], ["--help"], ["triples", "--a-max", "3"]]
+    )
+    (code1, error), (code2, help_text), (code3, triples) = runs
+    assert (code1, code2, code3) == (EXIT_INPUT_ERROR, 0, EXIT_OK)
+    assert error["verdict"] == "input error"
+    assert help_text[0].startswith("usage: k3bn")
+    assert triples["results"]["triples"] == [[1, 1, 1], [2, 1, 1], [2, 2, 1], [3, 1, 1], [3, 2, 1]]
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built on the first `main` call, so importing stays cheap
+    out = _python("-c", "import k3bn.cli as c; print(c._parser.cache_info().currsize)")
+    assert out.stdout.strip() == "0"
+
+
+def test_module_entry_point_runs_a_command():
+    out = _python("-m", "k3bn", "triples", "--a-max", "3")
+    assert out.returncode == EXIT_OK
+    rep = json.loads(out.stdout)
+    assert rep["command"] == "triples"
+    assert rep["results"]["triples"] == [[1, 1, 1], [2, 1, 1], [2, 2, 1], [3, 1, 1], [3, 2, 1]]
+
+
+def test_module_entry_point_reports_input_errors(tmp_path):
+    out = _python("-m", "k3bn", "bn-check", "--surface", str(tmp_path / "missing.json"))
+    assert out.returncode == EXIT_INPUT_ERROR
+    rep = json.loads(out.stdout)
+    assert rep["command"] == "bn-check"
+    assert rep["verdict"] == "input error"
+    assert "missing.json" in rep["warnings"][0]
+    assert "Traceback" not in out.stderr
 
 
 @pytest.mark.parametrize("command", ["bn-check", "decompose"])

@@ -1,5 +1,8 @@
+import re
+
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from k3bn import DivClass, GramLattice, InputError, QuasiPolarization
@@ -116,4 +119,67 @@ def test_plane_diagnostic_flags_positive_definite_drift():
     # even positive-definite block next to H: planes through H go positive
     lat = GramLattice(((2, 0), (0, 2)))
     pol = QuasiPolarization(lat, DivClass((1, 0)))
-    assert hyperbolic_plane_warnings(pol, trials=64)
+    assert hyperbolic_plane_warnings(pol)
+
+
+def _plane_witness(warning):
+    coords = re.search(r"H and \(([^)]*)\)", warning).group(1).rstrip(",")
+    return DivClass(tuple(int(x) for x in coords.split(",")))
+
+
+@st.composite
+def even_forms(draw):
+    """An even symmetric Gram matrix of rank 1-4 with small entries, and a
+    class H of positive square."""
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    lat = GramLattice(tuple(map(tuple, gram)))
+    h = DivClass(tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))))
+    assume(lat.square(h) > 0)
+    return gram, QuasiPolarization(lat, h)
+
+
+def _form(gram, h):
+    return gram, QuasiPolarization(GramLattice(gram), DivClass(h))
+
+
+@given(even_forms())
+@example(_form(((2, 0, 0), (0, 0, 1), (0, 1, 0)), (1, 0, 0)))  # zero pivot, nonzero row
+@example(_form(((0, 1, 0), (1, 0, 0), (0, 0, 2)), (1, 1, 0)))  # positive pivot
+@example(_form(((2, 0), (0, 0)), (1, 0)))  # degenerate form, zero pivot, zero row
+# a pivot eliminated, then a zero pivot with a nonzero row
+@example(_form(((2, 2, 1, 1), (2, 0, 1, -1), (1, 1, 2, 1), (1, -1, 1, -2)), (1, 0, 1, 1)))
+def test_plane_diagnostic_is_exact(form):
+    gram, pol = form
+    warnings = hyperbolic_plane_warnings(pol)
+    positive = int((np.linalg.eigvalsh(np.array(gram, dtype=float)) > 1e-9).sum())
+    assert bool(warnings) == (positive > 1)
+    for w in warnings:
+        d = _plane_witness(w)
+        det2 = pol.lattice.square(pol.h) * pol.lattice.square(d) - pol.degree(d) ** 2
+        assert det2 > 0
+        assert f"positive Gram determinant {det2};" in w
+
+
+@pytest.mark.parametrize(
+    "negative_part",
+    [((-2,),), ((-2, 1), (1, -2)), ((-4, 0), (0, -4))],
+    ids=["U+A1", "U+A2", "U+<-4>^2"],
+)
+@given(data=st.data())
+def test_plane_diagnostic_quiet_on_hyperbolic_lattices(negative_part, data):
+    # U plus a negative definite block has signature (1, rank-1): never a warning
+    m = len(negative_part)
+    gram = ((0, 1) + (0,) * m, (1, 0) + (0,) * m) + tuple((0, 0) + row for row in negative_part)
+    lat = GramLattice(gram)
+    rest = data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    a = data.draw(st.integers(1, 4))
+    neg = lat.square(DivClass((0, 0, *rest)))
+    b = -neg // (2 * a) + 1 + data.draw(st.integers(0, 3))  # 2ab > -neg, so H^2 > 0
+    sign = data.draw(st.sampled_from((1, -1)))
+    pol = QuasiPolarization(lat, DivClass((sign * a, sign * b, *rest)))
+    assert hyperbolic_plane_warnings(pol) == []
