@@ -14,11 +14,12 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterator, Sequence
 
 from .divisors import Effectivity, EffectivityVerdict, RootSet, effectivity_status, h0_floor
 from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size
-from .lattice import DivClass, QuasiPolarization
+from .lattice import DivClass, QuasiPolarization, bareiss
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,10 @@ class DecompositionScan:
     # one count per effectivity verdict (D1, and D2 = H - D1 when D1 is
     # Effective), keyed as in SCAN_VERDICT_KEYS
     verdicts: Counter = field(default_factory=Counter)
+    # set by ``violation_scan``: the size of the degree window, and whether
+    # the candidates were X_H in the box (the rest of the window unexamined)
+    window_classes: int | None = None
+    x_h: bool = False
 
     def _settle(self, verdict: EffectivityVerdict) -> bool:
         """Count one verdict; True when it is Effective."""
@@ -253,11 +258,22 @@ class DecompositionScan:
 
     def stats(self) -> dict:
         """Candidates in the degree window and how each verdict was reached."""
+        window = {} if self.window_classes is None else {"window_classes": self.window_classes}
         return {
             "candidates_scanned": self.candidates_scanned,
+            **window,
             **dict.fromkeys(SCAN_VERDICT_KEYS, 0),
             **self.verdicts,
         }
+
+
+def _lasts(part: int, w: int, bound: int, h2: int) -> range:
+    """The c in [-bound, bound] with 0 < part + c w < h2."""
+    if w == 0:
+        return range(-bound, bound + 1) if 0 < part < h2 else range(0)
+    if w > 0:
+        return range(max(-bound, -part // w + 1), min(bound, (h2 - part - 1) // w) + 1)
+    return range(max(-bound, (part - h2) // -w + 1), min(bound, (part - 1) // -w) + 1)
 
 
 def _degree_window(covector: tuple[int, ...], bound: int, h2: int) -> Iterator[tuple[int, ...]]:
@@ -267,17 +283,109 @@ def _degree_window(covector: tuple[int, ...], bound: int, h2: int) -> Iterator[t
     of v the admissible last coordinates form an interval.
     """
     *mid, w = covector
-    box = range(-bound, bound + 1)
-    for head in itertools.product(box, repeat=len(mid)):
+    for head in itertools.product(range(-bound, bound + 1), repeat=len(mid)):
         part = sum(map(operator.mul, head, mid))
-        if w == 0:
-            lasts = box if 0 < part < h2 else ()
-        elif w > 0:  # 0 < part + c w < h2
-            lasts = range(max(-bound, -part // w + 1), min(bound, (h2 - part - 1) // w) + 1)
-        else:
-            lasts = range(max(-bound, (part - h2) // -w + 1), min(bound, (part - 1) // -w) + 1)
-        for c in lasts:
+        for c in _lasts(part, w, bound, h2):
             yield (*head, c)
+
+
+def degree_window_size(covector: tuple[int, ...], bound: int, h2: int) -> int:
+    """The number of vectors ``_degree_window`` yields, without building one.
+
+    A count of partial degrees over the nonzero covector entries but the
+    last, whose admissible values form an interval; every zero entry
+    multiplies the count by 2 bound + 1.
+    """
+    nonzero = [w for w in covector if w]
+    if not nonzero:
+        return 0
+    *mid, w = nonzero
+    sums = Counter({0: 1})
+    for x in mid:
+        step = Counter()
+        for part, count in sums.items():
+            for t in range(-bound, bound + 1):
+                step[part + t * x] += count
+        sums = step
+    free = (2 * bound + 1) ** (len(covector) - len(nonzero))
+    return free * sum(count * len(_lasts(part, w, bound, h2)) for part, count in sums.items())
+
+
+def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | None:
+    """X_H cut to the box [-bound, bound]^rank, in lexicographic order.
+
+    X_H = {D : 0 < D.H < H^2, D^2 >= -2, (H - D)^2 >= -2} holds every class
+    that can carry a violation: a side of square < -2 has h^0 floor 0.  With
+    d = D.H, the integer form Q(D) = d^2 - H^2 D^2 (matrix c c^T - H^2 gram,
+    c = H^T gram) is -H^2 times the square of the part of D in H^perp, the
+    same for D and H - D.  So D lies in X_H exactly when 0 < d < H^2 and
+    Q(D) <= min(d, H^2 - d)^2 + 2 H^2, and then Q(D) <= (H^2 // 2)^2 + 2 H^2.
+    When H^perp is negative definite, Q is positive semidefinite with kernel
+    the line of H.  The enumeration is Fincke-Pohst (Fincke & Pohst,
+    *Improved methods for calculating vectors of short length in a lattice*,
+    Math. Comp. 44, 1985) in integers: ``bareiss`` eliminates Q once, with a
+    coordinate k of H_k != 0 last.  Coordinate k runs along the kernel over
+    the box; each scaled Schur complement then bounds one more coordinate
+    by ``math.isqrt``, clamped to the box, and the innermost also to the
+    degree window.  So the work stays within the box.  Only D is cut to the
+    box; H - D may leave it, as in the window scan.
+
+    None when H^perp is not negative definite (a pivot before k is <= 0):
+    the form is then not hyperbolic, or degenerate, and X_H may be infinite.
+    """
+    gram, h, c = pol.lattice.gram, pol.h.coords, pol.h_covector
+    h2 = pol.degree(pol.h)
+    k = next(i for i, x in enumerate(h) if x)
+    order = [i for i in range(len(h)) if i != k] + [k]
+    top = len(order) - 1
+    cs = [c[i] for i in order]
+    a = [[c[i] * c[j] - h2 * gram[i][j] for j in order] for i in order]
+    for p in bareiss(a):
+        if p < top and a[p][p] <= 0:
+            return None
+    limit = (h2 // 2) ** 2 + 2 * h2
+    found = []
+    x = [0] * len(order)
+
+    # q is the form of the trailing scaled Schur complement at the chosen
+    # x_{p+1}, ..., x_top (0 at the top, the kernel); then
+    #   Q_p = ((piv_p x_p + lin_p)^2 + prev_p q) / piv_p,
+    # and real x_0, ..., x_{p-1} bring Q(D) within limit exactly when
+    # Q_p <= prev_p limit.
+    def walk(p: int, q: int) -> None:
+        if p < 0:
+            d = sum(map(operator.mul, cs, x))
+            if 0 < d < h2 and q <= min(d, h2 - d) ** 2 + 2 * h2:
+                found.append((*x[:k], x[top], *x[k:top]))
+            return
+        piv, prev = a[p][p], a[p - 1][p - 1] if p else 1
+        r = prev * (piv * limit - q)
+        if r < 0:
+            return
+        s = isqrt(r)
+        lin = sum(map(operator.mul, a[p][p + 1 :], x[p + 1 :]))
+        us = range(max(-bound, -((s + lin) // piv)), min(bound, (s - lin) // piv) + 1)
+        if p == 0:
+            lasts = _lasts(sum(map(operator.mul, cs[1:], x[1:])), cs[0], bound, h2)
+            us = range(max(us.start, lasts.start), min(us.stop, lasts.stop))
+        for u in us:
+            x[p] = u
+            t = piv * u + lin
+            walk(p - 1, (t * t + prev * q) // piv)
+
+    for u in range(-bound, bound + 1):
+        x[top] = u
+        walk(top - 1, 0)
+    found.sort()
+    return found
+
+
+def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
+    if degree_bound <= 0:
+        raise InputError("degree bound must be positive")
+    check_search_size(
+        (2 * degree_bound + 1) ** pol.lattice.rank, "candidate classes", "lower the degree bound"
+    )
 
 
 def scan_decompositions(
@@ -295,11 +403,7 @@ def scan_decompositions(
     D1 and H - D1 certified effective.  The search box is a hard cutoff and
     is echoed by callers; results outside it are simply not seen.
     """
-    if degree_bound <= 0:
-        raise InputError("degree bound must be positive")
-    check_search_size(
-        (2 * degree_bound + 1) ** pol.lattice.rank, "candidate classes", "lower the degree bound"
-    )
+    _check_degree_bound(pol, degree_bound)
     h = pol.h
     h2 = pol.degree(h)
     g = pol.genus
@@ -324,17 +428,49 @@ def scan_decompositions(
     return out
 
 
+def violation_scan(
+    pol: QuasiPolarization,
+    roots: RootSet | None = None,
+    degree_bound: int = 10,
+) -> DecompositionScan:
+    """The first violation in scan order, searched over X_H when it is finite.
+
+    A violation needs both h^0 floors >= 1 (the genus is >= 2), so both
+    sides have square >= -2: D1 lies in X_H (``x_h_classes``) and both sides
+    are Effective by Riemann-Roch, whatever the roots.  So the first class of
+    X_H in the box that violates is the certificate the window scan would
+    stop at.  When H^perp is not negative definite the window scan runs.
+    """
+    _check_degree_bound(pol, degree_bound)
+    classes = x_h_classes(pol, degree_bound)
+    if classes is None:
+        out = scan_decompositions(pol, roots, degree_bound, stop_at_first_violation=True)
+    else:
+        out = DecompositionScan(candidates_scanned=len(classes), x_h=True)
+        out.verdicts["effective_riemann_roch"] = 2 * len(classes)
+        g = pol.genus
+        for coords in classes:
+            d1 = DivClass(coords)
+            d2 = pol.h - d1
+            lb1, lb2 = h0_floor(pol, d1), h0_floor(pol, d2)
+            if lb1 * lb2 > g:
+                out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
+                break
+    out.window_classes = degree_window_size(pol.h_covector, degree_bound, pol.degree(pol.h))
+    return out
+
+
 def find_violation(
     pol: QuasiPolarization,
     roots: RootSet | None = None,
     degree_bound: int = 10,
 ) -> ViolationCertificate | None:
-    """First violation certificate in scan order, or None.
+    """First violation certificate in scan order (``violation_scan``), or None.
 
     None means no violation was found within the bounds -- never that the
     polarization is Brill-Noether general.
     """
-    scan = scan_decompositions(pol, roots, degree_bound, stop_at_first_violation=True)
+    scan = violation_scan(pol, roots, degree_bound)
     return scan.violations[0] if scan.violations else None
 
 

@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from . import cases
 from .bn import (
     DecompositionProfile,
+    DecompositionScan,
     ExceptionalProfile,
     NotBNGeneral,
     ViolationCertificate,
     classify_multi_decomposition,
     scan_decompositions,
+    violation_scan,
 )
 from .cases import Box, FiltrationProfile, default_box
 from .divisors import RootSet, h0_lower_bound, reduce_fixed_components
@@ -242,21 +244,37 @@ def _reverify_violation(pol, roots, cert: ViolationCertificate) -> None:
         raise RuntimeError("certificate parts do not sum to the polarization")
 
 
-def _cmd_bn_check(args) -> tuple[RunReport, int]:
+def _scan_report(args, command: str) -> tuple[RunReport, QuasiPolarization, RootSet]:
     spec = parse_surface_spec(_read(args.surface))
     lat, pol, roots = spec.build()
     report = RunReport(
-        command="bn-check",
+        command=command,
         inputs_echo=spec.to_doc(),
         verdict="",
         bounds={"degree_bound": args.degree_bound},
+        warnings=hyperbolic_plane_warnings(pol),
     )
-    report.warnings.extend(hyperbolic_plane_warnings(pol))
-    scan = scan_decompositions(pol, roots, args.degree_bound, stop_at_first_violation=True)
+    return report, pol, roots
+
+
+def _unknown_warning(report: RunReport, scan: DecompositionScan) -> None:
     if scan.unknown_candidates:
         report.warnings.append(
             f"{scan.unknown_candidates} candidate classes had Unknown effectivity and were skipped"
         )
+
+
+def _cmd_bn_check(args) -> tuple[RunReport, int]:
+    report, pol, roots = _scan_report(args, "bn-check")
+    scan = violation_scan(pol, roots, args.degree_bound)
+    outside = scan.window_classes - scan.candidates_scanned
+    if scan.x_h and outside:
+        report.warnings.append(
+            f"{outside} candidate classes in the degree window lie outside X_H and were not "
+            "examined; each has a side of square < -2, whose h0 floor is 0, so none can carry "
+            "a violation at the lower-bound level"
+        )
+    _unknown_warning(report, scan)
     report.results["stats"] = scan.stats()
     if scan.violations:
         cert = scan.violations[0]
@@ -269,19 +287,9 @@ def _cmd_bn_check(args) -> tuple[RunReport, int]:
 
 
 def _cmd_decompose(args) -> tuple[RunReport, int]:
-    spec = parse_surface_spec(_read(args.surface))
-    lat, pol, roots = spec.build()
-    report = RunReport(
-        command="decompose",
-        inputs_echo=spec.to_doc(),
-        verdict="",
-        bounds={"degree_bound": args.degree_bound},
-    )
+    report, pol, roots = _scan_report(args, "decompose")
     scan = scan_decompositions(pol, roots, args.degree_bound, collect_pairs=True)
-    if scan.unknown_candidates:
-        report.warnings.append(
-            f"{scan.unknown_candidates} candidate classes had Unknown effectivity and were skipped"
-        )
+    _unknown_warning(report, scan)
     # each unordered pair appears twice in the scan; keep the first occurrence
     seen = set()
     pairs = []

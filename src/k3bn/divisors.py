@@ -46,7 +46,7 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 from .errors import InconsistentGeometryError, InputError, PreconditionError
-from .lattice import DivClass, GramLattice, QuasiPolarization
+from .lattice import DivClass, GramLattice, QuasiPolarization, negative_definite
 
 # Coefficient bound for the cone-membership search over declared roots.
 DEFAULT_COEFF_BOUND = 10
@@ -54,24 +54,6 @@ DEFAULT_COEFF_BOUND = 10
 # Hard cap on the size of the cone search, to keep pathological inputs from
 # hanging; realistic root sets are tiny.
 _MAX_SEARCH_STATES = 5_000_000
-
-
-def _negative_definite(gram: tuple[tuple[int, ...], ...]) -> bool:
-    """Sylvester's criterion for -gram, with fraction-free (Bareiss) elimination.
-
-    After step k the pivot a[k][k] is the (k+1)-th leading principal minor of
-    -gram, and every division is exact.
-    """
-    a = [[-x for x in row] for row in gram]
-    n, prev = len(a), 1
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return True
 
 
 @dataclass(frozen=True)
@@ -112,7 +94,7 @@ class RootSet:
         contracted = (
             not any(degrees)
             and all(products[i][j] >= 0 for i in range(len(roots)) for j in range(len(roots)) if i != j)
-            and _negative_definite(products)
+            and negative_definite(products)
         )
         for name, value in (
             ("roots", roots),

@@ -12,6 +12,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
+from typing import Iterator
 
 from .errors import InputError
 
@@ -180,6 +181,42 @@ class QuasiPolarization:
         return self.lattice.genus(self.h)
 
 
+def bareiss(a: list[list[int]], basis: list[list[int]] | None = None) -> Iterator[int]:
+    """Fraction-free (Bareiss) symmetric elimination of the integer matrix a, in place.
+
+    Yields each index p before its step, so that the caller can read the
+    pivot a[p][p] and the row a[p] and may stop.  The step replaces the
+    trailing block by (a[p][p] a[i][j] - a[i][p] a[p][j]) / prev, prev being
+    the previous nonzero pivot (1 at first), and every division is exact:
+    the trailing block is then prev times the Schur complement of the
+    eliminated block, and the pivot a[p][p] is the leading principal minor
+    of order p + 1.  So a is positive definite exactly when every pivot is
+    positive (Sylvester), and then x^T a x is the sum over p of
+    (sum_{j >= p} a[p][j] x_j)^2 / (prev_p a[p][p]).  A zero pivot is
+    skipped, which is exact when its row is zero.  The rows of ``basis``
+    are transformed alongside, so that while the pivots stay positive,
+    basis[i]^T a0 basis[j] is a positive multiple of a[i][j] for i, j >= p.
+    """
+    n, prev = len(a), 1
+    for p in range(n):
+        yield p
+        piv = a[p][p]
+        if piv == 0:
+            continue
+        for i in range(p + 1, n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = (piv * a[i][j] - a[i][p] * a[p][j]) // prev
+            if basis is not None:
+                basis[i] = [(piv * x - a[p][i] * y) // prev for x, y in zip(basis[i], basis[p])]
+        prev = piv
+
+
+def negative_definite(gram: tuple[tuple[int, ...], ...]) -> bool:
+    """Sylvester's criterion for -gram: every Bareiss pivot of -gram is positive."""
+    a = [[-x for x in row] for row in gram]
+    return all(a[p][p] > 0 for p in bareiss(a))
+
+
 def hyperbolic_plane_warnings(pol: QuasiPolarization) -> list[str]:
     """Advisory diagnostic: exact test for a 2-plane through H of positive type.
 
@@ -188,11 +225,10 @@ def hyperbolic_plane_warnings(pol: QuasiPolarization) -> list[str]:
     H^2 d^2 - (H.d)^2 <= 0.  That determinant is d^T M d for
     M = H^2 G - c c^T with c = G h, so a bad plane exists exactly when M is
     not negative semidefinite, that is, when the form has more than one
-    positive direction.  Since M h = 0, the test runs on M with the row and
-    column of one index k with h_k != 0 deleted, by fraction-free (Bareiss)
-    symmetric elimination: a positive pivot, or a zero pivot with a nonzero
-    entry in its row, yields a witness d; a negative pivot is eliminated.
-    A bad plane gets a warning naming d, never an error.
+    positive direction.  Since M h = 0, the test runs on -M with the row and
+    column of one index k with h_k != 0 deleted, by ``bareiss``: a negative
+    pivot, or a zero pivot with a nonzero entry in its row, yields a witness
+    d.  A bad plane gets a warning naming d, never an error.
     """
     lat = pol.lattice
     h, c = pol.h.coords, pol.h_covector
@@ -200,30 +236,21 @@ def hyperbolic_plane_warnings(pol: QuasiPolarization) -> list[str]:
     k = next(i for i, x in enumerate(h) if x)
     idx = [i for i in range(lat.rank) if i != k]
     m = len(idx)
-    a = [[h2 * lat.gram[i][j] - c[i] * c[j] for j in idx] for i in idx]
-    # a is M with row and column k deleted, then its scaled Schur complements;
-    # v[i]^T M v[j] is the same positive multiple of a[i][j] for all i, j >= p
+    a = [[c[i] * c[j] - h2 * lat.gram[i][j] for j in idx] for i in idx]
+    # v[i]^T (-M) v[j] is a positive multiple of a[i][j] for all i, j >= p
     v = [[int(i == j) for j in range(m)] for i in range(m)]
-    prev = 1
-    for p in range(m):
-        piv = -a[p][p]
-        if piv < 0:
+    witness = None
+    for p in bareiss(a, v):
+        if a[p][p] < 0:
             witness = v[p]
-            break
-        if piv == 0:
+        elif a[p][p] == 0:
             q = next((q for q in range(p + 1, m) if a[p][q]), None)
-            if q is None:
-                continue
-            # (t v_p + v_q)^T M (t v_p + v_q) is a positive multiple of 2 t a_pq + a_qq
-            t = (abs(a[q][q]) + 1) * (1 if a[p][q] > 0 else -1)
-            witness = [t * x + y for x, y in zip(v[p], v[q])]
+            if q is not None:
+                # (t v_p + v_q)^T (-M) (t v_p + v_q) is a positive multiple of 2 t a_pq + a_qq
+                t = -(abs(a[q][q]) + 1) * (1 if a[p][q] > 0 else -1)
+                witness = [t * x + y for x, y in zip(v[p], v[q])]
+        if witness is not None:
             break
-        # Bareiss: both divisions by the previous pivot are exact
-        for i in range(p + 1, m):
-            for j in range(i, m):
-                a[i][j] = a[j][i] = (piv * a[i][j] + a[i][p] * a[p][j]) // prev
-            v[i] = [(piv * x + a[p][i] * y) // prev for x, y in zip(v[i], v[p])]
-        prev = piv
     else:
         return []
     witness.insert(k, 0)

@@ -2,8 +2,9 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3bn import (
@@ -29,7 +30,7 @@ from k3bn import (
     no_negative_intersections,
     scan_decompositions,
 )
-from k3bn.bn import SCAN_VERDICT_KEYS, _degree_window
+from k3bn.bn import SCAN_VERDICT_KEYS, _degree_window, degree_window_size, violation_scan, x_h_classes
 from k3bn.divisors import h0_floor
 from conftest import rank_one
 
@@ -208,6 +209,118 @@ def test_degree_window_matches_filtering_the_box(cov, bound, h2):
     box = itertools.product(range(-bound, bound + 1), repeat=len(cov))
     naive = [v for v in box if 0 < sum(a * b for a, b in zip(v, cov)) < h2]
     assert list(_degree_window(tuple(cov), bound, h2)) == naive
+
+
+@given(
+    cov=st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+    bound=st.integers(1, 4),
+    h2=st.integers(1, 14),
+)
+def test_degree_window_size_counts_the_window(cov, bound, h2):
+    assert degree_window_size(tuple(cov), bound, h2) == sum(1 for _ in _degree_window(tuple(cov), bound, h2))
+
+
+_POSITIVE_BLOCKS = (((0, 1), (1, 0)), ((2, 1), (1, -2)), ((2, 3), (3, -2)), ((2,),), ((4,),))
+_NEGATIVE_BLOCKS = (((-2,),), ((-4,),), ((-6,),), ((-2, 1), (1, -2)))
+# largest degree bound per rank, so that brute force over the box stays small
+_MAX_BOUND = {1: 6, 2: 6, 3: 5, 4: 3, 5: 2}
+
+
+def _block_sum(blocks):
+    n = sum(map(len, blocks))
+    gram = [[0] * n for _ in range(n)]
+    off = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            gram[off + i][off : off + len(row)] = row
+        off += len(block)
+    return gram
+
+
+@st.composite
+def polarized_forms(draw):
+    """An even Gram matrix of rank 1-5 with H of positive square and a
+    degree bound.  Mostly a positive block plus negative definite blocks in
+    a random unimodular basis (hyperbolic); sometimes an arbitrary even form,
+    which may be non-hyperbolic or degenerate."""
+    n = draw(st.integers(1, 5))
+    if draw(st.integers(0, 3)):
+        blocks = [draw(st.sampled_from([b for b in _POSITIVE_BLOCKS if len(b) <= n]))]
+        while sum(map(len, blocks)) < n:
+            room = n - sum(map(len, blocks))
+            blocks.append(draw(st.sampled_from([b for b in _NEGATIVE_BLOCKS if len(b) <= room])))
+        gram = _block_sum(blocks)
+        # H mostly on the positive block, so that H^2 > 0 is common
+        k = len(blocks[0])
+        h = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        h += draw(st.lists(st.integers(-1, 1), min_size=n - k, max_size=n - k))
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+            # new basis vector i = old i + t old j: G -> E^T G E, h_j -= t h_i
+            i, j = draw(st.permutations(range(n)))[:2]
+            t = draw(st.sampled_from((-1, 1)))
+            for row in gram:
+                row[i] += t * row[j]
+            gram[i] = [x + t * y for x, y in zip(gram[i], gram[j])]
+            h[j] -= t * h[i]
+    else:
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            gram[i][i] = 2 * draw(st.integers(-2, 2))
+            for j in range(i + 1, n):
+                gram[i][j] = gram[j][i] = draw(st.integers(-2, 2))
+        h = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    lat = GramLattice(tuple(map(tuple, gram)))
+    h = DivClass(tuple(h))
+    assume(lat.square(h) > 0)
+    pol = QuasiPolarization(lat, h)
+    bound = draw(st.integers(1, _MAX_BOUND[n]))
+    near = [DivClass(v) for v in itertools.product(range(-2, 3), repeat=n)]
+    candidates = [r for r in near if lat.square(r) == -2 and pol.degree(r) >= 0]
+    roots = draw(st.lists(st.sampled_from(candidates), max_size=2, unique=True)) if candidates else []
+    return pol, RootSet(pol, tuple(roots)), bound
+
+
+def brute_force_x_h(pol, bound):
+    h2 = pol.degree(pol.h)
+    box = np.array(list(itertools.product(range(-bound, bound + 1), repeat=pol.lattice.rank)), dtype=np.int64)
+    gram = np.array(pol.lattice.gram, dtype=np.int64)
+    deg = box @ np.array(pol.h_covector, dtype=np.int64)
+    sq = np.einsum("ij,jk,ik->i", box, gram, box)
+    keep = (deg > 0) & (deg < h2) & (sq >= -2) & (h2 - 2 * deg + sq >= -2)
+    return [tuple(map(int, v)) for v in box[keep]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polarized_forms())
+def test_x_h_path_matches_brute_force_and_the_window_scan(form):
+    pol, roots, bound = form
+    classes = x_h_classes(pol, bound)
+    eigenvalues = np.linalg.eigvalsh(np.array(pol.lattice.gram, dtype=float))
+    hyperbolic = (eigenvalues > 1e-9).sum() == 1 and (eigenvalues < -1e-9).sum() == pol.lattice.rank - 1
+    # the gate passes exactly when H^perp is negative definite
+    assert (classes is not None) == hyperbolic
+    if classes is not None:
+        assert classes == brute_force_x_h(pol, bound)
+    found = violation_scan(pol, roots, bound)
+    full = scan_decompositions(pol, roots, bound, collect_pairs=True)
+    assert [v.to_dict() for v in found.violations] == [v.to_dict() for v in full.violations[:1]]
+    assert found.window_classes == full.candidates_scanned
+    assert found.x_h == hyperbolic
+    if found.x_h:
+        assert found.candidates_scanned == len(classes)
+        assert found.window_classes - found.candidates_scanned >= full.unknown_candidates
+
+
+def test_find_violation_takes_the_x_h_path():
+    # U + A1 + <-4>^2, H = e + 3f: the first violation lies past 7 688 Unknown window classes
+    gram = tuple(map(tuple, _block_sum([((0, 1), (1, 0)), ((-2,),), ((-4,),), ((-4,),)])))
+    pol = QuasiPolarization(GramLattice(gram), DivClass((1, 3, 0, 0, 0)))
+    roots = RootSet(pol, (DivClass((0, 0, 1, 0, 0)),))
+    scan = violation_scan(pol, roots, 6)
+    assert scan.x_h and scan.unknown_candidates == 0
+    assert (scan.candidates_scanned, scan.window_classes) == (20, 46137)
+    assert find_violation(pol, roots, 6) == scan.violations[0]
+    assert scan.violations[0].d1 == DivClass((0, 1, 0, 0, 0))
 
 
 def test_violation_certificate_invariant(U, ef):

@@ -293,6 +293,12 @@ def test_cli_import_leaves_multiprocessing_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_fractions_and_decimal_out():
+    # the scan and the X_H enumeration stay in integers; each import costs setup time
+    out = _python("-c", "import sys, k3bn.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]"
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bn-check", "--help"])
@@ -403,10 +409,62 @@ def test_scan_reports_pin_stats_keys(tmp_path, command):
     path = write(tmp_path, "u.json", {"gram": [[0, 1], [1, 0]], "H": [1, 3]})
     _, rep = run_cli([command, "--surface", path, "--degree-bound", "4"])
     stats = rep["results"]["stats"]
-    assert set(stats) == {"candidates_scanned", *SCAN_VERDICT_KEYS}
-    unknown = stats["unknown_root_nef_residual"] + stats["unknown_search_exhausted"]
-    assert unknown > 0
-    assert rep["warnings"] == [f"{unknown} candidate classes had Unknown effectivity and were skipped"]
+    if command == "decompose":
+        assert set(stats) == {"candidates_scanned", *SCAN_VERDICT_KEYS}
+        unknown = stats["unknown_root_nef_residual"] + stats["unknown_search_exhausted"]
+        assert unknown > 0
+        assert rep["warnings"] == [f"{unknown} candidate classes had Unknown effectivity and were skipped"]
+        return
+    # U is hyperbolic, so bn-check decides X_H in the box, all by Riemann-Roch
+    assert set(stats) == {"candidates_scanned", "window_classes", *SCAN_VERDICT_KEYS}
+    assert stats["effective_riemann_roch"] == 2 * stats["candidates_scanned"]
+    assert sum(stats[k] for k in SCAN_VERDICT_KEYS) == stats["effective_riemann_roch"]
+    outside = stats["window_classes"] - stats["candidates_scanned"]
+    assert outside > 0
+    assert rep["warnings"] == [OUTSIDE_X_H.format(outside)]
+
+
+OUTSIDE_X_H = (
+    "{} candidate classes in the degree window lie outside X_H and were not examined; "
+    "each has a side of square < -2, whose h0 floor is 0, so none can carry a violation "
+    "at the lower-bound level"
+)
+
+
+def test_bn_check_keeps_the_window_scan_on_a_degenerate_form(tmp_path):
+    # U + <0>: the plane diagnostic is silent, yet H^perp holds the isotropic
+    # (0, 0, 1) and X_H is infinite, so bn-check scans the window
+    path = write(tmp_path, "degenerate.json", {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, 0]], "H": [1, 2, 0]})
+    code, rep = run_cli(["bn-check", "--surface", path, "--degree-bound", "4"])
+    assert code == EXIT_VIOLATION
+    assert rep["certificates"] == [{"d1": [0, 1, -4], "d2": [1, 1, 4], "lb1": 2, "lb2": 3, "genus": 3}]
+    stats = rep["results"]["stats"]
+    assert (stats["candidates_scanned"], stats["window_classes"]) == (19, 117)
+    assert rep["warnings"] == ["18 candidate classes had Unknown effectivity and were skipped"]
+
+
+def test_bn_check_work_stays_bounded_by_the_box(tmp_path):
+    # |X_H| grows with H^2 (thousands of classes at 8e + 8f); the box clamp keeps this fast
+    gram = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, -2, 0, 0], [0, 0, 0, -4, 0], [0, 0, 0, 0, -4]]
+    path = write(tmp_path, "r5.json", {"gram": gram, "H": [40, 40, 0, 0, 0], "roots": [[0, 0, 1, 0, 0]]})
+    run_cli(["bn-check", "--surface", path, "--degree-bound", "2"])
+    started = time.perf_counter()
+    code, rep = run_cli(["bn-check", "--surface", path, "--degree-bound", "2"])
+    assert time.perf_counter() - started < 0.05
+    assert code == EXIT_VIOLATION
+    assert rep["results"]["stats"]["candidates_scanned"] == 78
+
+
+def test_decompose_warns_like_bn_check_on_a_non_hyperbolic_form(tmp_path):
+    path = write(tmp_path, "pos.json", {"gram": [[2, 0], [0, 2]], "H": [1, 0]})
+    warned = {}
+    for command in ("bn-check", "decompose"):
+        _, rep = run_cli([command, "--surface", path, "--degree-bound", "3"])
+        warned[command] = rep["warnings"]
+    assert warned["decompose"] == warned["bn-check"]
+    assert warned["bn-check"] == [
+        "plane spanned by H and (0, 1) has positive Gram determinant 4; the form is not hyperbolic"
+    ]
 
 
 def test_profile_check_command(tmp_path):
