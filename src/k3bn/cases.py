@@ -17,14 +17,21 @@ checker decides the same quantified statement exactly in three layers, the
 cheapest first:
 
 1.  The row-sum test.  Every one-part split of a failing profile of genus g
-    forces row_i >= g + 1 - eps_i - g // (eps_i + 2); the rows sum to twice
-    the x-coordinate sum, 2 (g - E - 1) with E = sum eps, so genera whose
-    forced row bounds exceed that are ruled out, and so are genera <= 0
-    (floors are >= 1).  The test bounds g by the analytic
-    P <= (n r_max)(n s_max) and is symmetric in eps, so it runs once per
-    sorted eps multiset.  For n >= 4 it closes every class:
-    sum_i (g + 1 - eps_i - g // (eps_i + 2)) >= 2g + 4 - E > 2 (g - E - 1),
-    since each floor is at most g / 2.
+    forces row_i >= g + 1 - eps_i - g // a_i with a_i = eps_i + 2; the rows
+    sum to twice the x-coordinate sum, 2 (g - E - 1) with E = sum eps, so g
+    survives only if f(g) = (2 - n) g - E - 2 - n + sum_i g // a_i >= 0,
+    g >= 1 (floors are >= 1) and g < (n r_max)(n s_max), an analytic bound
+    on P.  The test is decided in closed form: with c = sum_i 1/a_i + 2 - n,
+    kept as an integer fraction over prod a_i, each g // a_i lies in
+    (g / a_i - 1, g / a_i], so c g - E - 2 - 2n < f(g) <= c g - E - 2 - n.
+    -  n >= 4: every a_i >= 2 gives c <= 2 - n / 2 <= 0, so f(g) < 0 and the
+       test closes every class; the driver counts them without an eps loop.
+    -  n = 3: c <= 0 (sum 1/a_i <= 1) closes the class; otherwise every g
+       from the root of c g = E + 8 up survives and only the band above the
+       root of c g = E + 5 is tested genus by genus.
+    -  n = 2: c > 0 always and f is nondecreasing, so the survivors form an
+       interval; the same band, under 2 min(a_i) genera wide, finds its
+       start.
 2.  For classes with a surviving genus, the exact maximum P of
     (sum r)(sum s) over feasible filtration data in the box.  Genera >= P
     admit no violating filtration data; an empty feasible set closes the
@@ -35,7 +42,8 @@ cheapest first:
     violating filtration and recorded as a counterexample.
 
 Layer 1 keeps a superset of the genera the exact maximum would keep, so the
-order changes no count and no counterexample.
+order changes no count and no counterexample.  ``BoxReport.stats`` counts
+the eps-classes each layer settled.
 
 Counterexamples re-verify from scratch via :func:`verify_counterexample`;
 an empty list is the expected outcome.
@@ -47,6 +55,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence
 
 from .errors import InputError, check_search_size
@@ -258,6 +267,9 @@ class BoxReport:
     one of which the layered procedure decides; eps_classes_closed_form is
     how many eps-classes were settled purely arithmetically, and
     profiles_enumerated how many profiles needed the explicit slice sweep.
+    stats splits eps_classes by deciding layer (closed_row_sum,
+    closed_product_max, swept); the counts fall short of eps_classes only
+    when the counterexample cap stopped the run.
     """
 
     n: int
@@ -269,6 +281,7 @@ class BoxReport:
     eps_classes_closed_form: int
     profiles_enumerated: int
     cross_checks: list[str]
+    stats: dict[str, int]
 
     def to_dict(self) -> dict:
         return {
@@ -281,6 +294,7 @@ class BoxReport:
             "eps_classes_closed_form": self.eps_classes_closed_form,
             "profiles_enumerated": self.profiles_enumerated,
             "cross_checks": self.cross_checks,
+            "stats": self.stats,
         }
 
 
@@ -318,30 +332,23 @@ def _split_tables(
 
 
 @lru_cache(maxsize=None)
-def _chain_r_vectors(n: int, r_max: int) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Chain-feasible rank vectors bucketed by the last entry.
+def _chain_r_vectors(n: int, r_max: int, last: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Chain-feasible rank vectors ending in `last`, one bucket per call.
 
-    Each bucket lists (sum, vector) sorted by decreasing sum, which lets the
+    The bucket lists (sum, vector) sorted by decreasing sum, which lets the
     maximization below cut off early.
     """
-    vectors: list[tuple[int, ...]] = []
+    vectors: list[tuple[int, tuple[int, ...]]] = []
 
     def grow(suffix: tuple[int, ...]) -> None:
         if len(suffix) == n:
-            vectors.append(suffix)
+            vectors.append((sum(suffix), suffix))
             return
-        cap = r_max if not suffix else min(r_max, sum(suffix))
-        for v in range(1, cap + 1):
+        for v in range(1, min(r_max, sum(suffix)) + 1):
             grow((v, *suffix))
 
-    for last in range(1, r_max + 1):
-        grow((last,))
-    buckets: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for vec in vectors:
-        buckets.setdefault(vec[-1], []).append((sum(vec), vec))
-    return {
-        last: tuple(sorted(bucket, reverse=True)) for last, bucket in buckets.items()
-    }
+    grow((last,))
+    return tuple(sorted(vectors, reverse=True))
 
 
 def _caps(eps: Sequence[int], r: Sequence[int], box: Box) -> tuple[int, ...] | None:
@@ -361,11 +368,10 @@ def _max_fp_product(n: int, eps: tuple[int, ...], box: Box) -> int | None:
     For fixed ranks the product is maximized by pushing every s to its cap,
     so only rank vectors are enumerated.
     """
-    buckets = _chain_r_vectors(n, box.r_max)
     best: int | None = None
     s_room = n * box.s_max
     for last in range(1, min(box.r_max, eps[-1] + 1) + 1):
-        for rsum, vec in buckets.get(last, ()):
+        for rsum, vec in _chain_r_vectors(n, box.r_max, last):
             if best is not None and rsum * s_room <= best:
                 break
             caps = _caps(eps, vec, box)
@@ -381,9 +387,8 @@ def _violating_fp(
     n: int, eps: tuple[int, ...], box: Box, genus: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Some feasible (r, s) in the box with (sum r)(sum s) > genus."""
-    buckets = _chain_r_vectors(n, box.r_max)
     for last in range(1, min(box.r_max, eps[-1] + 1) + 1):
-        for rsum, vec in buckets.get(last, ()):
+        for rsum, vec in _chain_r_vectors(n, box.r_max, last):
             caps = _caps(eps, vec, box)
             if caps is None:
                 continue
@@ -393,23 +398,26 @@ def _violating_fp(
 
 
 def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list[int]:
-    """Genera below pmax that a failing profile could have: the row-sum test."""
+    """Genera below pmax that a failing profile could have: the row-sum test.
+
+    Closed form of the module docstring: the genus loop runs only over the
+    band where c g - E - 2 - 2n < 0 <= c g - E - 2 - n, c = num / den.
+    """
     total_eps = sum(eps)
     n_pairs = n * (n - 1) // 2
     lo = max(1, total_eps + n_pairs * box.x_min + 1)
     hi = min(pmax - 1, total_eps + n_pairs * box.x_max + 1)
-    out = []
-    for g in range(lo, hi + 1):
-        forced = sum(g + 1 - e - g // (e + 2) for e in eps)
-        if 2 * (g - total_eps - 1) >= forced:
-            out.append(g)
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _row_sum_survivors(n: int, eps_multiset: tuple[int, ...], box: Box) -> tuple[int, ...]:
-    """Layer 1 under the analytic bound P <= (n r_max)(n s_max), per eps multiset."""
-    return tuple(_surviving_genera(n, eps_multiset, box, n * box.r_max * n * box.s_max))
+    den = prod(e + 2 for e in eps)
+    num = sum(den // (e + 2) for e in eps) + (2 - n) * den
+    if num <= 0:
+        return []
+    band_lo = max(lo, -(-(total_eps + 2 + n) * den // num))
+    band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 2 + 2 * n) * den // num)))
+    band = [
+        g for g in range(band_lo, band_hi)
+        if (2 - n) * g - total_eps - 2 - n + sum(g // (e + 2) for e in eps) >= 0
+    ]
+    return band + list(range(band_hi, hi + 1))
 
 
 def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -446,14 +454,15 @@ def _is_failing(
 
 def _check_eps_class(
     n: int, box: Box, eps: tuple[int, ...], max_cex: int
-) -> tuple[bool, int, list[BoxCounterexample]]:
-    """Decide one eps-class: (closed_form, profiles_enumerated, counterexamples)."""
-    genera = _row_sum_survivors(n, tuple(sorted(eps)), box)
-    if genera:
-        pmax = _max_fp_product(n, eps, box)
-        genera = [g for g in genera if pmax is not None and g < pmax]
+) -> tuple[str, int, list[BoxCounterexample]]:
+    """Decide one eps-class: (deciding layer, profiles_enumerated, counterexamples)."""
+    genera = _surviving_genera(n, eps, box, n * box.r_max * n * box.s_max)
     if not genera:
-        return True, 0, []
+        return "closed_row_sum", 0, []
+    pmax = _max_fp_product(n, eps, box)
+    genera = [g for g in genera if pmax is not None and g < pmax]
+    if not genera:
+        return "closed_product_max", 0, []
     total_eps = sum(eps)
     n_pairs = n * (n - 1) // 2
     enumerated = 0
@@ -480,8 +489,8 @@ def _check_eps_class(
                 )
             )
             if len(cexs) >= max_cex:
-                return False, enumerated, cexs
-    return False, enumerated, cexs
+                return "swept", enumerated, cexs
+    return "swept", enumerated, cexs
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +528,11 @@ def _all_isotropic_caps(n: int, box: Box) -> tuple[list[str], list[BoxCounterexa
     exactly; instances with sum s <= 3 stay at or below 24.
     """
     eps = (0,) * n
-    buckets = _chain_r_vectors(n, box.r_max)
     notes: list[str] = []
     bad: list[BoxCounterexample] = []
     full_s = 0
     capped = 0
-    for rsum, vec in buckets.get(1, ()):
+    for rsum, vec in _chain_r_vectors(n, box.r_max, 1):
         caps = _caps(eps, vec, box)
         if caps is None:
             continue
@@ -574,7 +582,8 @@ def exhaustive_case_check(
     if n not in (2, 3, 4):
         raise InputError("exhaustive checks cover n = 2, 3, 4")
     box = box or default_box(n)
-    check_search_size((box.eps_max + 1) ** n, "eps-classes", "lower eps_max")
+    eps_classes = (box.eps_max + 1) ** n
+    check_search_size(eps_classes, "eps-classes", "lower eps_max")
     check_search_size(box.r_max**n, "rank vectors", "lower r_max")
     if n == 2:
         check_search_size(
@@ -582,19 +591,21 @@ def exhaustive_case_check(
         )
     started = time.perf_counter()
 
-    eps_space = list(itertools.product(range(box.eps_max + 1), repeat=n))
-    closed_form = 0
-    enumerated = 0
+    stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
     counterexamples: list[BoxCounterexample] = []
-    for eps in eps_space:
-        closed, count, cexs = _check_eps_class(
-            n, box, eps, max_counterexamples - len(counterexamples)
-        )
-        closed_form += closed
-        enumerated += count
-        counterexamples.extend(cexs)
-        if len(counterexamples) >= max_counterexamples:
-            break
+    enumerated = 0
+    if n == 4:  # the row-sum test closes every class (module docstring)
+        stats["closed_row_sum"] = eps_classes
+    else:
+        for eps in itertools.product(range(box.eps_max + 1), repeat=n):
+            layer, count, cexs = _check_eps_class(
+                n, box, eps, max_counterexamples - len(counterexamples)
+            )
+            stats[layer] += 1
+            enumerated += count
+            counterexamples.extend(cexs)
+            if len(counterexamples) >= max_counterexamples:
+                break
 
     cross_checks: list[str] = []
     if n == 2:
@@ -609,7 +620,7 @@ def exhaustive_case_check(
         counterexamples.extend(bad)
 
     width = box.x_max - box.x_min + 1
-    instances = (box.eps_max + 1) ** n * width ** (n * (n - 1) // 2)
+    instances = eps_classes * width ** (n * (n - 1) // 2)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return BoxReport(
         n=n,
@@ -617,10 +628,11 @@ def exhaustive_case_check(
         instances_checked=instances,
         counterexamples=counterexamples,
         elapsed_ms=elapsed_ms,
-        eps_classes=len(eps_space),
-        eps_classes_closed_form=closed_form,
+        eps_classes=eps_classes,
+        eps_classes_closed_form=stats["closed_row_sum"] + stats["closed_product_max"],
         profiles_enumerated=enumerated,
         cross_checks=cross_checks,
+        stats=stats,
     )
 
 

@@ -182,6 +182,18 @@ def test_max_fp_product_matches_brute_force():
         assert cases._max_fp_product(2, eps, box) == best, eps
 
 
+def test_chain_r_vector_buckets_match_brute_force():
+    for n in (2, 3, 4):
+        for r_max in range(1, 6):
+            for last in range(1, r_max + 1):
+                expected = sorted(
+                    ((sum(r), r) for r in itertools.product(range(1, r_max + 1), repeat=n)
+                     if r[-1] == last and all(r[i] <= sum(r[i + 1 :]) for i in range(n - 1))),
+                    reverse=True,
+                )
+                assert list(cases._chain_r_vectors(n, r_max, last)) == expected
+
+
 def test_iter_fixed_sum():
     got = sorted(cases._iter_fixed_sum(3, -1, 2, 2))
     expected = sorted(
@@ -202,6 +214,36 @@ def test_is_failing_known_profile():
     assert not cases._is_failing(3, (0, 0, 0), (1, 0, 3), 10)
 
 
+def _loop_surviving_genera(n, eps, box, pmax):
+    """The row-sum test genus by genus: the reference for its closed form."""
+    total_eps = sum(eps)
+    n_pairs = n * (n - 1) // 2
+    lo = max(1, total_eps + n_pairs * box.x_min + 1)
+    hi = min(pmax - 1, total_eps + n_pairs * box.x_max + 1)
+    out = []
+    for g in range(lo, hi + 1):
+        forced = sum(g + 1 - e - g // (e + 2) for e in eps)
+        if 2 * (g - total_eps - 1) >= forced:
+            out.append(g)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from((2, 3)),
+    data=st.data(),
+    x=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)).map(sorted),
+)
+def test_surviving_genera_closed_form_matches_the_loop(n, data, x):
+    # small entries make sum 1/(eps_i + 2) exceed 1 at n = 3, where genera survive
+    eps = tuple(data.draw(st.lists(st.integers(0, 200) | st.integers(0, 4), min_size=n, max_size=n)))
+    box = Box(r_max=1, s_min=0, s_max=1, eps_max=max(eps), x_min=x[0], x_max=x[1])
+    hi = sum(eps) + n * (n - 1) // 2 * box.x_max + 1
+    # pmax past the interval, or anywhere in it, cutting the tail or the band
+    pmax = data.draw(st.just(hi + 2) | st.integers(-1, max(hi, 0) + 1))
+    assert cases._surviving_genera(n, eps, box, pmax) == _loop_surviving_genera(n, eps, box, pmax)
+
+
 def test_surviving_genera_tight_for_all_isotropic():
     box = default_box(3)
     # the necessary row-sum condition first admits genus 10 when eps = 0 ...
@@ -214,8 +256,8 @@ def test_surviving_genera_tight_for_all_isotropic():
 def test_slice_path_exercised_when_forced(monkeypatch):
     # force the slice sweep by pretending richer filtration data exists
     monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box: 12)
-    closed, enumerated, cexs = cases._check_eps_class(3, default_box(3), (0, 0, 0), 50)
-    assert not closed
+    layer, enumerated, cexs = cases._check_eps_class(3, default_box(3), (0, 0, 0), 50)
+    assert layer == "swept"
     assert enumerated > 0
     # the failing profiles are real, but no genuine violating filtration
     # exists, so nothing may be reported
@@ -291,7 +333,7 @@ def _seed_check_eps_class(n, box, eps, max_cex):
     pmax = cases._max_fp_product(n, eps, box)
     if pmax is None:
         return True, 0, []
-    genera = cases._surviving_genera(n, eps, box, pmax)
+    genera = _loop_surviving_genera(n, eps, box, pmax)
     if not genera:
         return True, 0, []
     n_pairs = n * (n - 1) // 2
@@ -332,22 +374,82 @@ def small_boxes(draw):
     )
 
 
+def _forcing_patches(mp, forced):
+    # replace the exact maximum by another upper bound that depends on eps,
+    # and give every failing profile violating data, so genera reach the
+    # slice sweep and the counterexample cap; real small boxes close before
+    # the sweep
+    if forced is not None:
+        mp.setattr(
+            cases, "_max_fp_product",
+            lambda n, eps, box: min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps)),
+        )
+        mp.setattr(cases, "_violating_fp", lambda n, eps, box, g: ((1,) * n, (1,) * n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from((2, 3, 4)), box=small_boxes(), forced=st.none() | st.integers(0, 40))
 def test_row_sum_first_matches_seed_procedure(n, box, forced):
-    # forced: replace the exact maximum by another upper bound that depends
-    # on eps, and give every failing profile violating data, so genera reach
-    # the slice sweep and the counterexample cap; real small boxes close
-    # before the sweep
     with pytest.MonkeyPatch.context() as mp:
-        if forced is not None:
-            mp.setattr(
-                cases, "_max_fp_product",
-                lambda n, eps, box: min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps)),
-            )
-            mp.setattr(cases, "_violating_fp", lambda n, eps, box, g: ((1,) * n, (1,) * n))
+        _forcing_patches(mp, forced)
         for eps in itertools.product(range(box.eps_max + 1), repeat=n):
-            assert cases._check_eps_class(n, box, eps, 5) == _seed_check_eps_class(n, box, eps, 5)
+            layer, count, cexs = cases._check_eps_class(n, box, eps, 5)
+            assert (layer != "swept", count, cexs) == _seed_check_eps_class(n, box, eps, 5)
+
+
+def _loop_exhaustive_case_check(n, box, max_cex):
+    """The driver before the closed form: every eps tuple through the reference procedure."""
+    stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
+    enumerated = 0
+    cexs = []
+    for eps in itertools.product(range(box.eps_max + 1), repeat=n):
+        closed, count, found = _seed_check_eps_class(n, box, eps, max_cex - len(cexs))
+        if not closed:
+            stats["swept"] += 1
+        elif _loop_surviving_genera(n, eps, box, n * box.r_max * n * box.s_max):
+            stats["closed_product_max"] += 1
+        else:
+            stats["closed_row_sum"] += 1
+        enumerated += count
+        cexs.extend(found)
+        if len(cexs) >= max_cex:
+            break
+    cross_checks = []
+    if n == 2:
+        checked, bad = cases._two_part_product_bound(box)
+        cross_checks.append(f"positive-s product bound: {checked} (r, s) tuples, {len(bad)} failures")
+        cexs.extend(bad)
+    if n == 4:
+        notes, bad = cases._all_isotropic_caps(n, box)
+        cross_checks.extend(notes)
+        cexs.extend(bad)
+    return {
+        "n": n,
+        "box": box.to_dict(),
+        "instances_checked": (box.eps_max + 1) ** n * (box.x_max - box.x_min + 1) ** (n * (n - 1) // 2),
+        "counterexamples": [c.to_dict() for c in cexs],
+        "eps_classes": (box.eps_max + 1) ** n,
+        "eps_classes_closed_form": stats["closed_row_sum"] + stats["closed_product_max"],
+        "profiles_enumerated": enumerated,
+        "cross_checks": cross_checks,
+        "stats": stats,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((2, 3, 4)),
+    box=small_boxes(),
+    forced=st.none() | st.integers(0, 40),
+    max_cex=st.integers(1, 6),
+)
+def test_report_matches_the_loop_driver(n, box, forced, max_cex):
+    with pytest.MonkeyPatch.context() as mp:
+        _forcing_patches(mp, forced)
+        report = exhaustive_case_check(n, box, max_counterexamples=max_cex).to_dict()
+        expected = _loop_exhaustive_case_check(n, box, max_cex)
+    del report["elapsed_ms"]
+    assert report == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -364,15 +466,32 @@ def test_row_sum_test_closes_every_class_from_four_parts(data, n):
         x_max=x_min + data.draw(st.integers(0, 1000)),
     )
     eps = tuple(data.draw(st.lists(st.integers(0, box.eps_max), min_size=n, max_size=n)))
-    assert cases._surviving_genera(n, eps, box, n * box.r_max * n * box.s_max) == []
+    pmax = n * box.r_max * n * box.s_max
+    assert _loop_surviving_genera(n, eps, box, pmax) == []
+    assert cases._surviving_genera(n, eps, box, pmax) == []
 
 
-def test_row_sum_test_runs_once_per_eps_multiset():
-    cases._row_sum_survivors.cache_clear()
+def test_four_part_box_never_reaches_the_later_layers(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the row-sum test closes every four-part class")
+
+    monkeypatch.setattr(cases, "_max_fp_product", unreachable)
+    monkeypatch.setattr(cases, "_iter_fixed_sum", unreachable)
     report = exhaustive_case_check(4)
     assert report.eps_classes == 9**4
     assert report.eps_classes_closed_form == 9**4
-    assert cases._row_sum_survivors.cache_info().misses == 495  # C(8 + 4, 4)
+
+
+def test_stats_split_the_eps_classes_by_deciding_layer():
+    expected = {
+        2: {"closed_row_sum": 85, "closed_product_max": 84, "swept": 0},
+        3: {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0},
+        4: {"closed_row_sum": 9**4, "closed_product_max": 0, "swept": 0},
+    }
+    for n, stats in expected.items():
+        report = exhaustive_case_check(n).to_dict()
+        assert report["stats"] == stats
+        assert sum(stats.values()) == report["eps_classes"]
 
 
 def test_exhaustive_check_rejects_bad_n():

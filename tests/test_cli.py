@@ -455,6 +455,16 @@ def test_bn_check_work_stays_bounded_by_the_box(tmp_path):
     assert rep["results"]["stats"]["candidates_scanned"] == 78
 
 
+def test_verify_cases_builds_only_the_rank_buckets_it_reads():
+    # r_max = 40 has about a million chain-feasible rank vectors at n = 4;
+    # only the seven ending in 1 are read, by the all-isotropic cross-check
+    started = time.perf_counter()
+    code, rep = run_cli(["verify-cases", "--n", "4", "--r-max", "40"])
+    assert time.perf_counter() - started < 1.0
+    assert code == EXIT_OK
+    assert "across 7 rank vectors" in rep["results"]["report"]["cross_checks"][1]
+
+
 def test_decompose_warns_like_bn_check_on_a_non_hyperbolic_form(tmp_path):
     path = write(tmp_path, "pos.json", {"gram": [[2, 0], [0, 2]], "H": [1, 0]})
     warned = {}
