@@ -28,7 +28,8 @@ class DecompositionProfile:
 
     ``sq[i]`` is the (even) square of the i-th part and ``x[i][j]`` the
     pairwise product for i != j; the diagonal of ``x`` is zero.  The square
-    of H and the genus are derived, never stored.
+    of H and the genus are derived, never stored.  Construction raises one
+    InputError listing every violation.
     """
 
     sq: tuple[int, ...]
@@ -38,21 +39,21 @@ class DecompositionProfile:
         sq = tuple(self.sq)
         x = tuple(tuple(row) for row in self.x)
         n = len(sq)
-        if n < 2:
-            raise InputError("a decomposition profile needs at least two parts")
+        bad = ["a decomposition profile needs at least two parts"] if n < 2 else []
         for i, s in enumerate(sq):
             if not isinstance(s, int) or isinstance(s, bool):
-                raise InputError(f"sq[{i}] is not an integer")
-            if s % 2 != 0:
-                raise InputError(f"sq[{i}] = {s} is odd; squares in an even lattice are even")
+                bad.append(f"sq[{i}] is not an integer")
+            elif s % 2 != 0:
+                bad.append(f"sq[{i}] = {s} is odd; squares in an even lattice are even")
         if len(x) != n or any(len(row) != n for row in x):
-            raise InputError(f"x must be an {n}x{n} matrix")
-        for i in range(n):
-            if x[i][i] != 0:
-                raise InputError(f"x[{i}][{i}] must be zero")
-            for j in range(i + 1, n):
-                if x[i][j] != x[j][i]:
-                    raise InputError(f"x is not symmetric at ({i}, {j})")
+            bad.append(f"x must be an {n}x{n} matrix")
+        else:
+            for i in range(n):
+                if x[i][i] != 0:
+                    bad.append(f"x[{i}][{i}] must be zero")
+                bad += [f"x is not symmetric at ({i}, {j})" for j in range(i + 1, n) if x[i][j] != x[j][i]]
+        if bad:
+            raise InputError(*bad)
         object.__setattr__(self, "sq", sq)
         object.__setattr__(self, "x", x)
 

@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from . import cases
 from .bn import (
@@ -45,22 +45,18 @@ EXIT_EXCEPTIONAL = 20
 EXIT_INPUT_ERROR = 2
 
 
-class SpecValidationError(ValueError):
-    def __init__(self, violations: list[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
-
 @dataclass
 class SurfaceSpec:
-    """Validated surface description: Gram matrix, polarization, roots."""
+    """A validated surface document with its polarization and roots, each built once."""
 
     gram: list[list[int]]
     H: list[int]
-    name: str = "surface"
-    basis_names: list[str] | None = None
-    roots: list[list[int]] = field(default_factory=list)
-    asserts_nef: bool = True
+    name: str
+    basis_names: list[str] | None
+    roots: list[list[int]]
+    asserts_nef: bool
+    pol: QuasiPolarization = field(repr=False, compare=False)
+    root_set: RootSet = field(repr=False, compare=False)
 
     def to_doc(self) -> dict:
         return {
@@ -72,142 +68,130 @@ class SurfaceSpec:
             "asserts_nef": self.asserts_nef,
         }
 
-    def build(self) -> tuple[GramLattice, QuasiPolarization, RootSet]:
-        lat = GramLattice(tuple(tuple(row) for row in self.gram))
-        pol = QuasiPolarization(lat, DivClass(tuple(self.H)), self.asserts_nef)
-        roots = RootSet(pol, tuple(DivClass(tuple(r)) for r in self.roots))
-        return lat, pol, roots
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_int_vector(v) -> bool:
-    return isinstance(v, list) and all(_is_int(e) for e in v)
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
-def _load_object(
-    text: str, label: str, required: tuple[str, ...], vectors=(), vector_lists=(), bool_lists=()
-) -> dict:
-    """Parse a JSON object with the required keys; reject fields of the wrong
-    JSON shape before they reach the library."""
+def _is(kind):
+    return lambda v: isinstance(v, kind)
+
+
+def _or_null(ok):
+    return lambda v: v is None or ok(v)
+
+
+_INT_VECTOR = _list_of(_is_int)
+_VECTOR_LIST = _list_of(_INT_VECTOR)
+
+# The JSON shape of every field of every input document, with the words an
+# error report uses for it.  The rules on the values (an even symmetric Gram
+# matrix, roots of square -2, ...) belong to the classes built from them.
+_SHAPES = {
+    # surface; null basis_names or roots mean none
+    "gram": ("a nonempty square integer matrix", lambda v: bool(v) and _list_of(_is(list))(v)),
+    "H": ("an integer vector", _INT_VECTOR),
+    "name": ("a string", _is(str)),
+    "basis_names": ("a list of strings", _or_null(_list_of(_is(str)))),
+    "roots": ("a list of integer vectors", _or_null(_VECTOR_LIST)),
+    "asserts_nef": ("a boolean", _is(bool)),
+    # classify profile
+    "sq": ("an integer vector", _INT_VECTOR),
+    "x": ("a list of integer vectors", _VECTOR_LIST),
+    "h0_at_least_2": ("a list of booleans", _list_of(_is(bool))),
+    # filtration profile
+    "entries": ("a list of integer vectors", _VECTOR_LIST),
+    # reduce-fixed data
+    "parts": ("a list of integer vectors", _VECTOR_LIST),
+    "delta": ("a list of integer vectors", _VECTOR_LIST),
+}
+
+
+def _read_fields(
+    text: str, label: str, required: tuple[str, ...], optional: dict
+) -> tuple[dict, list[str]]:
+    """Parse a JSON object and check the shape of each field against ``_SHAPES``.
+
+    Returns the fields that passed, with the defaults in ``optional`` for
+    those absent, and a message for every field that is missing or has the
+    wrong shape.
+    """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"{label}: not valid JSON ({exc})"]) from exc
-    if not isinstance(data, dict) or any(k not in data for k in required):
-        keys = " and ".join(f"'{k}'" for k in required)
-        raise SpecValidationError([f"{label}: expected an object with {keys}"])
-    checks = [(k, "an integer vector", _is_int_vector) for k in vectors]
-    checks += [
-        (k, "a list of integer vectors", lambda v: isinstance(v, list) and all(map(_is_int_vector, v)))
-        for k in vector_lists
-    ]
-    checks += [
-        (k, "a list of booleans", lambda v: isinstance(v, list) and all(isinstance(b, bool) for b in v))
-        for k in bool_lists
-    ]
-    bad = [f"{k}: expected {what}" for k, what, ok in checks if k in data and not ok(data[k])]
+    except (ValueError, RecursionError) as exc:  # also too many digits, or nested too deep
+        raise InputError(f"{label}: not valid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{label}: expected a JSON object")
+    values, bad = {}, []
+    for key in (*required, *optional):
+        what, ok = _SHAPES[key]
+        if key not in data:
+            if key in required:
+                bad.append(f"{key}: required, {what}")
+            else:
+                values[key] = optional[key]
+        elif ok(data[key]):
+            values[key] = data[key]
+        else:
+            bad.append(f"{key}: expected {what}")
+    return values, bad
+
+
+def _read_document(text: str, label: str, required: tuple[str, ...], optional: dict) -> dict:
+    values, bad = _read_fields(text, label, required, optional)
     if bad:
-        raise SpecValidationError(bad)
-    return data
+        raise InputError(*bad)
+    return values
 
 
 def parse_surface_spec(text: str) -> SurfaceSpec:
-    """Parse and validate a surface document; collect every schema violation."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"document: not valid JSON ({exc})"]) from exc
-    if not isinstance(data, dict):
-        raise SpecValidationError(["document: expected a JSON object"])
+    """Parse a surface document and build its lattice, polarization and roots.
 
-    bad: list[str] = []
-    gram = data.get("gram")
-    rank = None
-    if not isinstance(gram, list) or not gram:
-        bad.append("gram: required, a nonempty square integer matrix")
-    else:
-        rank = len(gram)
-        for i, row in enumerate(gram):
-            if not isinstance(row, list) or len(row) != rank:
-                bad.append(f"gram[{i}]: expected a row of length {rank}")
-                continue
-            for j, entry in enumerate(row):
-                if not _is_int(entry):
-                    bad.append(f"gram[{i}][{j}]: not an integer")
-        if not bad:
-            for i in range(rank):
-                if gram[i][i] % 2 != 0:
-                    bad.append(f"gram[{i}][{i}]: odd diagonal entry {gram[i][i]} in an even lattice")
-                for j in range(i + 1, rank):
-                    if gram[i][j] != gram[j][i]:
-                        bad.append(f"gram[{i}][{j}]: not symmetric")
-
-    h = data.get("H")
-    if not _is_int_vector(h):
-        bad.append("H: required, an integer vector")
-    elif rank is not None and len(h) != rank:
-        bad.append(f"H: length {len(h)} does not match rank {rank}")
-
-    name = data.get("name", "surface")
-    if not isinstance(name, str):
-        bad.append("name: expected a string")
-
-    basis_names = data.get("basis_names")
-    if basis_names is not None:
-        if not isinstance(basis_names, list) or not all(isinstance(s, str) for s in basis_names):
-            bad.append("basis_names: expected a list of strings")
-        elif rank is not None and len(basis_names) != rank:
-            bad.append(f"basis_names: length {len(basis_names)} does not match rank {rank}")
-
-    roots = data.get("roots") or []
-    if not isinstance(roots, list):
-        bad.append("roots: expected a list of integer vectors")
-        roots = []
-    else:
-        for k, r in enumerate(roots):
-            if not _is_int_vector(r):
-                bad.append(f"roots[{k}]: expected an integer vector")
-            elif rank is not None and len(r) != rank:
-                bad.append(f"roots[{k}]: length {len(r)} does not match rank {rank}")
-
-    asserts_nef = data.get("asserts_nef", True)
-    if not isinstance(asserts_nef, bool):
-        bad.append("asserts_nef: expected a boolean")
-
-    if not bad and rank is not None:
-        lat = GramLattice(tuple(tuple(row) for row in gram))
-        for k, r in enumerate(roots):
-            sq = lat.square(DivClass(tuple(r)))
-            if sq != -2:
-                bad.append(f"roots[{k}]: square is {sq}, expected -2")
-
+    The JSON shapes and the lengths against the rank are checked here, the
+    lattice rules by GramLattice, and every violation of either is collected
+    into one InputError.  The polarization and the roots are built, and
+    checked, once the document passes.
+    """
+    optional = {"name": "surface", "basis_names": None, "roots": None, "asserts_nef": True}
+    doc, bad = _read_fields(text, "surface", ("gram", "H"), optional)
+    lat = None
+    if "gram" in doc:
+        try:
+            lat = GramLattice(tuple(map(tuple, doc["gram"])))
+        except InputError as exc:
+            bad += exc.violations
+        rank = len(doc["gram"])
+        sized = [("H", doc.get("H")), ("basis_names", doc.get("basis_names"))]
+        sized += [(f"roots[{k}]", r) for k, r in enumerate(doc.get("roots") or [])]
+        bad += [
+            f"{key}: length {len(v)} does not match rank {rank}"
+            for key, v in sized
+            if v is not None and len(v) != rank
+        ]
     if bad:
-        raise SpecValidationError(bad)
+        raise InputError(*bad)
+    roots = doc["roots"] or []
+    pol = QuasiPolarization(lat, DivClass(tuple(doc["H"])), doc["asserts_nef"])
+    root_set = RootSet(pol, tuple(DivClass(tuple(r)) for r in roots))
     return SurfaceSpec(
-        gram=gram,
-        H=h,
-        name=name,
-        basis_names=basis_names,
-        roots=roots,
-        asserts_nef=asserts_nef,
+        doc["gram"], doc["H"], doc["name"], doc["basis_names"], roots, doc["asserts_nef"], pol, root_set
     )
 
 
 def _parse_decomposition_profile(text: str) -> tuple[DecompositionProfile, list[bool]]:
-    data = _load_object(
-        text, "profile", ("sq", "x"), vectors=["sq"], vector_lists=["x"], bool_lists=["h0_at_least_2"]
-    )
-    profile = DecompositionProfile(tuple(data["sq"]), tuple(tuple(r) for r in data["x"]))
-    flags = data.get("h0_at_least_2", [True] * profile.n)
-    return profile, list(flags)
+    data = _read_document(text, "profile", ("sq", "x"), {"h0_at_least_2": None})
+    profile = DecompositionProfile(tuple(data["sq"]), tuple(map(tuple, data["x"])))
+    flags = data["h0_at_least_2"]
+    return profile, [True] * profile.n if flags is None else flags
 
 
 def _parse_filtration_profile(text: str) -> FiltrationProfile:
-    data = _load_object(text, "profile", ("entries",), vector_lists=["entries"])
-    return FiltrationProfile(tuple(tuple(e) for e in data["entries"]))
+    data = _read_document(text, "profile", ("entries",), {})
+    return FiltrationProfile(tuple(map(tuple, data["entries"])))
 
 
 @dataclass
@@ -246,15 +230,14 @@ def _reverify_violation(pol, roots, cert: ViolationCertificate) -> None:
 
 def _scan_report(args, command: str) -> tuple[RunReport, QuasiPolarization, RootSet]:
     spec = parse_surface_spec(_read(args.surface))
-    lat, pol, roots = spec.build()
     report = RunReport(
         command=command,
         inputs_echo=spec.to_doc(),
         verdict="",
         bounds={"degree_bound": args.degree_bound},
-        warnings=hyperbolic_plane_warnings(pol),
+        warnings=hyperbolic_plane_warnings(spec.pol),
     )
-    return report, pol, roots
+    return report, spec.pol, spec.root_set
 
 
 def _unknown_warning(report: RunReport, scan: DecompositionScan) -> None:
@@ -338,21 +321,8 @@ def _cmd_classify(args) -> tuple[RunReport, int]:
 
 
 def _cmd_verify_cases(args) -> tuple[RunReport, int]:
-    if args.default_box or not any(
-        v is not None
-        for v in (args.r_max, args.s_min, args.s_max, args.eps_max, args.x_min, args.x_max)
-    ):
-        box = default_box(args.n)
-    else:
-        base = default_box(args.n)
-        box = Box(
-            r_max=args.r_max if args.r_max is not None else base.r_max,
-            s_min=args.s_min if args.s_min is not None else base.s_min,
-            s_max=args.s_max if args.s_max is not None else base.s_max,
-            eps_max=args.eps_max if args.eps_max is not None else base.eps_max,
-            x_min=args.x_min if args.x_min is not None else base.x_min,
-            x_max=args.x_max if args.x_max is not None else base.x_max,
-        )
+    given = {f.name: getattr(args, f.name) for f in fields(Box) if getattr(args, f.name) is not None}
+    box = default_box(args.n) if args.default_box else replace(default_box(args.n), **given)
     box_report = cases.exhaustive_case_check(args.n, box)
     for cex in box_report.counterexamples:
         if not cases.verify_counterexample(args.n, cex):
@@ -391,18 +361,17 @@ def _cmd_triples(args) -> tuple[RunReport, int]:
 
 def _cmd_reduce_fixed(args) -> tuple[RunReport, int]:
     spec = parse_surface_spec(_read(args.surface))
-    lat, pol, roots = spec.build()
-    data = _load_object(_read(args.data), "data", ("parts", "delta"), vector_lists=["parts", "delta"])
+    data = _read_document(_read(args.data), "data", ("parts", "delta"), {})
     parts = [DivClass(tuple(v)) for v in data["parts"]]
     delta = [DivClass(tuple(v)) for v in data["delta"]]
-    reduced = reduce_fixed_components(pol, parts, delta, roots)
+    reduced = reduce_fixed_components(spec.pol, parts, delta, spec.root_set)
     report = RunReport(
         command="reduce-fixed",
         inputs_echo={**spec.to_doc(), "parts": data["parts"], "delta": data["delta"]},
         verdict=f"reduced to {len(reduced)} parts",
         results={
             "parts": [list(p.coords) for p in reduced],
-            "squares": [lat.square(p) for p in reduced],
+            "squares": [spec.pol.lattice.square(p) for p in reduced],
         },
     )
     return report, EXIT_OK
@@ -465,7 +434,7 @@ class _ArgumentParser(argparse.ArgumentParser):
     """
 
     def error(self, message: str):
-        raise SpecValidationError([f"{self.prog}: {message}"])
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,8 +487,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         report, status = run(args)
-    except (SpecValidationError, InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
-        warnings = exc.violations if isinstance(exc, SpecValidationError) else [str(exc)]
+    except (InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
+        warnings = exc.violations if isinstance(exc, InputError) else [str(exc)]
         command = next((a for a in argv if a in _HANDLERS), "k3bn")
         error_report = RunReport(command, inputs_echo={}, verdict="input error", warnings=warnings)
         print(json.dumps(error_report.to_dict(), indent=2))

@@ -61,9 +61,10 @@ class RootSet:
     """Declared classes of irreducible curves with self-intersection -2.
 
     Construction checks R^2 = -2 and R.H >= 0 for every root (a nef
-    polarization has nonnegative degree on every irreducible curve), and
-    computes once the integers root peeling needs: each covector R^T (gram),
-    each degree H.R and every product R_i.R_j.  ``contracted`` records
+    polarization has nonnegative degree on every irreducible curve) and
+    raises one InputError listing every violation.  It computes once the
+    integers root peeling needs: each covector R^T (gram), each degree H.R
+    and every product R_i.R_j.  ``contracted`` records
     whether the roots form a configuration H contracts: all of degree zero,
     distinct roots meeting nonnegatively, negative definite.
     """
@@ -79,18 +80,13 @@ class RootSet:
     def __post_init__(self, pol: QuasiPolarization) -> None:
         roots = tuple(self.roots)
         lat = pol.lattice
-        for k, r in enumerate(roots):
-            lat._check(r)
-            sq = lat.square(r)
-            if sq != -2:
-                raise InputError(f"roots[{k}] has square {sq}, expected -2")
-            if pol.degree(r) < 0:
-                raise InputError(
-                    f"roots[{k}] has negative degree {pol.degree(r)} on the polarization"
-                )
         covectors = tuple(lat.covector(r) for r in roots)
         products = tuple(tuple(_dot(cv, r.coords) for r in roots) for cv in covectors)
         degrees = tuple(pol.degree(r) for r in roots)
+        bad = [f"roots[{k}]: square is {p[k]}, expected -2" for k, p in enumerate(products) if p[k] != -2]
+        bad += [f"roots[{k}]: negative degree {d} on the polarization" for k, d in enumerate(degrees) if d < 0]
+        if bad:
+            raise InputError(*bad)
         contracted = (
             not any(degrees)
             and all(products[i][j] >= 0 for i in range(len(roots)) for j in range(len(roots)) if i != j)

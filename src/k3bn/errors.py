@@ -2,7 +2,11 @@
 
 
 class InputError(ValueError):
-    """Malformed or dimensionally inconsistent input data."""
+    """Malformed or dimensionally inconsistent input data; ``violations`` lists each fault."""
+
+    def __init__(self, *violations: str):
+        super().__init__("; ".join(violations))
+        self.violations = list(violations)
 
 
 class PreconditionError(ValueError):

@@ -79,27 +79,34 @@ class DivClass:
 
 @dataclass(frozen=True)
 class GramLattice:
-    """A free abelian group of finite rank with an even symmetric pairing."""
+    """A free abelian group of finite rank with an even symmetric pairing.
+
+    Construction checks that the rows are square and integer, then that the
+    diagonal is even and the matrix symmetric, and raises one InputError
+    listing every violation.
+    """
 
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(entry for entry in row) for row in self.gram)
+        rows = tuple(tuple(row) for row in self.gram)
         n = len(rows)
         if n == 0:
-            raise InputError("lattice rank must be positive")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise InputError(f"gram row {i} has length {len(row)}, expected {n}")
-            for j, entry in enumerate(row):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise InputError(f"gram[{i}][{j}] is not an integer: {entry!r}")
-        for i in range(n):
-            if rows[i][i] % 2 != 0:
-                raise InputError(f"gram[{i}][{i}] = {rows[i][i]} is odd; the lattice must be even")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise InputError(f"gram is not symmetric at ({i}, {j})")
+            raise InputError("gram: lattice rank must be positive")
+        bad = [f"gram[{i}]: expected a row of length {n}" for i, row in enumerate(rows) if len(row) != n]
+        bad += [
+            f"gram[{i}][{j}]: not an integer"
+            for i, row in enumerate(rows)
+            for j, entry in enumerate(row)
+            if not isinstance(entry, int) or isinstance(entry, bool)
+        ]
+        if not bad:
+            for i in range(n):
+                if rows[i][i] % 2 != 0:
+                    bad.append(f"gram[{i}][{i}]: odd diagonal entry {rows[i][i]} in an even lattice")
+                bad += [f"gram[{i}][{j}]: not symmetric" for j in range(i + 1, n) if rows[i][j] != rows[j][i]]
+        if bad:
+            raise InputError(*bad)
         object.__setattr__(self, "gram", rows)
 
     @property

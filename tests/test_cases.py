@@ -397,6 +397,23 @@ def test_row_sum_first_matches_seed_procedure(n, box, forced):
             assert (layer != "swept", count, cexs) == _seed_check_eps_class(n, box, eps, 5)
 
 
+def _loop_two_part_product_bound(box):
+    """The n = 2 cross-check by brute force: every (r1, r2, s1, s2) tuple of the box."""
+    checked = 0
+    bad = []
+    rng_r = range(1, box.r_max + 1)
+    rng_s = range(1, box.s_max + 1)
+    for r1, r2, s1, s2 in itertools.product(rng_r, rng_r, rng_s, rng_s):
+        checked += 1
+        if (r1 + r2) * (s1 + s2) > (r1 * s1 + 1) * (r2 * s2 + 1):
+            bad.append(
+                BoxCounterexample(
+                    kind="product_identity", r=(r1, r2), s=(s1, s2), note="positive-s product bound failed"
+                )
+            )
+    return checked, bad
+
+
 def _loop_exhaustive_case_check(n, box, max_cex):
     """The driver before the closed form: every eps tuple through the reference procedure."""
     stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
@@ -416,7 +433,7 @@ def _loop_exhaustive_case_check(n, box, max_cex):
             break
     cross_checks = []
     if n == 2:
-        checked, bad = cases._two_part_product_bound(box)
+        checked, bad = _loop_two_part_product_bound(box)
         cross_checks.append(f"positive-s product bound: {checked} (r, s) tuples, {len(bad)} failures")
         cexs.extend(bad)
     if n == 4:

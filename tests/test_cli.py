@@ -7,6 +7,8 @@ import time
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import k3bn
 from k3bn import cli
@@ -17,11 +19,12 @@ from k3bn.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_VIOLATION,
-    SpecValidationError,
     build_parser,
     main,
     parse_surface_spec,
 )
+from k3bn.errors import InputError as SpecValidationError
+from k3bn.lattice import GramLattice
 
 U_DOC = {"gram": [[0, 1], [1, 0]], "H": [1, 1]}
 
@@ -83,6 +86,80 @@ def test_spec_round_trip():
     spec = parse_surface_spec(json.dumps(doc))
     again = parse_surface_spec(json.dumps(spec.to_doc()))
     assert spec == again
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"gram": [[' + "2" * 5000 + ']], "H": [1]}', "[" * 100000 + "]" * 100000],
+    ids=["too-many-digits", "nested-too-deep"],
+)
+def test_json_the_decoder_refuses_is_an_input_error(tmp_path, text):
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, rep = run_cli(["bn-check", "--surface", str(path)])
+    assert code == EXIT_INPUT_ERROR
+    assert rep["warnings"][0].startswith("surface: not valid JSON")
+
+
+@pytest.mark.parametrize("roots", [False, 0, "", {}])
+def test_roots_that_are_not_a_list_are_input_errors(tmp_path, roots):
+    path = write(tmp_path, "u.json", {**U_DOC, "roots": roots})
+    code, rep = run_cli(["bn-check", "--surface", path])
+    assert code == EXIT_INPUT_ERROR
+    assert rep["warnings"] == ["roots: expected a list of integer vectors"]
+
+
+def test_null_roots_mean_none(tmp_path):
+    path = write(tmp_path, "u.json", {**U_DOC, "roots": None})
+    code, rep = run_cli(["bn-check", "--surface", path])
+    assert code == EXIT_VIOLATION
+    assert rep["inputs_echo"]["roots"] == []
+
+
+@pytest.mark.parametrize(
+    "command, payload, expected",
+    [
+        (
+            "classify",
+            {"sq": [3, 2, 0], "x": [[0, 1, 1], [2, 0, 1], [1, 1, 0]]},
+            ["sq[0] = 3 is odd; squares in an even lattice are even", "x is not symmetric at (0, 1)"],
+        ),
+        (
+            "profile-check",
+            {"entries": [[0, 1, 1], [1, 1, -1], [1, 1]]},
+            [
+                "entries[0]: rank 0 must be at least 1",
+                "entries[1]: eps -1 must be nonnegative",
+                "entries[2] must be an integer triple",
+            ],
+        ),
+    ],
+)
+def test_profile_checks_report_every_fault(tmp_path, command, payload, expected):
+    code, rep = run_cli([command, "--profile", write(tmp_path, "p.json", payload)])
+    assert code == EXIT_INPUT_ERROR
+    assert rep["warnings"] == expected
+
+
+def test_each_command_builds_its_lattice_once(tmp_path, monkeypatch):
+    built = []
+    check = GramLattice.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GramLattice, "__post_init__", counted)
+    surface = write(tmp_path, "s.json", {"gram": [[0, 1, 0], [1, 0, 1], [0, 1, -2]], "H": [1, 1, 1]})
+    data = write(tmp_path, "d.json", {"parts": [[1, 0, 0], [0, 1, 0]], "delta": [[0, 0, 1]]})
+    rooted = write(
+        tmp_path, "r.json", {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]], "H": [1, 2, 0], "roots": [[0, 0, 1]]}
+    )
+    for argv in (["bn-check", "--surface", rooted], ["reduce-fixed", "--surface", surface, "--data", data]):
+        built.clear()
+        code, _ = run_cli(argv)
+        assert code in (EXIT_OK, EXIT_VIOLATION)
+        assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -505,3 +582,131 @@ def test_human_rendering(tmp_path):
     text = buf.getvalue()
     assert text.startswith("bn-check: violation")
     assert "certificate" in text
+
+
+# ---------------------------------------------------------------------------
+# arbitrary documents: every outcome is an exit code and a JSON report
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _ints(size, lo=-2, hi=2):
+    return st.lists(st.integers(lo, hi), min_size=size, max_size=size)
+
+
+def _square(n):
+    return st.lists(_ints(n, -3, 3), min_size=n, max_size=n)
+
+
+@st.composite
+def _symmetric(draw, n, diagonal):
+    m = draw(_square(n))
+    for i in range(n):
+        m[i][i] = draw(diagonal)
+        for j in range(i):
+            m[i][j] = m[j][i]
+    return m
+
+
+def _spoil(draw, value, depth):
+    """``value`` with one element ``depth`` levels down (or all of it) swapped for arbitrary JSON."""
+    if not depth or not isinstance(value, list) or not value:
+        return draw(_ANY_JSON)
+    i = draw(st.integers(0, len(value) - 1))
+    value[i] = _spoil(draw, value[i], depth - 1)
+    return value
+
+
+@st.composite
+def _document(draw, fields):
+    """Every field well shaped but, in most documents, one, which is spoiled
+    or left out; now and then the whole document is arbitrary JSON or not JSON."""
+    whole = draw(st.integers(0, 19))
+    if whole == 19:
+        return draw(st.text(max_size=5))
+    if whole == 18:
+        return json.dumps(draw(_ANY_JSON))
+    broken = draw(st.sampled_from(list(fields))) if draw(st.integers(0, 3)) else None
+    doc = {}
+    for key, good in fields.items():
+        doc[key] = draw(good)
+        if key == broken:
+            if draw(st.integers(0, 2)):
+                doc[key] = _spoil(draw, doc[key], draw(st.integers(0, 2)))
+            else:
+                del doc[key]
+    return json.dumps(doc)
+
+
+@st.composite
+def _gram(draw, rank):
+    """An even symmetric matrix, most often with a hyperbolic plane or a
+    positive first entry, so that many H have positive square."""
+    m = draw(_symmetric(rank, st.integers(-2, 1).map(lambda k: 2 * k)))
+    if draw(st.booleans()):
+        return m
+    if rank > 1:
+        m[0][:2], m[1][:2] = [0, 1], [1, 0]
+    else:
+        m[0][0] = draw(st.sampled_from((2, 4)))
+    return m
+
+
+def _surface(rank, h):
+    return _document(
+        {
+            "gram": st.one_of(_gram(rank), _gram(rank), _square(rank)),
+            "H": st.just(h),
+            "roots": st.none() | st.lists(_ints(rank), max_size=2),
+            "name": st.text(max_size=3),
+            "basis_names": st.none() | st.lists(st.text(max_size=2), min_size=rank, max_size=rank),
+            "asserts_nef": st.booleans(),
+        }
+    )
+
+
+@st.composite
+def _argv(draw, command):
+    """argv for ``command`` with its documents as "{0}", "{1}", and the documents' texts."""
+    rank, n = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+    h = draw(_ints(rank, 1, 3))
+    if command in ("bn-check", "decompose"):
+        bound = draw(st.integers(1, 2) | st.just(0))
+        return [command, "--surface", "{0}", "--degree-bound", str(bound)], [draw(_surface(rank, h))]
+    if command == "reduce-fixed":
+        # parts and delta sum to H, so that the absorption loop runs
+        delta = draw(st.lists(_ints(rank, -1, 1), max_size=2))
+        parts = draw(st.lists(_ints(rank), max_size=2))
+        parts.append([x - sum(v[i] for v in parts + delta) for i, x in enumerate(h)])
+        data = _document({"parts": st.just(parts), "delta": st.just(delta)})
+        return [command, "--surface", "{0}", "--data", "{1}"], [draw(_surface(rank, h)), draw(data)]
+    if command == "classify":
+        fields = {
+            "sq": _ints(n, -1, 4).map(lambda sq: [2 * v for v in sq]),
+            "x": _symmetric(n, st.just(0)),
+            "h0_at_least_2": st.just([True] * n) | st.lists(st.booleans(), min_size=n, max_size=n),
+        }
+    else:
+        triple = st.tuples(st.integers(0, 3), st.integers(-2, 3), st.integers(-1, 3)).map(list)
+        fields = {"entries": st.lists(triple, min_size=2, max_size=4)}
+    return [command, "--profile", "{0}"], [draw(_document(fields))]
+
+
+@pytest.mark.parametrize("command", ["bn-check", "decompose", "classify", "profile-check", "reduce-fixed"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arbitrary_documents_get_an_exit_code_and_a_json_report(tmp_path_factory, command, data):
+    argv, docs = data.draw(_argv(command))
+    folder = tmp_path_factory.mktemp("docs")
+    paths = [folder / f"{k}.json" for k in range(len(docs))]
+    for path, text in zip(paths, docs):
+        path.write_text(text)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([a.format(*paths) for a in argv])
+    assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_VIOLATION, EXIT_EXCEPTIONAL)
+    json.loads(buf.getvalue())

@@ -202,6 +202,17 @@ def test_root_set_validation(U, ef, u_pol):
     assert len(RootSet(pol, (r,))) == 1
 
 
+def test_root_set_validation_lists_every_violation():
+    lat, (e, f, r) = u_plus_root()
+    pol = QuasiPolarization(lat, e + 2 * f)
+    with pytest.raises(InputError) as err:
+        RootSet(pol, (e, r, f - e))
+    assert err.value.violations == [
+        "roots[0]: square is 0, expected -2",
+        "roots[2]: negative degree -1 on the polarization",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # root peeling against the search-only procedure
 

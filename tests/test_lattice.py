@@ -55,6 +55,19 @@ def test_gram_validation():
         GramLattice(())
 
 
+def test_gram_validation_lists_every_violation():
+    with pytest.raises(InputError) as err:
+        GramLattice(((1, 1, 0), (1, 0, 2), (0, 3, 3)))
+    assert err.value.violations == [
+        "gram[0][0]: odd diagonal entry 1 in an even lattice",
+        "gram[1][2]: not symmetric",
+        "gram[2][2]: odd diagonal entry 3 in an even lattice",
+    ]
+    with pytest.raises(InputError) as err:
+        GramLattice(((0, True), (1,)))
+    assert err.value.violations == ["gram[1]: expected a row of length 2", "gram[0][1]: not an integer"]
+
+
 def test_dimension_mismatch(U):
     with pytest.raises(InputError):
         U.intersect(DivClass((1,)), DivClass((1, 0)))
