@@ -10,6 +10,7 @@ the genus.  Certificates are verified on construction, never trusted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections import Counter
@@ -17,9 +18,14 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .divisors import Effectivity, EffectivityVerdict, RootSet, effectivity_status, h0_floor
+from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
+from .divisors import _MAX_SEARCH_STATES, _dot, _peel, h0_floor
 from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size
 from .lattice import DivClass, QuasiPolarization, bareiss
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class DecompositionProfile:
         n = len(sq)
         bad = ["a decomposition profile needs at least two parts"] if n < 2 else []
         for i, s in enumerate(sq):
-            if not isinstance(s, int) or isinstance(s, bool):
+            if not _is_int(s):
                 bad.append(f"sq[{i}] is not an integer")
             elif s % 2 != 0:
                 bad.append(f"sq[{i}] = {s} is odd; squares in an even lattice are even")
@@ -49,6 +55,7 @@ class DecompositionProfile:
             bad.append(f"x must be an {n}x{n} matrix")
         else:
             for i in range(n):
+                bad += [f"x[{i}][{j}] is not an integer" for j in range(n) if not _is_int(x[i][j])]
                 if x[i][i] != 0:
                     bad.append(f"x[{i}][{i}] must be zero")
                 bad += [f"x is not symmetric at ({i}, {j})" for j in range(i + 1, n) if x[i][j] != x[j][i]]
@@ -268,13 +275,15 @@ class DecompositionScan:
         }
 
 
-def _lasts(part: int, w: int, bound: int, h2: int) -> range:
-    """The c in [-bound, bound] with 0 < part + c w < h2."""
+def _lasts(part: int, w: int, us: range, h2: int) -> range:
+    """The c in ``us`` with 0 < part + c w < h2."""
     if w == 0:
-        return range(-bound, bound + 1) if 0 < part < h2 else range(0)
+        return us if 0 < part < h2 else range(0)
     if w > 0:
-        return range(max(-bound, -part // w + 1), min(bound, (h2 - part - 1) // w) + 1)
-    return range(max(-bound, (part - h2) // -w + 1), min(bound, (part - 1) // -w) + 1)
+        lo, hi = -part // w + 1, (h2 - part - 1) // w
+    else:
+        lo, hi = (part - h2) // -w + 1, (part - 1) // -w
+    return range(max(us.start, lo), min(us.stop, hi + 1))
 
 
 def _degree_window(covector: tuple[int, ...], bound: int, h2: int) -> Iterator[tuple[int, ...]]:
@@ -284,55 +293,75 @@ def _degree_window(covector: tuple[int, ...], bound: int, h2: int) -> Iterator[t
     of v the admissible last coordinates form an interval.
     """
     *mid, w = covector
-    for head in itertools.product(range(-bound, bound + 1), repeat=len(mid)):
+    full = range(-bound, bound + 1)
+    for head in itertools.product(full, repeat=len(mid)):
         part = sum(map(operator.mul, head, mid))
-        for c in _lasts(part, w, bound, h2):
+        for c in _lasts(part, w, full, h2):
             yield (*head, c)
 
 
-def degree_window_size(covector: tuple[int, ...], bound: int, h2: int) -> int:
-    """The number of vectors ``_degree_window`` yields, without building one.
+def _convolve(sums: Counter, w: int, col: tuple[int, ...], full: range) -> Counter:
+    """Add one coordinate t in ``full`` to each (partial degree, dots) key."""
+    step = Counter()
+    for (part, dots), count in sums.items():
+        for t in full:
+            step[part + t * w, tuple(x + t * y for x, y in zip(dots, col)) if col else dots] += count
+    return step
 
-    A count of partial degrees over the nonzero covector entries but the
-    last, whose admissible values form an interval; every zero entry
-    multiplies the count by 2 bound + 1.
+
+def _window_counts(covector: tuple[int, ...], bound: int, h2: int, roots: Sequence[tuple] = ()) -> Counter:
+    """The vectors ``_degree_window`` yields, counted per value of (v . R_j)_j.
+
+    ``roots`` are root covectors.  The coordinates some root touches are
+    counted per (partial degree, root dots), the others of nonzero degree but
+    the last per partial degree; the admissible values of the last form an
+    interval, and each coordinate touched by neither multiplies by 2 bound + 1.
     """
-    nonzero = [w for w in covector if w]
-    if not nonzero:
-        return 0
-    *mid, w = nonzero
-    sums = Counter({0: 1})
-    for x in mid:
-        step = Counter()
-        for part, count in sums.items():
-            for t in range(-bound, bound + 1):
-                step[part + t * x] += count
-        sums = step
-    free = (2 * bound + 1) ** (len(covector) - len(nonzero))
-    return free * sum(count * len(_lasts(part, w, bound, h2)) for part, count in sums.items())
+    full = range(-bound, bound + 1)
+    touched = [i for i in range(len(covector)) if any(r[i] for r in roots)]
+    rest = [i for i, w in enumerate(covector) if w and i not in touched]
+    free = (2 * bound + 1) ** (len(covector) - len(touched) - len(rest))
+    sums, rest_sums = Counter({(0, (0,) * len(roots)): 1}), Counter({(0, ()): 1})
+    for i in touched:
+        sums = _convolve(sums, covector[i], tuple(r[i] for r in roots), full)
+    for i in rest[:-1]:
+        rest_sums = _convolve(rest_sums, covector[i], (), full)
+
+    @functools.cache
+    def completions(part: int) -> int:
+        if not rest:
+            return free * (0 < part < h2)
+        w = covector[rest[-1]]
+        return free * sum(n * len(_lasts(part + p, w, full, h2)) for (p, _), n in rest_sums.items())
+
+    out = Counter()
+    for (part, dots), count in sums.items():
+        out[dots] += count * completions(part)
+    return out
 
 
-def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | None:
-    """X_H cut to the box [-bound, bound]^rank, in lexicographic order.
+def degree_window_size(covector: tuple[int, ...], bound: int, h2: int) -> int:
+    """The number of vectors ``_degree_window`` yields, without building one."""
+    return sum(_window_counts(covector, bound, h2).values())
 
-    X_H = {D : 0 < D.H < H^2, D^2 >= -2, (H - D)^2 >= -2} holds every class
-    that can carry a violation: a side of square < -2 has h^0 floor 0.  With
-    d = D.H, the integer form Q(D) = d^2 - H^2 D^2 (matrix c c^T - H^2 gram,
-    c = H^T gram) is -H^2 times the square of the part of D in H^perp, the
-    same for D and H - D.  So D lies in X_H exactly when 0 < d < H^2 and
-    Q(D) <= min(d, H^2 - d)^2 + 2 H^2, and then Q(D) <= (H^2 // 2)^2 + 2 H^2.
-    When H^perp is negative definite, Q is positive semidefinite with kernel
-    the line of H.  The enumeration is Fincke-Pohst (Fincke & Pohst,
-    *Improved methods for calculating vectors of short length in a lattice*,
-    Math. Comp. 44, 1985) in integers: ``bareiss`` eliminates Q once, with a
-    coordinate k of H_k != 0 last.  Coordinate k runs along the kernel over
-    the box; each scaled Schur complement then bounds one more coordinate
-    by ``math.isqrt``, clamped to the box, and the innermost also to the
-    degree window.  So the work stays within the box.  Only D is cut to the
-    box; H - D may leave it, as in the window scan.
 
-    None when H^perp is not negative definite (a pivot before k is <= 0):
-    the form is then not hyperbolic, or degenerate, and X_H may be infinite.
+def _short_classes(pol: QuasiPolarization, box: Sequence[range], limit: int, slack) -> list[tuple] | None:
+    """The D in ``box`` with 0 < D.H < H^2 and Q(D) <= slack(D.H), lexicographic.
+
+    ``box`` holds one range per coordinate.  With d = D.H, the integer form
+    Q(D) = d^2 - H^2 D^2 (matrix c c^T - H^2 gram, c = H^T gram) is -H^2
+    times the square of the part of D in H^perp.  When H^perp is negative
+    definite, Q is positive semidefinite with kernel the line of H, and
+    ``limit`` bounds slack over the degree window.  The enumeration is
+    Fincke-Pohst (Fincke & Pohst, *Improved methods for calculating vectors
+    of short length in a lattice*, Math. Comp. 44, 1985) in integers:
+    ``bareiss`` eliminates Q once, with a coordinate k of H_k != 0 last.
+    Coordinate k runs along the kernel over its range; each scaled Schur
+    complement then bounds one more coordinate by ``math.isqrt``, clamped
+    to its range, and the innermost also to the degree window.  So the work
+    stays within the box.  Each leaf is tested exactly.  None when H^perp is
+    not negative definite (a pivot before k is <= 0): the form is then not
+    hyperbolic, or degenerate, and the set may be infinite.
     """
     gram, h, c = pol.lattice.gram, pol.h.coords, pol.h_covector
     h2 = pol.degree(pol.h)
@@ -340,11 +369,11 @@ def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | N
     order = [i for i in range(len(h)) if i != k] + [k]
     top = len(order) - 1
     cs = [c[i] for i in order]
+    ranges = [box[i] for i in order]
     a = [[c[i] * c[j] - h2 * gram[i][j] for j in order] for i in order]
     for p in bareiss(a):
         if p < top and a[p][p] <= 0:
             return None
-    limit = (h2 // 2) ** 2 + 2 * h2
     found = []
     x = [0] * len(order)
 
@@ -356,7 +385,7 @@ def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | N
     def walk(p: int, q: int) -> None:
         if p < 0:
             d = sum(map(operator.mul, cs, x))
-            if 0 < d < h2 and q <= min(d, h2 - d) ** 2 + 2 * h2:
+            if 0 < d < h2 and q <= slack(d):
                 found.append((*x[:k], x[top], *x[k:top]))
             return
         piv, prev = a[p][p], a[p - 1][p - 1] if p else 1
@@ -365,20 +394,37 @@ def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | N
             return
         s = isqrt(r)
         lin = sum(map(operator.mul, a[p][p + 1 :], x[p + 1 :]))
-        us = range(max(-bound, -((s + lin) // piv)), min(bound, (s - lin) // piv) + 1)
+        us = range(max(ranges[p].start, -((s + lin) // piv)), min(ranges[p].stop, (s - lin) // piv + 1))
         if p == 0:
-            lasts = _lasts(sum(map(operator.mul, cs[1:], x[1:])), cs[0], bound, h2)
-            us = range(max(us.start, lasts.start), min(us.stop, lasts.stop))
+            us = _lasts(sum(map(operator.mul, cs[1:], x[1:])), cs[0], us, h2)
         for u in us:
             x[p] = u
             t = piv * u + lin
             walk(p - 1, (t * t + prev * q) // piv)
 
-    for u in range(-bound, bound + 1):
+    for u in ranges[top]:
         x[top] = u
         walk(top - 1, 0)
     found.sort()
     return found
+
+
+def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | None:
+    """X_H = {D : 0 < D.H < H^2, D^2 >= -2, (H - D)^2 >= -2} in the box, or None.
+
+    X_H holds every class that can carry a violation: a side of square < -2
+    has h^0 floor 0.  Q is the same for D and H - D, so the slack is
+    min(d, H^2 - d)^2 + 2 H^2.  Only D is cut to the box, as in the window scan.
+    """
+    h2 = pol.degree(pol.h)
+    box = [range(-bound, bound + 1)] * pol.lattice.rank
+    return _short_classes(pol, box, (h2 // 2) ** 2 + 2 * h2, lambda d: min(d, h2 - d) ** 2 + 2 * h2)
+
+
+def x_classes(pol: QuasiPolarization, box: Sequence[range]) -> list[tuple[int, ...]] | None:
+    """X = {E : 0 < E.H < H^2, E^2 >= -2} in ``box`` (one range per coordinate), or None."""
+    h2 = pol.degree(pol.h)
+    return _short_classes(pol, box, (h2 - 1) ** 2 + 2 * h2, lambda d: d * d + 2 * h2)
 
 
 def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
@@ -387,6 +433,89 @@ def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
     check_search_size(
         (2 * degree_bound + 1) ** pol.lattice.rank, "candidate classes", "lower the degree bound"
     )
+
+
+def _decide(out: DecompositionScan, pol, roots, d1: DivClass, collect_pairs: bool) -> bool:
+    """Settle D1 and, when it is Effective, H - D1, and record the pair; True on a violation."""
+    out.candidates_scanned += 1
+    if not out._settle(effectivity_status(pol, d1, roots)):
+        return False
+    d2 = pol.h - d1
+    if not out._settle(effectivity_status(pol, d2, roots)):
+        return False
+    lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
+    violates = lb1 * lb2 > g
+    if collect_pairs:
+        out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
+    if violates:
+        out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
+    return violates
+
+
+def _window_scan(pol, roots, degree_bound, collect_pairs, stop_at_first_violation) -> DecompositionScan:
+    """Decide every class of the degree window, in lexicographic order."""
+    out = DecompositionScan()
+    for coords in _degree_window(pol.h_covector, degree_bound, pol.degree(pol.h)):
+        if _decide(out, pol, roots, DivClass(coords), collect_pairs) and stop_at_first_violation:
+            break
+    return out
+
+
+def _certificate_scan(pol, roots, degree_bound, collect_pairs) -> DecompositionScan | None:
+    """The window scan, deciding only the classes that can be Effective.
+
+    For H^perp negative definite and roots none or contracted (of degree 0);
+    None otherwise.  Peeling and the root search end in E + sum c_j R_j,
+    c_j in [0, coeff_bound], E zero or Riemann-Roch-effective; in the window
+    E lies in X (``x_classes``), in the box widened by coeff_bound sum |R_j|.
+    The shifts of X into the box, S, are decided as the window scan decides
+    them.  Peeling keeps the degree, so no window class is NotEffective and
+    the rest is Unknown; it is search_exhausted exactly when its peel
+    exceeds coeff_bound, which depends only on its root dots: the rest is
+    counted per value of the dots, and each value is peeled once.
+    """
+    rs, cb = [r.coords for r in roots.roots] if roots else [], DEFAULT_COEFF_BOUND
+    searchable = (cb + 1) ** len(rs) <= _MAX_SEARCH_STATES
+    if rs and not (roots.contracted and roots.polarization == pol and searchable):
+        return None
+    h2, rank = pol.degree(pol.h), pol.lattice.rank
+    wide = [degree_bound + cb * sum(abs(r[i]) for r in rs) for i in range(rank)]
+    xs = x_classes(pol, [range(-w, w + 1) for w in wide])
+    if xs is None:
+        return None
+    # reach[j][i]: the range of sum_{l >= j} c_l R_l[i] over c in [0, cb]
+    reach = [[(0, 0)] * rank]
+    for r in reversed(rs):
+        reach.insert(0, [(lo + cb * min(x, 0), hi + cb * max(x, 0)) for (lo, hi), x in zip(reach[0], r)])
+    shape = set()
+
+    def shift(j: int, v: tuple[int, ...]) -> None:
+        if j == len(rs):
+            shape.add(v)
+            return
+        cs = range(cb + 1)
+        for x, vi, (lo, hi) in zip(rs[j], v, reach[j + 1]):
+            if x:  # the c with -bound <= vi + c x + (the later shifts) <= bound
+                p, q = -degree_bound - hi - vi, degree_bound - lo - vi
+                p, q, x = (p, q, x) if x > 0 else (-q, -p, -x)
+                cs = range(max(cs.start, -(-p // x)), min(cs.stop, q // x + 1))
+        for c in cs:
+            shift(j + 1, tuple(a + c * b for a, b in zip(v, rs[j])))
+
+    for e in xs:
+        shift(0, e)
+    out = DecompositionScan()
+    for coords in sorted(shape):
+        _decide(out, pol, roots, DivClass(coords), collect_pairs)
+    covectors = roots.covectors if roots else ()
+    rest = _window_counts(pol.h_covector, degree_bound, h2, covectors)
+    out.candidates_scanned = sum(rest.values())
+    rest.subtract(tuple(_dot(cv, coords) for cv in covectors) for coords in shape)
+    for dots, n in rest.items():
+        rule = "search_exhausted" if _peel(list(dots), roots, 0, 0, cb) is None else "root_nef_residual"
+        out.verdicts[f"unknown_{rule}"] += n
+        out.unknown_candidates += n
+    return out
 
 
 def scan_decompositions(
@@ -402,31 +531,15 @@ def scan_decompositions(
     Candidates run in lexicographic order over coordinates in
     [-degree_bound, degree_bound], restricted to 0 < D1.H < H^2 with both
     D1 and H - D1 certified effective.  The search box is a hard cutoff and
-    is echoed by callers; results outside it are simply not seen.
+    is echoed by callers; results outside it are simply not seen.  A full
+    scan decides only the classes that can be Effective, where
+    ``_certificate_scan`` knows them, and counts the rest.
     """
     _check_degree_bound(pol, degree_bound)
-    h = pol.h
-    h2 = pol.degree(h)
-    g = pol.genus
-    out = DecompositionScan()
-    for coords in _degree_window(pol.h_covector, degree_bound, h2):
-        d1 = DivClass(coords)
-        out.candidates_scanned += 1
-        if not out._settle(effectivity_status(pol, d1, roots)):
-            continue
-        d2 = h - d1
-        if not out._settle(effectivity_status(pol, d2, roots)):
-            continue
-        lb1 = h0_floor(pol, d1)
-        lb2 = h0_floor(pol, d2)
-        violates = lb1 * lb2 > g
-        if collect_pairs:
-            out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
-        if violates:
-            out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
-            if stop_at_first_violation:
-                break
-    return out
+    scan = None if stop_at_first_violation else _certificate_scan(pol, roots, degree_bound, collect_pairs)
+    if scan is None:
+        scan = _window_scan(pol, roots, degree_bound, collect_pairs, stop_at_first_violation)
+    return scan
 
 
 def violation_scan(

@@ -154,7 +154,8 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
     The JSON shapes and the lengths against the rank are checked here, the
     lattice rules by GramLattice, and every violation of either is collected
     into one InputError.  The polarization and the roots are built, and
-    checked, once the document passes.
+    checked, once the document passes; a polarization of square <= 0 is
+    reported with the violations of the roots.
     """
     optional = {"name": "surface", "basis_names": None, "roots": None, "asserts_nef": True}
     doc, bad = _read_fields(text, "surface", ("gram", "H"), optional)
@@ -175,8 +176,12 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
     if bad:
         raise InputError(*bad)
     roots = doc["roots"] or []
-    pol = QuasiPolarization(lat, DivClass(tuple(doc["H"])), doc["asserts_nef"])
-    root_set = RootSet(pol, tuple(DivClass(tuple(r)) for r in roots))
+    h, classes = DivClass(tuple(doc["H"])), tuple(DivClass(tuple(r)) for r in roots)
+    try:
+        pol = QuasiPolarization(lat, h, doc["asserts_nef"])
+    except InputError as exc:  # the roots are checked too: one report lists every violation
+        raise InputError(*exc.violations, *RootSet.measure(lat, lat.covector(h), classes)[3]) from None
+    root_set = RootSet(pol, classes)
     return SurfaceSpec(
         doc["gram"], doc["H"], doc["name"], doc["basis_names"], roots, doc["asserts_nef"], pol, root_set
     )
@@ -273,15 +278,9 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
     report, pol, roots = _scan_report(args, "decompose")
     scan = scan_decompositions(pol, roots, args.degree_bound, collect_pairs=True)
     _unknown_warning(report, scan)
-    # each unordered pair appears twice in the scan; keep the first occurrence
-    seen = set()
-    pairs = []
-    for rec in scan.pairs:
-        key = frozenset((rec.d1.coords, rec.d2.coords))
-        if key in seen:
-            continue
-        seen.add(key)
-        pairs.append(rec)
+    # a pair with both sides in the box appears twice, first with D1 < D2: keep that one
+    firsts = {rec.d1.coords for rec in scan.pairs}
+    pairs = [rec for rec in scan.pairs if rec.d1.coords <= rec.d2.coords or rec.d2.coords not in firsts]
     report.results["decompositions"] = [rec.to_dict() for rec in pairs]
     report.results["count"] = len(pairs)
     report.results["stats"] = scan.stats()

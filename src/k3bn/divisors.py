@@ -79,12 +79,7 @@ class RootSet:
 
     def __post_init__(self, pol: QuasiPolarization) -> None:
         roots = tuple(self.roots)
-        lat = pol.lattice
-        covectors = tuple(lat.covector(r) for r in roots)
-        products = tuple(tuple(_dot(cv, r.coords) for r in roots) for cv in covectors)
-        degrees = tuple(pol.degree(r) for r in roots)
-        bad = [f"roots[{k}]: square is {p[k]}, expected -2" for k, p in enumerate(products) if p[k] != -2]
-        bad += [f"roots[{k}]: negative degree {d} on the polarization" for k, d in enumerate(degrees) if d < 0]
+        covectors, products, degrees, bad = RootSet.measure(pol.lattice, pol.h_covector, roots)
         if bad:
             raise InputError(*bad)
         contracted = (
@@ -104,6 +99,16 @@ class RootSet:
 
     def __len__(self) -> int:
         return len(self.roots)
+
+    @staticmethod
+    def measure(lat: GramLattice, h_covector: tuple[int, ...], roots: tuple[DivClass, ...]):
+        """Root covectors, products R_i.R_j and degrees H.R, and the root rules broken (H^2 may be <= 0)."""
+        covectors = tuple(lat.covector(r) for r in roots)
+        products = tuple(tuple(_dot(cv, r.coords) for r in roots) for cv in covectors)
+        degrees = tuple(_dot(h_covector, r.coords) for r in roots)
+        bad = [f"roots[{k}]: square is {p[k]}, expected -2" for k, p in enumerate(products) if p[k] != -2]
+        bad += [f"roots[{k}]: negative degree {d} on the polarization" for k, d in enumerate(degrees) if d < 0]
+        return covectors, products, degrees, bad
 
 
 def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -191,15 +196,15 @@ def _root_combination(
 
 
 def _peel(
-    d: DivClass, roots: RootSet, deg: int, sq: int, bound: int
+    dots: list[int], roots: RootSet, deg: int, sq: int, bound: int
 ) -> tuple[tuple[int, ...], int, int] | None:
     """Subtract the first root R with D.R < 0 until none is left.
 
-    Works on integers only, using (D - R)^2 = D^2 - 2 D.R - 2.  Returns the
-    peel multiplicities with the degree and square of the residual, or None
-    when some root would be peeled more than ``bound`` times.
+    ``dots`` holds every D.R_j.  Works on integers only, using
+    (D - R)^2 = D^2 - 2 D.R - 2.  Returns the peel multiplicities with the
+    degree and square of the residual, or None when some root would be
+    peeled more than ``bound`` times, which depends on ``dots`` alone.
     """
-    dots = [_dot(cv, d.coords) for cv in roots.covectors]
     mult = [0] * len(dots)
     while True:
         j = next((j for j, x in enumerate(dots) if x < 0), None)
@@ -291,7 +296,8 @@ def effectivity_status(
             f"degree 0 and not a combination of degree-zero roots with coefficients <= {coeff_bound}",
             rule="degree_zero_roots",
         )
-    peeled = _peel(d, roots, deg, sq, coeff_bound) if roots else ((), deg, sq)
+    dots = [_dot(cv, d.coords) for cv in roots.covectors] if roots else []
+    peeled = _peel(dots, roots, deg, sq, coeff_bound)
     if peeled is not None:
         mult, rdeg, rsq = peeled
         if (rdeg > 0 and rsq >= -2) or (rdeg == 0 and not any(_residual(d, roots, mult))):

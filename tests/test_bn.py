@@ -30,7 +30,16 @@ from k3bn import (
     no_negative_intersections,
     scan_decompositions,
 )
-from k3bn.bn import SCAN_VERDICT_KEYS, _degree_window, degree_window_size, violation_scan, x_h_classes
+from k3bn.bn import (
+    SCAN_VERDICT_KEYS,
+    _certificate_scan,
+    _degree_window,
+    _window_scan,
+    degree_window_size,
+    violation_scan,
+    x_classes,
+    x_h_classes,
+)
 from k3bn.divisors import h0_floor
 from conftest import rank_one
 
@@ -51,6 +60,12 @@ def test_profile_validation():
         DecompositionProfile((0, 0), ((1, 0), (0, 0)))  # diagonal
     with pytest.raises(InputError):
         DecompositionProfile((0,), ((0,),))  # n < 2
+
+
+def test_profile_rejects_non_integer_products():
+    with pytest.raises(InputError) as err:
+        DecompositionProfile((2, 2, 2), ((0, 1.5, 1), (1.5, 0, 1), (1, 1, 0)))
+    assert err.value.violations == ["x[0][1] is not an integer", "x[1][0] is not an integer"]
 
 
 def test_profile_derived_quantities():
@@ -290,6 +305,11 @@ def brute_force_x_h(pol, bound):
     return [tuple(map(int, v)) for v in box[keep]]
 
 
+def _scan_summary(scan):
+    pairs = [(r.d1.coords, r.d2.coords, r.lb1, r.lb2, r.violates) for r in scan.pairs]
+    return pairs, [v.to_dict() for v in scan.violations], scan.stats(), scan.unknown_candidates
+
+
 @settings(max_examples=150, deadline=None)
 @given(polarized_forms())
 def test_x_h_path_matches_brute_force_and_the_window_scan(form):
@@ -302,13 +322,43 @@ def test_x_h_path_matches_brute_force_and_the_window_scan(form):
     if classes is not None:
         assert classes == brute_force_x_h(pol, bound)
     found = violation_scan(pol, roots, bound)
-    full = scan_decompositions(pol, roots, bound, collect_pairs=True)
+    full = _window_scan(pol, roots, bound, True, False)
     assert [v.to_dict() for v in found.violations] == [v.to_dict() for v in full.violations[:1]]
     assert found.window_classes == full.candidates_scanned
     assert found.x_h == hyperbolic
     if found.x_h:
         assert found.candidates_scanned == len(classes)
         assert found.window_classes - found.candidates_scanned >= full.unknown_candidates
+    # decompose's certificate-shaped path runs where H^perp is negative definite and the
+    # roots are none or contracted, and there it must give the window scan's answers
+    scan = _certificate_scan(pol, roots, bound, True)
+    assert (scan is None) == (not hyperbolic or (len(roots) > 0 and not roots.contracted))
+    if scan is not None:
+        assert _scan_summary(scan) == _scan_summary(full)
+
+
+def brute_force_x(pol, box):
+    h2 = pol.degree(pol.h)
+    points = np.array(list(itertools.product(*box)), dtype=np.int64).reshape(-1, pol.lattice.rank)
+    gram = np.array(pol.lattice.gram, dtype=np.int64)
+    deg = points @ np.array(pol.h_covector, dtype=np.int64)
+    sq = np.einsum("ij,jk,ik->i", points, gram, points)
+    keep = (deg > 0) & (deg < h2) & (sq >= -2)
+    return [tuple(map(int, v)) for v in points[keep]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polarized_forms(), st.data())
+def test_x_classes_match_brute_force_in_a_box(form, data):
+    pol, _, bound = form
+    box = []
+    for _ in range(pol.lattice.rank):
+        lo = data.draw(st.integers(-bound, bound))
+        box.append(range(lo, data.draw(st.integers(lo - 1, bound)) + 1))
+    classes = x_classes(pol, box)
+    assert (classes is None) == (x_h_classes(pol, bound) is None)
+    if classes is not None:
+        assert classes == brute_force_x(pol, box)
 
 
 def test_find_violation_takes_the_x_h_path():
@@ -545,3 +595,113 @@ def test_classify_n5_always_case_one():
     p = DecompositionProfile((0,) * 5, _connected_x(5))
     out = classify_multi_decomposition(p, [True] * 5)
     assert isinstance(out, NotBNGeneral) and out.case_id == "1"
+
+
+# ---------------------------------------------------------------------------
+# decompose over certificate-shaped candidates
+
+
+# the negative definite blocks after U, and the coordinates of their simple roots
+_CONTRACTED_LATTICES = {
+    "U": ((), ()),
+    "U+A1": ((((-2,),),), (2,)),
+    "U+A2": ((((-2, 1), (1, -2)),), (2, 3)),
+    "U+A1+A1": ((((-2,),), ((-2,),)), (2, 3)),
+    "U+A1+<-4>^2": ((((-2,),), ((-4,),), ((-4,),)), (2,)),
+}
+
+
+@st.composite
+def contracted_surfaces(draw):
+    """A lattice of ``_CONTRACTED_LATTICES`` with H = a e + b f (+ a part on the
+    <-4> blocks) of positive square, some of its simple roots, all of degree 0,
+    and a degree bound, in a signed-permutation basis."""
+    blocks, root_coords = _CONTRACTED_LATTICES[draw(st.sampled_from(sorted(_CONTRACTED_LATTICES)))]
+    gram = _block_sum([((0, 1), (1, 0)), *blocks])
+    n = len(gram)
+    h = [draw(st.integers(1, 5)), draw(st.integers(1, 5))]
+    h += [0 if i in root_coords else draw(st.integers(-1, 1)) for i in range(2, n)]
+    declared = draw(st.lists(st.sampled_from(root_coords), unique=True)) if root_coords else []
+    roots = [[int(i == k) for i in range(n)] for k in declared]
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    gram = tuple(tuple(signs[i] * signs[j] * gram[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+    lat = GramLattice(gram)
+    h = DivClass(tuple(signs[i] * h[perm[i]] for i in range(n)))
+    assume(lat.square(h) > 0)
+    pol = QuasiPolarization(lat, h)
+    roots = RootSet(pol, tuple(DivClass(tuple(signs[i] * r[perm[i]] for i in range(n))) for r in roots))
+    return pol, roots, draw(st.integers(1, 4 if n < 5 else 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(contracted_surfaces(), st.booleans())
+def test_certificate_scan_matches_the_window_scan(surface, collect_pairs):
+    pol, roots, bound = surface
+    scan = _certificate_scan(pol, roots, bound, collect_pairs)
+    assert scan is not None
+    assert _scan_summary(scan) == _scan_summary(_window_scan(pol, roots, bound, collect_pairs, False))
+    full = scan_decompositions(pol, roots, bound, collect_pairs=collect_pairs)
+    assert _scan_summary(full) == _scan_summary(scan)
+
+
+@pytest.mark.parametrize(
+    "gram, h, roots, bound",
+    [
+        (((-2, -1, 0), (-1, 2, -1), (0, -1, 0)), (-2, 2, -3), [(1, 0, 1)], 3),
+        (
+            ((0, 1, 0, 0), (1, -2, 3, -4), (0, 3, -2, 3), (0, -4, 3, -6)),
+            (1, 3, 3, 0),
+            [(-1, 0, 1, 0), (0, 0, 1, 1)],
+            1,
+        ),
+    ],
+    ids=["UA1", "UA2"],
+)
+def test_certificate_scan_needs_the_widened_box(gram, h, roots, bound):
+    # U + A1 and U + A2 in skewed bases: some Effective class in the box has
+    # its only certificates E + sum c_j R_j with E outside the box
+    pol = QuasiPolarization(GramLattice(gram), DivClass(h))
+    root_set = RootSet(pol, tuple(map(DivClass, roots)))
+    scan = _certificate_scan(pol, root_set, bound, True)
+    assert _scan_summary(scan) == _scan_summary(_window_scan(pol, root_set, bound, True, False))
+
+
+def test_certificate_scan_leaves_other_root_sets_to_the_window_scan():
+    # an A2 pair meeting negatively, and a root of positive degree, are not contracted
+    a2 = QuasiPolarization(GramLattice(_A2), DivClass((1, 2, 0, 0)))
+    meeting = RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1))))
+    assert _certificate_scan(a2, meeting, 2, True) is None
+    lat = GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
+    pol = QuasiPolarization(lat, DivClass((2, 3, -1)))
+    assert _certificate_scan(pol, RootSet(pol, (DivClass((0, 0, 1)),)), 2, True) is None
+    # a degenerate form: H^perp holds the isotropic (0, 0, 1)
+    degenerate = QuasiPolarization(GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, 0))), DivClass((1, 2, 0)))
+    assert _certificate_scan(degenerate, None, 2, True) is None
+
+
+def test_certificate_scan_pins_the_window_scan_stats():
+    # the window scan took about 4 s and 10 s on these; the figures are its output
+    a2 = QuasiPolarization(GramLattice(_A2), DivClass((1, 2, 0, 0)))
+    scan = scan_decompositions(a2, RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, 1)))), 10)
+    assert scan.stats() == {
+        "candidates_scanned": 13671,
+        "effective_riemann_roch": 69,
+        "effective_peeling": 806,
+        "effective_root_search": 10,
+        "not_effective_peeling": 0,
+        "unknown_root_nef_residual": 11777,
+        "unknown_search_exhausted": 1850,
+    }
+    gram = tuple(map(tuple, _block_sum([((0, 1), (1, 0)), ((-2,),), ((-4,),), ((-4,),)])))
+    pol = QuasiPolarization(GramLattice(gram), DivClass((1, 3, 0, 0, 0)))
+    scan = scan_decompositions(pol, RootSet(pol, (DivClass((0, 0, 1, 0, 0)),)), 10)
+    assert scan.stats() == {
+        "candidates_scanned": 324135,
+        "effective_riemann_roch": 62,
+        "effective_peeling": 159,
+        "effective_root_search": 0,
+        "not_effective_peeling": 0,
+        "unknown_root_nef_residual": 324113,
+        "unknown_search_exhausted": 0,
+    }

@@ -67,6 +67,16 @@ def test_parse_rejects_bad_root():
     assert any("square is 0" in v for v in err.value.violations)
 
 
+def test_a_bad_polarization_and_a_bad_root_are_reported_together(tmp_path):
+    doc = {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]], "H": [1, 0, 0], "roots": [[1, 0, 0]]}
+    code, rep = run_cli(["bn-check", "--surface", write(tmp_path, "s.json", doc)])
+    assert code == EXIT_INPUT_ERROR
+    assert rep["warnings"] == [
+        "quasi-polarization must have positive square, got 0",
+        "roots[0]: square is 0, expected -2",
+    ]
+
+
 def test_parse_collects_all_violations():
     doc = {"gram": [[0, 2], [1, 0]], "H": [1, 1, 1], "name": 7}
     with pytest.raises(SpecValidationError) as err:
@@ -202,6 +212,23 @@ def test_decompose_lists_pairs(tmp_path):
         d1 = rec["d1"]
         d2 = rec["d2"]
         assert [a + b for a, b in zip(d1, d2)] == [1, 3]
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "decompose_golden.json")
+with open(GOLDEN, encoding="utf-8") as _fh:
+    DECOMPOSE_GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize(
+    "case", DECOMPOSE_GOLDEN, ids=[f"{i}-{c['surface']['name']}" for i, c in enumerate(DECOMPOSE_GOLDEN)]
+)
+def test_decompose_reports_match_the_recorded_window_scan(tmp_path, case):
+    # reports recorded from the window scan, minus elapsed_ms: verdict, pairs and
+    # their order, count, stats and warnings must not change
+    path = write(tmp_path, "s.json", case["surface"])
+    code, rep = run_cli(["decompose", "--surface", path, "--degree-bound", str(case["degree_bound"])])
+    del rep["elapsed_ms"]
+    assert (code, rep) == (case["exit"], case["report"])
 
 
 def test_classify_case(tmp_path):
