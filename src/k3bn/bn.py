@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
 from .divisors import _MAX_SEARCH_STATES, _dot, _peel, h0_floor
 from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size
-from .lattice import DivClass, QuasiPolarization, bareiss
+from .lattice import DivClass, QuasiPolarization
 
 
 def _is_int(v) -> bool:
@@ -345,35 +345,28 @@ def degree_window_size(covector: tuple[int, ...], bound: int, h2: int) -> int:
     return sum(_window_counts(covector, bound, h2).values())
 
 
-def _short_classes(pol: QuasiPolarization, box: Sequence[range], limit: int, slack) -> list[tuple] | None:
+def _short_classes(pol: QuasiPolarization, box: Sequence[range], limit: int, slack) -> list[tuple]:
     """The D in ``box`` with 0 < D.H < H^2 and Q(D) <= slack(D.H), lexicographic.
 
-    ``box`` holds one range per coordinate.  With d = D.H, the integer form
-    Q(D) = d^2 - H^2 D^2 (matrix c c^T - H^2 gram, c = H^T gram) is -H^2
-    times the square of the part of D in H^perp.  When H^perp is negative
-    definite, Q is positive semidefinite with kernel the line of H, and
-    ``limit`` bounds slack over the degree window.  The enumeration is
-    Fincke-Pohst (Fincke & Pohst, *Improved methods for calculating vectors
-    of short length in a lattice*, Math. Comp. 44, 1985) in integers:
-    ``bareiss`` eliminates Q once, with a coordinate k of H_k != 0 last.
-    Coordinate k runs along the kernel over its range; each scaled Schur
-    complement then bounds one more coordinate by ``math.isqrt``, clamped
-    to its range, and the innermost also to the degree window.  So the work
-    stays within the box.  Each leaf is tested exactly.  None when H^perp is
-    not negative definite (a pivot before k is <= 0): the form is then not
-    hyperbolic, or degenerate, and the set may be infinite.
+    ``box`` holds one range per coordinate, Q is the form of ``pol.q_form``,
+    and H^perp must be negative definite, so that Q is positive semidefinite
+    with kernel the line of H and ``limit`` bounds slack over the degree
+    window.  The enumeration is Fincke-Pohst (Fincke & Pohst, *Improved
+    methods for calculating vectors of short length in a lattice*, Math.
+    Comp. 44, 1985) in integers on the elimination of Q, whose last
+    coordinate k has H_k != 0.  Coordinate k runs along the kernel over its
+    range; each scaled Schur complement then bounds one more coordinate by
+    ``math.isqrt``, clamped to its range, and the innermost also to the
+    degree window.  So the work stays within the box.  Each leaf is tested
+    exactly.
     """
-    gram, h, c = pol.lattice.gram, pol.h.coords, pol.h_covector
-    h2 = pol.degree(pol.h)
-    k = next(i for i, x in enumerate(h) if x)
-    order = [i for i in range(len(h)) if i != k] + [k]
-    top = len(order) - 1
-    cs = [c[i] for i in order]
+    form = pol.q_form
+    if not form.perp_negative_definite:
+        raise PreconditionError("H^perp is not negative definite, so the set may be infinite")
+    a, order, h2 = form.a, form.order, pol.degree(pol.h)
+    k, top = order[-1], len(order) - 1
+    cs = [pol.h_covector[i] for i in order]
     ranges = [box[i] for i in order]
-    a = [[c[i] * c[j] - h2 * gram[i][j] for j in order] for i in order]
-    for p in bareiss(a):
-        if p < top and a[p][p] <= 0:
-            return None
     found = []
     x = [0] * len(order)
 
@@ -409,20 +402,21 @@ def _short_classes(pol: QuasiPolarization, box: Sequence[range], limit: int, sla
     return found
 
 
-def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]] | None:
-    """X_H = {D : 0 < D.H < H^2, D^2 >= -2, (H - D)^2 >= -2} in the box, or None.
+def x_h_classes(pol: QuasiPolarization, bound: int) -> list[tuple[int, ...]]:
+    """X_H = {D : 0 < D.H < H^2, D^2 >= -2, (H - D)^2 >= -2} in the box.
 
     X_H holds every class that can carry a violation: a side of square < -2
     has h^0 floor 0.  Q is the same for D and H - D, so the slack is
-    min(d, H^2 - d)^2 + 2 H^2.  Only D is cut to the box, as in the window scan.
+    min(d, H^2 - d)^2 + 2 H^2.  Only D is cut to the box, as in the window
+    scan.  H^perp must be negative definite (``_short_classes``).
     """
     h2 = pol.degree(pol.h)
     box = [range(-bound, bound + 1)] * pol.lattice.rank
     return _short_classes(pol, box, (h2 // 2) ** 2 + 2 * h2, lambda d: min(d, h2 - d) ** 2 + 2 * h2)
 
 
-def x_classes(pol: QuasiPolarization, box: Sequence[range]) -> list[tuple[int, ...]] | None:
-    """X = {E : 0 < E.H < H^2, E^2 >= -2} in ``box`` (one range per coordinate), or None."""
+def x_classes(pol: QuasiPolarization, box: Sequence[range]) -> list[tuple[int, ...]]:
+    """X = {E : 0 < E.H < H^2, E^2 >= -2} in ``box`` (one range per coordinate); H^perp negative definite."""
     h2 = pol.degree(pol.h)
     return _short_classes(pol, box, (h2 - 1) ** 2 + 2 * h2, lambda d: d * d + 2 * h2)
 
@@ -435,7 +429,7 @@ def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
     )
 
 
-def _decide(out: DecompositionScan, pol, roots, d1: DivClass, collect_pairs: bool) -> bool:
+def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
     """Settle D1 and, when it is Effective, H - D1, and record the pair; True on a violation."""
     out.candidates_scanned += 1
     if not out._settle(effectivity_status(pol, d1, roots)):
@@ -445,44 +439,38 @@ def _decide(out: DecompositionScan, pol, roots, d1: DivClass, collect_pairs: boo
         return False
     lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
     violates = lb1 * lb2 > g
-    if collect_pairs:
-        out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
+    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
     if violates:
         out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
     return violates
 
 
-def _window_scan(pol, roots, degree_bound, collect_pairs, stop_at_first_violation) -> DecompositionScan:
-    """Decide every class of the degree window, in lexicographic order."""
+def _window_scan(pol, roots, degree_bound, first_violation=False) -> DecompositionScan:
+    """Decide every class of the degree window, in lexicographic order, or up to the first violation."""
     out = DecompositionScan()
     for coords in _degree_window(pol.h_covector, degree_bound, pol.degree(pol.h)):
-        if _decide(out, pol, roots, DivClass(coords), collect_pairs) and stop_at_first_violation:
+        if _decide(out, pol, roots, DivClass(coords)) and first_violation:
             break
     return out
 
 
-def _certificate_scan(pol, roots, degree_bound, collect_pairs) -> DecompositionScan | None:
+def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
     """The window scan, deciding only the classes that can be Effective.
 
-    For H^perp negative definite and roots none or contracted (of degree 0);
-    None otherwise.  Peeling and the root search end in E + sum c_j R_j,
-    c_j in [0, coeff_bound], E zero or Riemann-Roch-effective; in the window
-    E lies in X (``x_classes``), in the box widened by coeff_bound sum |R_j|.
-    The shifts of X into the box, S, are decided as the window scan decides
+    For H^perp negative definite and roots none or contracted (of degree 0).
+    Peeling and the root search end in E + sum c_j R_j, c_j in
+    [0, coeff_bound], E zero or Riemann-Roch-effective; in the window E lies
+    in X (``x_classes``), in the box widened by coeff_bound sum |R_j|.  The
+    shifts of X into the box, S, are decided as the window scan decides
     them.  Peeling keeps the degree, so no window class is NotEffective and
     the rest is Unknown; it is search_exhausted exactly when its peel
     exceeds coeff_bound, which depends only on its root dots: the rest is
     counted per value of the dots, and each value is peeled once.
     """
     rs, cb = [r.coords for r in roots.roots] if roots else [], DEFAULT_COEFF_BOUND
-    searchable = (cb + 1) ** len(rs) <= _MAX_SEARCH_STATES
-    if rs and not (roots.contracted and roots.polarization == pol and searchable):
-        return None
     h2, rank = pol.degree(pol.h), pol.lattice.rank
     wide = [degree_bound + cb * sum(abs(r[i]) for r in rs) for i in range(rank)]
     xs = x_classes(pol, [range(-w, w + 1) for w in wide])
-    if xs is None:
-        return None
     # reach[j][i]: the range of sum_{l >= j} c_l R_l[i] over c in [0, cb]
     reach = [[(0, 0)] * rank]
     for r in reversed(rs):
@@ -506,7 +494,7 @@ def _certificate_scan(pol, roots, degree_bound, collect_pairs) -> DecompositionS
         shift(0, e)
     out = DecompositionScan()
     for coords in sorted(shape):
-        _decide(out, pol, roots, DivClass(coords), collect_pairs)
+        _decide(out, pol, roots, DivClass(coords))
     covectors = roots.covectors if roots else ()
     rest = _window_counts(pol.h_covector, degree_bound, h2, covectors)
     out.candidates_scanned = sum(rest.values())
@@ -522,24 +510,25 @@ def scan_decompositions(
     pol: QuasiPolarization,
     roots: RootSet | None = None,
     degree_bound: int = 10,
-    *,
-    collect_pairs: bool = False,
-    stop_at_first_violation: bool = False,
 ) -> DecompositionScan:
-    """Enumerate candidate classes D1 in the coordinate box and test pairs.
+    """Enumerate candidate classes D1 in the coordinate box and record every pair.
 
     Candidates run in lexicographic order over coordinates in
     [-degree_bound, degree_bound], restricted to 0 < D1.H < H^2 with both
     D1 and H - D1 certified effective.  The search box is a hard cutoff and
-    is echoed by callers; results outside it are simply not seen.  A full
-    scan decides only the classes that can be Effective, where
-    ``_certificate_scan`` knows them, and counts the rest.
+    is echoed by callers; results outside it are simply not seen.  When
+    H^perp is negative definite and the roots are none, or contracted,
+    declared for ``pol`` and small enough to search, ``_certificate_scan``
+    decides only the classes that can be Effective and counts the rest;
+    every other input takes the window scan.
     """
     _check_degree_bound(pol, degree_bound)
-    scan = None if stop_at_first_violation else _certificate_scan(pol, roots, degree_bound, collect_pairs)
-    if scan is None:
-        scan = _window_scan(pol, roots, degree_bound, collect_pairs, stop_at_first_violation)
-    return scan
+    searchable = not roots or roots.contracted and roots.polarization == pol and (
+        (DEFAULT_COEFF_BOUND + 1) ** len(roots) <= _MAX_SEARCH_STATES
+    )
+    if pol.q_form.perp_negative_definite and searchable:
+        return _certificate_scan(pol, roots, degree_bound)
+    return _window_scan(pol, roots, degree_bound)
 
 
 def violation_scan(
@@ -553,13 +542,14 @@ def violation_scan(
     sides have square >= -2: D1 lies in X_H (``x_h_classes``) and both sides
     are Effective by Riemann-Roch, whatever the roots.  So the first class of
     X_H in the box that violates is the certificate the window scan would
-    stop at.  When H^perp is not negative definite the window scan runs.
+    stop at.  When H^perp is not negative definite the window scan runs up
+    to its first violation.
     """
     _check_degree_bound(pol, degree_bound)
-    classes = x_h_classes(pol, degree_bound)
-    if classes is None:
-        out = scan_decompositions(pol, roots, degree_bound, stop_at_first_violation=True)
+    if not pol.q_form.perp_negative_definite:
+        out = _window_scan(pol, roots, degree_bound, first_violation=True)
     else:
+        classes = x_h_classes(pol, degree_bound)
         out = DecompositionScan(candidates_scanned=len(classes), x_h=True)
         out.verdicts["effective_riemann_roch"] = 2 * len(classes)
         g = pol.genus

@@ -241,7 +241,7 @@ def default_box(n: int) -> Box:
 class BoxCounterexample:
     """A re-verifiable instance on which a checked statement failed."""
 
-    kind: str  # "partition" | "subbox"
+    kind: str  # "partition", the only kind verify_counterexample accepts
     eps: tuple[int, ...] | None = None
     upper_x: tuple[int, ...] | None = None
     r: tuple[int, ...] | None = None
@@ -510,46 +510,22 @@ def _two_part_product_bound(box: Box) -> int:
     return box.r_max**2 * box.s_max**2
 
 
-def _all_isotropic_caps(n: int, box: Box) -> tuple[list[str], list[BoxCounterexample]]:
-    """Four-part sub-box with every eps zero: the two product caps.
+def _all_isotropic_caps(box: Box) -> list[str]:
+    """Four-part sub-box with every eps zero: the two product caps, in closed form.
 
-    With eps = 0 feasibility pins s_i <= 1 with equality only at r_i = 1 and
-    forces r_n = s_n = 1.  Instances with sum s = 4 must hit the product 16
-    exactly; instances with sum s <= 3 stay at or below 24.
+    With eps = 0 the cap of s_i is 1 at r_i = 1 and 0 otherwise, and the
+    rank vectors ending in 1 are (r1, r2, 1, 1) with r2 <= 2 and
+    r1 <= r2 + 2.  So sum s = 4 only at r = (1, 1, 1, 1), where the product
+    is 16, and otherwise (sum r)(sum s) <= 18 <= 24 (at r = (3, 1, 1, 1)).
+    Every cap reaches s_min when s_min <= 0; at s_min = 1 only the caps of
+    (1, 1, 1, 1) do, and above it none.
     """
-    eps = (0,) * n
-    notes: list[str] = []
-    bad: list[BoxCounterexample] = []
-    full_s = 0
-    capped = 0
-    for rsum, vec in _chain_r_vectors(n, box.r_max, 1):
-        caps = _caps(eps, vec, box)
-        if caps is None:
-            continue
-        if sum(caps) >= n:
-            full_s += 1
-            if vec != (1,) * n or rsum * n != n * n:
-                bad.append(
-                    BoxCounterexample(
-                        kind="subbox", eps=eps, r=vec, s=caps,
-                        note="full-positive s family is not the rank-one profile",
-                    )
-                )
-        capped += 1
-        if rsum * min(sum(caps), n - 1) > 24:
-            bad.append(
-                BoxCounterexample(
-                    kind="subbox", eps=eps, r=vec, s=caps,
-                    note=f"(sum r)(sum s) = {rsum * min(sum(caps), n - 1)} > 24 with sum s <= {n - 1}",
-                )
-            )
-    notes.append(
-        f"all-isotropic sub-box: (sum r)(sum s) = 16 on each of {full_s} full-positive-s profiles"
-    )
-    notes.append(
-        f"all-isotropic sub-box: (sum r)(sum s) <= 24 across {capped} rank vectors with sum s <= 3"
-    )
-    return notes, bad
+    full = int(box.s_min <= 1)
+    capped = sum(min(box.r_max, r2 + 2) for r2 in range(1, min(box.r_max, 2) + 1)) if box.s_min <= 0 else full
+    return [
+        f"all-isotropic sub-box: (sum r)(sum s) = 16 on each of {full} full-positive-s profiles",
+        f"all-isotropic sub-box: (sum r)(sum s) <= 24 across {capped} rank vectors with sum s <= 3",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +579,7 @@ def exhaustive_case_check(
             f"positive-s product bound: {_two_part_product_bound(box)} (r, s) tuples, 0 failures"
         )
     if n == 4:
-        notes, bad = _all_isotropic_caps(n, box)
-        cross_checks.extend(notes)
-        counterexamples.extend(bad)
+        cross_checks.extend(_all_isotropic_caps(box))
 
     width = box.x_max - box.x_min + 1
     instances = eps_classes * width ** (n * (n - 1) // 2)
@@ -628,7 +602,7 @@ def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:
     """Recompute a reported counterexample from scratch.
 
     Reports that fail this re-verification are false alarms and must be
-    rejected by callers.
+    rejected by callers; a kind other than "partition" always fails.
     """
     if cex.kind == "partition":
         if cex.eps is None or cex.upper_x is None or cex.r is None or cex.s is None:
@@ -643,17 +617,4 @@ def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:
         if fp.sum_r * fp.sum_s <= genus:
             return False
         return _is_failing(n, cex.eps, cex.upper_x, genus)
-    if cex.kind == "subbox":
-        if cex.r is None or cex.s is None:
-            return False
-        r, s = cex.r, cex.s
-        if len(r) != n or any(v < 1 for v in r):
-            return False
-        if any(r[i] > sum(r[i + 1 :]) for i in range(n - 1)):
-            return False
-        if any(r[i] * s[i] > 1 for i in range(n)):
-            return False
-        if sum(s) >= n:
-            return sum(r) * sum(s) != n * n
-        return sum(r) * sum(s) > 24
     return False

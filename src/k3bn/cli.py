@@ -178,7 +178,7 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
     roots = doc["roots"] or []
     h, classes = DivClass(tuple(doc["H"])), tuple(DivClass(tuple(r)) for r in roots)
     try:
-        pol = QuasiPolarization(lat, h, doc["asserts_nef"])
+        pol = QuasiPolarization(lat, h)
     except InputError as exc:  # the roots are checked too: one report lists every violation
         raise InputError(*exc.violations, *RootSet.measure(lat, lat.covector(h), classes)[3]) from None
     root_set = RootSet(pol, classes)
@@ -276,7 +276,7 @@ def _cmd_bn_check(args) -> tuple[RunReport, int]:
 
 def _cmd_decompose(args) -> tuple[RunReport, int]:
     report, pol, roots = _scan_report(args, "decompose")
-    scan = scan_decompositions(pol, roots, args.degree_bound, collect_pairs=True)
+    scan = scan_decompositions(pol, roots, args.degree_bound)
     _unknown_warning(report, scan)
     # a pair with both sides in the box appears twice, first with D1 < D2: keep that one
     firsts = {rec.d1.coords for rec in scan.pairs}

@@ -44,6 +44,7 @@ from __future__ import annotations
 import operator
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .errors import InconsistentGeometryError, InputError, PreconditionError
 from .lattice import DivClass, GramLattice, QuasiPolarization, negative_definite
@@ -145,54 +146,52 @@ class EffectivityVerdict:
         return self.status is Effectivity.EFFECTIVE
 
 
-def _root_combination(
-    pol: QuasiPolarization,
-    d: DivClass,
-    roots: tuple[DivClass, ...],
-    bound: int,
-    allow_remainder: bool,
-) -> tuple[tuple[int, ...], DivClass] | None:
-    """Search c_j in [0, bound] with d - sum c_j R_j zero or RR-certified effective.
+def _minus_root(roots: RootSet, j: int, deg: int, sq: int, dots: list[int]) -> tuple[int, int, list[int]]:
+    """H.D, D^2 and every D.R_i for D - R_j, from those of D: (D - R)^2 = D^2 - 2 D.R - 2."""
+    return deg - roots.degrees[j], sq - 2 * dots[j] - 2, [x - p for x, p in zip(dots, roots.products[j])]
 
-    Remainders are accepted only with positive degree and square >= -2, so a
-    hit is always a sound effectivity certificate.  Returns (coefficients,
-    remainder) or None.
+
+def _residual(d: DivClass, roots: tuple[DivClass, ...], mult: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x - sum(m * r.coords[i] for m, r in zip(mult, roots)) for i, x in enumerate(d.coords))
+
+
+def _root_combination(
+    d: DivClass, roots: RootSet, searched: Sequence[int], start: tuple, bound: int, allow_remainder: bool
+) -> tuple[int, ...] | None:
+    """Search c_j in [0, bound] with D - sum c_j R_j zero or RR-certified effective.
+
+    The sum runs over the roots ``searched`` (indices into ``roots``), from
+    ``start``, the degree, square and root dots of D, which each subtracted
+    root updates (``_minus_root``).  Remainders are accepted only with
+    positive degree and square >= -2, so a hit is always a sound
+    effectivity certificate; a remainder of degree 0 is built only to test
+    it for zero.  Returns the coefficients of the searched roots, or None.
     """
-    lat = pol.lattice
-    if (bound + 1) ** len(roots) > _MAX_SEARCH_STATES:
+    if (bound + 1) ** len(searched) > _MAX_SEARCH_STATES:
         raise InputError(
             "root combination search too large; lower the coefficient bound or declare fewer roots"
         )
+    pool = tuple(roots.roots[j] for j in searched)
+    coeffs = [0] * len(searched)
 
-    def leaf_ok(rem: DivClass) -> bool:
-        if rem.is_zero:
-            return True
-        return allow_remainder and pol.degree(rem) > 0 and lat.square(rem) >= -2
-
-    coeffs = [0] * len(roots)
-
-    def dfs(idx: int, rem: DivClass) -> bool:
+    def dfs(idx: int, deg: int, sq: int, dots: list[int]) -> bool:
         # every remaining summand has nonnegative degree, so a negative-degree
         # remainder can never be completed
-        if pol.degree(rem) < 0:
+        if deg < 0:
             return False
-        if idx == len(roots):
-            return leaf_ok(rem)
-        cur = rem
+        if idx == len(searched):
+            if deg > 0:
+                return allow_remainder and sq >= -2
+            return sq == 0 and not any(dots) and not any(_residual(d, pool, coeffs))
         for c in range(bound + 1):
             coeffs[idx] = c
-            if dfs(idx + 1, cur):
+            if dfs(idx + 1, deg, sq, dots):
                 return True
-            cur = cur - roots[idx]
+            deg, sq, dots = _minus_root(roots, searched[idx], deg, sq, dots)
         coeffs[idx] = 0
         return False
 
-    if dfs(0, d):
-        rem = d
-        for c, r in zip(coeffs, roots):
-            rem = rem - c * r
-        return tuple(coeffs), rem
-    return None
+    return tuple(coeffs) if dfs(0, *start) else None
 
 
 def _peel(
@@ -200,10 +199,10 @@ def _peel(
 ) -> tuple[tuple[int, ...], int, int] | None:
     """Subtract the first root R with D.R < 0 until none is left.
 
-    ``dots`` holds every D.R_j.  Works on integers only, using
-    (D - R)^2 = D^2 - 2 D.R - 2.  Returns the peel multiplicities with the
-    degree and square of the residual, or None when some root would be
-    peeled more than ``bound`` times, which depends on ``dots`` alone.
+    ``dots`` holds every D.R_j.  Works on integers only (``_minus_root``).
+    Returns the peel multiplicities with the degree and square of the
+    residual, or None when some root would be peeled more than ``bound``
+    times, which depends on ``dots`` alone.
     """
     mult = [0] * len(dots)
     while True:
@@ -213,15 +212,7 @@ def _peel(
         if mult[j] == bound:
             return None
         mult[j] += 1
-        sq -= 2 * dots[j] + 2
-        deg -= roots.degrees[j]
-        dots = [x - p for x, p in zip(dots, roots.products[j])]
-
-
-def _residual(d: DivClass, roots: RootSet, mult: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(
-        x - sum(m * r.coords[i] for m, r in zip(mult, roots.roots)) for i, x in enumerate(d.coords)
-    )
+        deg, sq, dots = _minus_root(roots, j, deg, sq, dots)
 
 
 def _root_certificate(coeffs: tuple[int, ...], rem: tuple[int, ...], rule: str) -> EffectivityVerdict:
@@ -258,37 +249,36 @@ def effectivity_status(
     Unknown: a root-nef residual with square < -2 when the roots form a
     configuration H contracts, otherwise no certificate within the bound.
     """
-    lat = pol.lattice
-    lat._check(d)
+    covector = pol.lattice.covector(d)
     if coeff_bound < 0:
         raise InputError("coefficient bound must be nonnegative")
     if roots is not None and roots.polarization != pol:
         raise PreconditionError("the root set was declared for a different polarization")
     if d.is_zero:
         return EffectivityVerdict(Effectivity.NOT_EFFECTIVE, "the zero class is excluded", rule="zero_class")
-    deg = pol.degree(d)
+    deg = _dot(pol.h_covector, d.coords)
     if deg < 0:
         return EffectivityVerdict(
             Effectivity.NOT_EFFECTIVE,
             f"degree {deg} < 0 on the polarization",
             rule="negative_degree",
         )
-    sq = lat.square(d)
+    sq = _dot(covector, d.coords)
     if deg > 0 and sq >= -2:
         return EffectivityVerdict(
             Effectivity.EFFECTIVE,
             f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0",
             rule="riemann_roch",
         )
-    declared = roots.roots if roots is not None else ()
+    dots = [_dot(covector, r.coords) for r in roots.roots] if roots else []
     if deg == 0:
-        orth = tuple(r for r in declared if pol.degree(r) == 0)
-        hit = _root_combination(pol, d, orth, coeff_bound, allow_remainder=False)
+        orth = [j for j in range(len(dots)) if roots.degrees[j] == 0]
+        hit = _root_combination(d, roots, orth, (deg, sq, dots), coeff_bound, allow_remainder=False)
         if hit is not None:
             return EffectivityVerdict(
                 Effectivity.EFFECTIVE,
-                f"nonnegative combination of degree-zero roots, multiplicities {hit[0]}",
-                combination=hit[0],
+                f"nonnegative combination of degree-zero roots, multiplicities {hit}",
+                combination=hit,
                 rule="degree_zero_roots",
             )
         return EffectivityVerdict(
@@ -296,21 +286,20 @@ def effectivity_status(
             f"degree 0 and not a combination of degree-zero roots with coefficients <= {coeff_bound}",
             rule="degree_zero_roots",
         )
-    dots = [_dot(cv, d.coords) for cv in roots.covectors] if roots else []
     peeled = _peel(dots, roots, deg, sq, coeff_bound)
     if peeled is not None:
         mult, rdeg, rsq = peeled
-        if (rdeg > 0 and rsq >= -2) or (rdeg == 0 and not any(_residual(d, roots, mult))):
-            return _root_certificate(mult, _residual(d, roots, mult), "peeling")
+        if (rdeg > 0 and rsq >= -2) or (rdeg == 0 and not any(_residual(d, roots.roots, mult))):
+            return _root_certificate(mult, _residual(d, roots.roots, mult), "peeling")
         if rdeg > 0 and (not roots or roots.contracted):
             return EffectivityVerdict(
                 Effectivity.UNKNOWN,
                 f"root-nef residual with square < -2 (square {rsq} after peeling multiplicities {mult})",
                 rule="root_nef_residual",
             )
-    hit = _root_combination(pol, d, declared, coeff_bound, allow_remainder=True)
+    hit = _root_combination(d, roots, range(len(dots)), (deg, sq, dots), coeff_bound, allow_remainder=True)
     if hit is not None:
-        return _root_certificate(hit[0], hit[1].coords, "root_search")
+        return _root_certificate(hit, _residual(d, roots.roots, hit), "root_search")
     if peeled is not None and peeled[1] < 0:
         return EffectivityVerdict(
             Effectivity.NOT_EFFECTIVE,
@@ -329,12 +318,15 @@ def h0_floor(pol: QuasiPolarization, d: DivClass) -> int:
 
     Base bound max(chi, 0); for a multiple k*P of a primitive isotropic class
     of positive degree the pencil count k + 1 is used instead when larger.
+    With k the content, D^2 = k^2 P^2 and D.H = k P.H, so D's own square and
+    degree decide.
     """
-    lat = pol.lattice
-    lb = max(lat.chi(d), 0)
     k = d.content()
-    p = d.primitive()
-    if lat.square(p) == 0 and pol.degree(p) > 0:
+    if k == 0:
+        raise InputError("the zero class has no primitive part")
+    sq = pol.lattice.square(d)
+    lb = max(sq // 2 + 2, 0)
+    if sq == 0 and pol.degree(d) > 0:
         lb = max(lb, k + 1)
     return lb
 

@@ -8,11 +8,12 @@ computed with exact (arbitrary-precision) integers.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InputError
 
@@ -130,20 +131,16 @@ class GramLattice:
     def covector(self, d: DivClass) -> tuple[int, ...]:
         """The row vector d^T (gram), so that d . e is its dot product with e.coords."""
         self._check(d)
-        return tuple(sum(map(operator.mul, d.coords, col)) for col in zip(*self.gram))
+        return tuple(sum(map(operator.mul, d.coords, row)) for row in self.gram)  # gram is symmetric
 
     def intersect(self, d: DivClass, e: DivClass) -> int:
         """The intersection product d . e, i.e. d^T (gram) e."""
-        self._check(d)
+        covector = self.covector(d)
         self._check(e)
-        total = 0
-        for di, row in zip(d.coords, self.gram):
-            if di:
-                total += di * sum(map(operator.mul, row, e.coords))
-        return total
+        return sum(map(operator.mul, covector, e.coords))
 
     def square(self, d: DivClass) -> int:
-        return self.intersect(d, d)
+        return sum(map(operator.mul, self.covector(d), d.coords))
 
     def chi(self, d: DivClass) -> int:
         """Euler characteristic of the class: d^2/2 + 2 (exact; squares are even)."""
@@ -159,17 +156,35 @@ def hyperbolic_plane() -> GramLattice:
     return GramLattice(((0, 1), (1, 0)))
 
 
+class QForm(NamedTuple):
+    """Q(D) = (D.H)^2 - H^2 D^2, the form of a polarization, eliminated once by ``bareiss``.
+
+    Q has matrix c c^T - H^2 gram with c = H^T gram, and Q(D) is -H^2 times
+    the square of the part of D in H^perp.  ``order`` puts the first k of
+    H_k != 0 last, and ``a`` is Q in that order after elimination.  Every
+    pivot before k is positive exactly when H^perp is negative definite; Q
+    is then positive semidefinite with kernel the line of H.  Otherwise the
+    elimination stops at the first pivot before k that yields ``witness``, a
+    class d with H^2 d^2 - (H.d)^2 > 0: a negative pivot, or a zero pivot
+    with a nonzero entry before k in its row.
+    """
+
+    order: tuple[int, ...]
+    a: list[list[int]]
+    perp_negative_definite: bool
+    witness: tuple[int, ...] | None
+
+
 @dataclass(frozen=True)
 class QuasiPolarization:
-    """A distinguished class with positive square; nefness is an assertion.
+    """A distinguished class with positive square; nefness is the caller's assertion.
 
     The lattice cannot decide nefness without a full description of the
-    curve classes, so ``asserts_nef`` records the caller's claim.
+    curve classes.
     """
 
     lattice: GramLattice
     h: DivClass
-    asserts_nef: bool = True
     # H^T (gram), computed once: the degree of a class is a dot product with it
     h_covector: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -186,6 +201,31 @@ class QuasiPolarization:
     @property
     def genus(self) -> int:
         return self.lattice.genus(self.h)
+
+    @functools.cached_property
+    def q_form(self) -> QForm:
+        """The elimination of Q, computed on first use and kept."""
+        gram, c, h2 = self.lattice.gram, self.h_covector, self.degree(self.h)
+        k = next(i for i, x in enumerate(self.h.coords) if x)
+        order = tuple(i for i in range(len(gram)) if i != k) + (k,)
+        top = len(order) - 1
+        a = [[c[i] * c[j] - h2 * gram[i][j] for j in order] for i in order]
+        # v[i]^T Q v[j] is a positive multiple of a[i][j] for all i, j >= p
+        v = [[int(i == j) for j in order] for i in order]
+        definite = True
+        for p in bareiss(a, v):
+            if p == top or a[p][p] > 0:
+                continue
+            definite, witness = False, None
+            if a[p][p] < 0:
+                witness = v[p]
+            elif (q := next((q for q in range(p + 1, top) if a[p][q]), None)) is not None:
+                # (t v_p + v_q)^T Q (t v_p + v_q) is a positive multiple of 2 t a_pq + a_qq
+                t = -(abs(a[q][q]) + 1) * (1 if a[p][q] > 0 else -1)
+                witness = [t * x + y for x, y in zip(v[p], v[q])]
+            if witness is not None:  # its coordinate k is 0
+                return QForm(order, a, False, (*witness[:k], 0, *witness[k:top]))
+        return QForm(order, a, definite, None)
 
 
 def bareiss(a: list[list[int]], basis: list[list[int]] | None = None) -> Iterator[int]:
@@ -229,41 +269,17 @@ def hyperbolic_plane_warnings(pol: QuasiPolarization) -> list[str]:
 
     On a surface the pairing has signature (1, rank-1), so the plane spanned
     by H (with H^2 > 0) and any class d must have Gram determinant
-    H^2 d^2 - (H.d)^2 <= 0.  That determinant is d^T M d for
-    M = H^2 G - c c^T with c = G h, so a bad plane exists exactly when M is
-    not negative semidefinite, that is, when the form has more than one
-    positive direction.  Since M h = 0, the test runs on -M with the row and
-    column of one index k with h_k != 0 deleted, by ``bareiss``: a negative
-    pivot, or a zero pivot with a nonzero entry in its row, yields a witness
-    d.  A bad plane gets a warning naming d, never an error.
+    H^2 d^2 - (H.d)^2 <= 0, that is, Q(d) >= 0 (``QForm``).  A bad plane
+    exists exactly when Q is not positive semidefinite, and then the
+    elimination of Q yields a witness d.  A bad plane gets a warning naming
+    d, never an error.
     """
-    lat = pol.lattice
-    h, c = pol.h.coords, pol.h_covector
-    h2 = lat.square(pol.h)
-    k = next(i for i, x in enumerate(h) if x)
-    idx = [i for i in range(lat.rank) if i != k]
-    m = len(idx)
-    a = [[c[i] * c[j] - h2 * lat.gram[i][j] for j in idx] for i in idx]
-    # v[i]^T (-M) v[j] is a positive multiple of a[i][j] for all i, j >= p
-    v = [[int(i == j) for j in range(m)] for i in range(m)]
-    witness = None
-    for p in bareiss(a, v):
-        if a[p][p] < 0:
-            witness = v[p]
-        elif a[p][p] == 0:
-            q = next((q for q in range(p + 1, m) if a[p][q]), None)
-            if q is not None:
-                # (t v_p + v_q)^T (-M) (t v_p + v_q) is a positive multiple of 2 t a_pq + a_qq
-                t = -(abs(a[q][q]) + 1) * (1 if a[p][q] > 0 else -1)
-                witness = [t * x + y for x, y in zip(v[p], v[q])]
-        if witness is not None:
-            break
-    else:
+    witness = pol.q_form.witness
+    if witness is None:
         return []
-    witness.insert(k, 0)
     g = reduce(gcd, witness, 0)
     d = DivClass(tuple(x // g for x in witness))
-    det2 = h2 * lat.square(d) - pol.degree(d) ** 2
+    det2 = pol.degree(pol.h) * pol.lattice.square(d) - pol.degree(d) ** 2
     return [
         f"plane spanned by H and {d.coords} has positive Gram determinant {det2}; "
         "the form is not hyperbolic"

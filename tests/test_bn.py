@@ -30,6 +30,7 @@ from k3bn import (
     no_negative_intersections,
     scan_decompositions,
 )
+from k3bn import bn
 from k3bn.bn import (
     SCAN_VERDICT_KEYS,
     _certificate_scan,
@@ -41,6 +42,7 @@ from k3bn.bn import (
     x_h_classes,
 )
 from k3bn.divisors import h0_floor
+from k3bn.lattice import hyperbolic_plane_warnings
 from conftest import rank_one
 
 even = st.integers(-500, 500).map(lambda v: 2 * v)
@@ -144,11 +146,13 @@ def test_find_violation_bound_validation(u_pol):
 def test_scan_reports_unknown_candidates(U, ef):
     e, f = ef
     pol = QuasiPolarization(U, e + f)
-    scan = scan_decompositions(pol, degree_bound=3, collect_pairs=True)
+    scan = scan_decompositions(pol, None, 3)
     assert scan.unknown_candidates > 0
     # no roots are declared: every Unknown is a root-nef residual
     assert scan.stats()["unknown_root_nef_residual"] == scan.unknown_candidates
-    assert all(rec.d1 + rec.d2 == pol.h for rec in scan.pairs)
+    # every scan records its pairs
+    pairs = [(r.d1.coords, r.d2.coords, r.lb1, r.lb2, r.violates) for r in scan.pairs]
+    assert pairs == reference_scan(pol, None, 3, False)[0] != []
 
 
 def reference_scan(pol, roots, bound, stop_at_first_violation):
@@ -204,12 +208,12 @@ SCAN_CASES = [
 def test_scan_matches_brute_force(gram, h, roots, bound, decompose):
     pol = QuasiPolarization(GramLattice(gram), DivClass(h))
     root_set = RootSet(pol, tuple(DivClass(r) for r in roots)) if roots else None
-    scan = scan_decompositions(
-        pol, root_set, bound, collect_pairs=decompose, stop_at_first_violation=not decompose
-    )
+    if decompose:
+        scan = scan_decompositions(pol, root_set, bound)
+    else:  # the window scan that violation_scan falls back to
+        scan = _window_scan(pol, root_set, bound, first_violation=True)
     pairs, violations, scanned, unknown, stats = reference_scan(pol, root_set, bound, not decompose)
-    got_pairs = [(r.d1.coords, r.d2.coords, r.lb1, r.lb2, r.violates) for r in scan.pairs]
-    assert got_pairs == (pairs if decompose else [])
+    assert [(r.d1.coords, r.d2.coords, r.lb1, r.lb2, r.violates) for r in scan.pairs] == pairs
     assert [v.to_dict() for v in scan.violations] == violations
     assert (scan.candidates_scanned, scan.unknown_candidates) == (scanned, unknown)
     assert scan.stats() == stats
@@ -314,15 +318,20 @@ def _scan_summary(scan):
 @given(polarized_forms())
 def test_x_h_path_matches_brute_force_and_the_window_scan(form):
     pol, roots, bound = form
-    classes = x_h_classes(pol, bound)
     eigenvalues = np.linalg.eigvalsh(np.array(pol.lattice.gram, dtype=float))
     hyperbolic = (eigenvalues > 1e-9).sum() == 1 and (eigenvalues < -1e-9).sum() == pol.lattice.rank - 1
-    # the gate passes exactly when H^perp is negative definite
-    assert (classes is not None) == hyperbolic
-    if classes is not None:
+    # H^perp is negative definite exactly when the signature is (1, rank - 1),
+    # and then the plane diagnostic, read from the same elimination, is quiet
+    assert pol.q_form.perp_negative_definite == hyperbolic
+    if hyperbolic:
+        assert hyperbolic_plane_warnings(pol) == []
+        classes = x_h_classes(pol, bound)
         assert classes == brute_force_x_h(pol, bound)
+    else:
+        with pytest.raises(PreconditionError):
+            x_h_classes(pol, bound)
     found = violation_scan(pol, roots, bound)
-    full = _window_scan(pol, roots, bound, True, False)
+    full = _window_scan(pol, roots, bound)
     assert [v.to_dict() for v in found.violations] == [v.to_dict() for v in full.violations[:1]]
     assert found.window_classes == full.candidates_scanned
     assert found.x_h == hyperbolic
@@ -331,10 +340,12 @@ def test_x_h_path_matches_brute_force_and_the_window_scan(form):
         assert found.window_classes - found.candidates_scanned >= full.unknown_candidates
     # decompose's certificate-shaped path runs where H^perp is negative definite and the
     # roots are none or contracted, and there it must give the window scan's answers
-    scan = _certificate_scan(pol, roots, bound, True)
-    assert (scan is None) == (not hyperbolic or (len(roots) > 0 and not roots.contracted))
-    if scan is not None:
-        assert _scan_summary(scan) == _scan_summary(full)
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bn, "_certificate_scan", lambda *args: taken.append(args) or _certificate_scan(*args))
+        scan = scan_decompositions(pol, roots, bound)
+    assert bool(taken) == (hyperbolic and (len(roots) == 0 or roots.contracted))
+    assert _scan_summary(scan) == _scan_summary(full)
 
 
 def brute_force_x(pol, box):
@@ -355,10 +366,14 @@ def test_x_classes_match_brute_force_in_a_box(form, data):
     for _ in range(pol.lattice.rank):
         lo = data.draw(st.integers(-bound, bound))
         box.append(range(lo, data.draw(st.integers(lo - 1, bound)) + 1))
-    classes = x_classes(pol, box)
-    assert (classes is None) == (x_h_classes(pol, bound) is None)
-    if classes is not None:
-        assert classes == brute_force_x(pol, box)
+    if not pol.q_form.perp_negative_definite:
+        # both sets may be infinite: neither walker runs
+        with pytest.raises(PreconditionError):
+            x_classes(pol, box)
+        with pytest.raises(PreconditionError):
+            x_h_classes(pol, bound)
+        return
+    assert x_classes(pol, box) == brute_force_x(pol, box)
 
 
 def test_find_violation_takes_the_x_h_path():
@@ -635,14 +650,12 @@ def contracted_surfaces(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(contracted_surfaces(), st.booleans())
-def test_certificate_scan_matches_the_window_scan(surface, collect_pairs):
+@given(contracted_surfaces())
+def test_certificate_scan_matches_the_window_scan(surface):
     pol, roots, bound = surface
-    scan = _certificate_scan(pol, roots, bound, collect_pairs)
-    assert scan is not None
-    assert _scan_summary(scan) == _scan_summary(_window_scan(pol, roots, bound, collect_pairs, False))
-    full = scan_decompositions(pol, roots, bound, collect_pairs=collect_pairs)
-    assert _scan_summary(full) == _scan_summary(scan)
+    scan = _certificate_scan(pol, roots, bound)
+    assert _scan_summary(scan) == _scan_summary(_window_scan(pol, roots, bound))
+    assert _scan_summary(scan_decompositions(pol, roots, bound)) == _scan_summary(scan)
 
 
 @pytest.mark.parametrize(
@@ -663,21 +676,27 @@ def test_certificate_scan_needs_the_widened_box(gram, h, roots, bound):
     # its only certificates E + sum c_j R_j with E outside the box
     pol = QuasiPolarization(GramLattice(gram), DivClass(h))
     root_set = RootSet(pol, tuple(map(DivClass, roots)))
-    scan = _certificate_scan(pol, root_set, bound, True)
-    assert _scan_summary(scan) == _scan_summary(_window_scan(pol, root_set, bound, True, False))
+    scan = _certificate_scan(pol, root_set, bound)
+    assert _scan_summary(scan) == _scan_summary(_window_scan(pol, root_set, bound))
 
 
-def test_certificate_scan_leaves_other_root_sets_to_the_window_scan():
+def test_certificate_scan_leaves_other_root_sets_to_the_window_scan(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the certificate-shaped scan ran")
+
+    monkeypatch.setattr(bn, "_certificate_scan", unreachable)
     # an A2 pair meeting negatively, and a root of positive degree, are not contracted
     a2 = QuasiPolarization(GramLattice(_A2), DivClass((1, 2, 0, 0)))
-    meeting = RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1))))
-    assert _certificate_scan(a2, meeting, 2, True) is None
     lat = GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
     pol = QuasiPolarization(lat, DivClass((2, 3, -1)))
-    assert _certificate_scan(pol, RootSet(pol, (DivClass((0, 0, 1)),)), 2, True) is None
     # a degenerate form: H^perp holds the isotropic (0, 0, 1)
     degenerate = QuasiPolarization(GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, 0))), DivClass((1, 2, 0)))
-    assert _certificate_scan(degenerate, None, 2, True) is None
+    for p, roots in (
+        (a2, RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1))))),
+        (pol, RootSet(pol, (DivClass((0, 0, 1)),))),
+        (degenerate, None),
+    ):
+        assert _scan_summary(scan_decompositions(p, roots, 2)) == _scan_summary(_window_scan(p, roots, 2))
 
 
 def test_certificate_scan_pins_the_window_scan_stats():

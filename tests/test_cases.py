@@ -414,6 +414,55 @@ def _loop_two_part_product_bound(box):
     return checked, bad
 
 
+def _loop_all_isotropic_caps(n, box):
+    """The n = 4 all-isotropic cross-check by its loop over the rank vectors ending in 1."""
+    eps = (0,) * n
+    bad = []
+    full_s = 0
+    capped = 0
+    for rsum, vec in cases._chain_r_vectors(n, box.r_max, 1):
+        caps = cases._caps(eps, vec, box)
+        if caps is None:
+            continue
+        if sum(caps) >= n:
+            full_s += 1
+            if vec != (1,) * n or rsum * n != n * n:
+                bad.append(
+                    BoxCounterexample(
+                        kind="subbox", eps=eps, r=vec, s=caps,
+                        note="full-positive s family is not the rank-one profile",
+                    )
+                )
+        capped += 1
+        if rsum * min(sum(caps), n - 1) > 24:
+            bad.append(
+                BoxCounterexample(
+                    kind="subbox", eps=eps, r=vec, s=caps,
+                    note=f"(sum r)(sum s) = {rsum * min(sum(caps), n - 1)} > 24 with sum s <= {n - 1}",
+                )
+            )
+    notes = [
+        f"all-isotropic sub-box: (sum r)(sum s) = 16 on each of {full_s} full-positive-s profiles",
+        f"all-isotropic sub-box: (sum r)(sum s) <= 24 across {capped} rank vectors with sum s <= 3",
+    ]
+    return notes, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    box=st.builds(
+        lambda r_max, s_max, s_min: Box(r_max, min(s_min, s_max), s_max, 0, 0, 0),
+        st.integers(1, 12),
+        st.integers(1, 6),
+        st.integers(-6, 6),
+    )
+)
+def test_all_isotropic_caps_closed_form_matches_the_loop(box):
+    notes, bad = _loop_all_isotropic_caps(4, box)
+    assert cases._all_isotropic_caps(box) == notes
+    assert bad == []
+
+
 def _loop_exhaustive_case_check(n, box, max_cex):
     """The driver before the closed form: every eps tuple through the reference procedure."""
     stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
@@ -437,7 +486,7 @@ def _loop_exhaustive_case_check(n, box, max_cex):
         cross_checks.append(f"positive-s product bound: {checked} (r, s) tuples, {len(bad)} failures")
         cexs.extend(bad)
     if n == 4:
-        notes, bad = cases._all_isotropic_caps(n, box)
+        notes, bad = _loop_all_isotropic_caps(n, box)
         cross_checks.extend(notes)
         cexs.extend(bad)
     return {

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3bn
-from k3bn import cli
+from k3bn import cli, lattice
 from k3bn.bn import SCAN_VERDICT_KEYS
 from k3bn.cases import default_box
 from k3bn.cli import (
@@ -533,6 +533,27 @@ OUTSIDE_X_H = (
     "each has a side of square < -2, whose h0 floor is 0, so none can carry a violation "
     "at the lower-bound level"
 )
+
+
+@pytest.mark.parametrize("command", ["bn-check", "decompose"])
+def test_scan_commands_eliminate_q_once(tmp_path, monkeypatch, command):
+    # the plane diagnostic and the scan read one elimination of Q, cached on the polarization
+    bareiss, sizes = lattice.bareiss, []
+
+    def counted(a, basis=None):
+        sizes.append(len(a))
+        return bareiss(a, basis)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("k3bn."):
+            for attr, value in list(vars(module).items()):
+                if value is bareiss:
+                    monkeypatch.setattr(module, attr, counted)
+    path = write(tmp_path, "ua1.json", {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]], "H": [1, 2, 0]})
+    code, _ = run_cli([command, "--surface", path, "--degree-bound", "3"])
+    assert code == EXIT_VIOLATION
+    # the other elimination tests the (empty) root set for definiteness
+    assert [n for n in sizes if n] == [3]
 
 
 def test_bn_check_keeps_the_window_scan_on_a_degenerate_form(tmp_path):
