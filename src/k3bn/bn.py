@@ -10,7 +10,6 @@ the genus.  Certificates are verified on construction, never trusted.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from collections import Counter
@@ -117,13 +116,14 @@ class DecompositionProfile:
         return sum(self.x[i][j] for i in inside for j in outside)
 
     def splits(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """All unordered splits into two nonempty groups; part 0 stays left."""
+        """All unordered splits into two nonempty groups; part 0 stays left.
+
+        Lazily, smallest left group first, then in lexicographic order.
+        """
         n = self.n
-        rest = list(range(1, n))
-        for mask in range(2 ** (n - 1) - 1):
-            left = (0,) + tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
-            right = tuple(i for i in range(1, n) if i not in left)
-            yield left, right
+        for k in range(n - 1):
+            for chosen in itertools.combinations(range(1, n), k):
+                yield (0, *chosen), tuple(i for i in range(1, n) if i not in chosen)
 
     def two_connected(self) -> bool:
         return all(self.crossing(left) >= 2 for left, _ in self.splits())
@@ -300,12 +300,13 @@ def _degree_window(covector: tuple[int, ...], bound: int, h2: int) -> Iterator[t
             yield (*head, c)
 
 
-def _convolve(sums: Counter, w: int, col: tuple[int, ...], full: range) -> Counter:
+def _convolve(sums: dict, w: int, col: tuple[int, ...], full: range) -> dict:
     """Add one coordinate t in ``full`` to each (partial degree, dots) key."""
-    step = Counter()
+    step = {}
     for (part, dots), count in sums.items():
         for t in full:
-            step[part + t * w, tuple(x + t * y for x, y in zip(dots, col)) if col else dots] += count
+            key = part + t * w, tuple(x + t * y for x, y in zip(dots, col)) if col else dots
+            step[key] = step.get(key, 0) + count
     return step
 
 
@@ -316,27 +317,27 @@ def _window_counts(covector: tuple[int, ...], bound: int, h2: int, roots: Sequen
     counted per (partial degree, root dots), the others of nonzero degree but
     the last per partial degree; the admissible values of the last form an
     interval, and each coordinate touched by neither multiplies by 2 bound + 1.
+    The completions of each partial degree are counted once.
     """
     full = range(-bound, bound + 1)
     touched = [i for i in range(len(covector)) if any(r[i] for r in roots)]
     rest = [i for i, w in enumerate(covector) if w and i not in touched]
     free = (2 * bound + 1) ** (len(covector) - len(touched) - len(rest))
-    sums, rest_sums = Counter({(0, (0,) * len(roots)): 1}), Counter({(0, ()): 1})
+    sums, rest_sums = {(0, (0,) * len(roots)): 1}, {(0, ()): 1}
     for i in touched:
         sums = _convolve(sums, covector[i], tuple(r[i] for r in roots), full)
     for i in rest[:-1]:
         rest_sums = _convolve(rest_sums, covector[i], (), full)
-
-    @functools.cache
-    def completions(part: int) -> int:
-        if not rest:
-            return free * (0 < part < h2)
-        w = covector[rest[-1]]
-        return free * sum(n * len(_lasts(part + p, w, full, h2)) for (p, _), n in rest_sums.items())
-
-    out = Counter()
+    w = covector[rest[-1]] if rest else 0
+    completions, out = {}, Counter()
     for (part, dots), count in sums.items():
-        out[dots] += count * completions(part)
+        if part not in completions:
+            completions[part] = free * (
+                sum(n * len(_lasts(part + p, w, full, h2)) for (p, _), n in rest_sums.items())
+                if rest
+                else 0 < part < h2
+            )
+        out[dots] += count * completions[part]
     return out
 
 
@@ -778,8 +779,7 @@ LABEL_N4_ISOTROPIC = "n=4 all isotropic"
 
 def _first_partition_certificate(profile: DecompositionProfile) -> CertificateSketch | None:
     g = profile.genus
-    splits = sorted(profile.splits(), key=lambda s: (len(s[0]), s[0]))
-    for left, right in splits:
+    for left, right in profile.splits():
         lb1 = profile.group_h0_floor(left)
         lb2 = profile.group_h0_floor(right)
         if lb1 * lb2 > g:

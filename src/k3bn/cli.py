@@ -3,10 +3,12 @@
 Commands map one-to-one onto the library capabilities: bn-check, decompose,
 classify, verify-cases, triples, reduce-fixed, profile-check.  Reports are
 machine-readable JSON with the fields {command, inputs_echo, verdict,
-certificates, bounds, warnings, elapsed_ms, results}; --human switches to a
-short text rendering.  Exit codes: 0 completed with no violation found, 10
+certificates, bounds, warnings, elapsed_ms, results}, written exactly as
+``json.dumps`` writes them with an indent of 2; --human switches to a short
+text rendering.  Exit codes: 0 completed with no violation found, 10
 violation certificate (or box counterexample) emitted, 20 exceptional
-profile, 2 input error.
+profile, 2 input error; a reader that closes stdout early does not change
+the code.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -414,6 +417,34 @@ def run(args: argparse.Namespace) -> tuple[RunReport, int]:
     return report, status
 
 
+_ascii = json.encoder.encode_basestring_ascii
+_scalar = json.JSONEncoder().encode
+
+
+def _render_json(v, pad: str = "\n") -> str:
+    """What ``json.dumps`` returns with an indent of 2, byte for byte, for dicts with str keys.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
+    joins the same pieces directly.  Dicts, lists and tuples open one level
+    deeper per call; exact ints go through ``int.__repr__`` (inline for list
+    items, which are mostly ints), strs through the ASCII escaper, and every
+    other scalar (bool, None, floats including NaN and the infinities)
+    through one ``JSONEncoder`` with the default settings.
+    """
+    if isinstance(v, str):
+        return _ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        items = [_ascii(k) + ": " + _render_json(x, inner) for k, x in v.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [int.__repr__(x) if type(x) is int else _render_json(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return _scalar(v)
+
+
 def _render_human(report: RunReport) -> str:
     lines = [f"{report.command}: {report.verdict}"]
     for cert in report.certificates:
@@ -481,6 +512,16 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _write(text: str) -> None:
+    """Print a report; if the reader has closed stdout, drop the rest quietly."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
@@ -490,12 +531,9 @@ def main(argv: list[str] | None = None) -> int:
         warnings = exc.violations if isinstance(exc, InputError) else [str(exc)]
         command = next((a for a in argv if a in _HANDLERS), "k3bn")
         error_report = RunReport(command, inputs_echo={}, verdict="input error", warnings=warnings)
-        print(json.dumps(error_report.to_dict(), indent=2))
+        _write(_render_json(error_report.to_dict()))
         return EXIT_INPUT_ERROR
-    if args.human:
-        print(_render_human(report))
-    else:
-        print(json.dumps(report.to_dict(), indent=2))
+    _write(_render_human(report) if args.human else _render_json(report.to_dict()))
     return status
 
 

@@ -33,6 +33,7 @@ from k3bn import (
 from k3bn import bn
 from k3bn.bn import (
     SCAN_VERDICT_KEYS,
+    CertificateSketch,
     _certificate_scan,
     _degree_window,
     _window_scan,
@@ -610,6 +611,67 @@ def test_classify_n5_always_case_one():
     p = DecompositionProfile((0,) * 5, _connected_x(5))
     out = classify_multi_decomposition(p, [True] * 5)
     assert isinstance(out, NotBNGeneral) and out.case_id == "1"
+
+
+def _mask_splits(n):
+    """The splits as a bitmask loop over parts 1..n-1 lists them."""
+    rest = list(range(1, n))
+    for mask in range(2 ** (n - 1) - 1):
+        left = (0,) + tuple(rest[k] for k in range(n - 1) if mask >> k & 1)
+        yield left, tuple(i for i in range(1, n) if i not in left)
+
+
+def _split_order(split):
+    return len(split[0]), split[0]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_splits_are_the_mask_loop_splits_smallest_group_first(n):
+    p = DecompositionProfile((0,) * n, _connected_x(n))
+    assert list(p.splits()) == sorted(_mask_splits(n), key=_split_order)
+
+
+def _reference_classify(profile):
+    """``classify_multi_decomposition`` with every split listed, sorted, then searched."""
+    out = classify_multi_decomposition(profile, [True] * profile.n)
+    if isinstance(out, ExceptionalProfile):
+        return out
+    g = profile.genus
+    for left, right in sorted(_mask_splits(profile.n), key=_split_order):
+        lb1, lb2 = profile.group_h0_floor(left), profile.group_h0_floor(right)
+        if lb1 * lb2 > g:
+            split = "{%s} | {%s}" % tuple(",".join(str(i + 1) for i in group) for group in (left, right))
+            sketch = CertificateSketch(lb1, lb2, g, split, left, right, "partial-sum h0 floors")
+            return NotBNGeneral(out.case_id, sketch)
+    note = "no partial-sum certificate from the profile alone; requires geometric input"
+    return NotBNGeneral(out.case_id, None, note)
+
+
+@st.composite
+def _classified_profiles(draw):
+    """n = 3..8; for n >= 5, also negative squares beside small products, where
+    about half the profiles have no partial-sum certificate."""
+    n = draw(st.integers(3, 8))
+    if n >= 5 and draw(st.booleans()):
+        squares, products = st.integers(-3, -1), st.integers(0, 2)
+    else:  # n = 3 and n = 4 need nonnegative squares
+        squares, products = st.integers(0 if n <= 4 else -1, 3), st.integers(-1, 2)
+    sq = tuple(2 * draw(squares) for _ in range(n))
+    size = n * (n - 1) // 2
+    return DecompositionProfile.from_upper(sq, draw(st.lists(products, min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_classified_profiles())
+def test_classify_matches_the_sorted_mask_loop(profile):
+    assert classify_multi_decomposition(profile, [True] * profile.n) == _reference_classify(profile)
+
+
+def test_classify_without_a_certificate_matches_the_sorted_mask_loop():
+    # every split has both floors 1 and the genus is 1: the search runs through all 15
+    p = DecompositionProfile.from_upper((-4,) * 5, (1,) * 10)
+    out = classify_multi_decomposition(p, [True] * 5)
+    assert out == _reference_classify(p) and out.certificate is None and out.note
 
 
 # ---------------------------------------------------------------------------

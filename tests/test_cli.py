@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -224,9 +225,16 @@ with open(GOLDEN, encoding="utf-8") as _fh:
 )
 def test_decompose_reports_match_the_recorded_window_scan(tmp_path, case):
     # reports recorded from the window scan, minus elapsed_ms: verdict, pairs and
-    # their order, count, stats and warnings must not change
+    # their order, count, stats and warnings must not change; and the report
+    # contract, stdout is json.dumps(report, indent=2) and a newline, byte for byte
+    assert cli._render_json(case["report"]) == json.dumps(case["report"], indent=2)
     path = write(tmp_path, "s.json", case["surface"])
-    code, rep = run_cli(["decompose", "--surface", path, "--degree-bound", str(case["degree_bound"])])
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["decompose", "--surface", path, "--degree-bound", str(case["degree_bound"])])
+    text = buf.getvalue()
+    rep = json.loads(text)
+    assert text == json.dumps(rep, indent=2) + "\n"
     del rep["elapsed_ms"]
     assert (code, rep) == (case["exit"], case["report"])
 
@@ -508,6 +516,28 @@ def test_module_entry_point_reports_input_errors(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["triples", "--a-max", "2000"], EXIT_OK),
+        (["--human", "triples", "--a-max", "3"], EXIT_OK),
+        (["triples", "--a-max", "x"], EXIT_INPUT_ERROR),
+    ],
+)
+def test_a_closed_stdout_gets_no_traceback_and_keeps_the_exit_code(argv, code):
+    # the reader's end of the pipe is closed before k3bn starts, so its first write fails:
+    # inside print for the long report, at the flush for the short ones
+    script = (
+        "import os, subprocess, sys\n"
+        "r, w = os.pipe()\n"
+        "os.close(r)\n"
+        "print(subprocess.run([sys.executable, '-m', 'k3bn', *sys.argv[1:]], stdout=w).returncode)\n"
+    )
+    out = _python("-c", script, *argv)
+    assert out.stdout.strip() == str(code)
+    assert "Traceback" not in out.stderr and "Exception ignored" not in out.stderr
+
+
 @pytest.mark.parametrize("command", ["bn-check", "decompose"])
 def test_scan_reports_pin_stats_keys(tmp_path, command):
     path = write(tmp_path, "u.json", {"gram": [[0, 1], [1, 0]], "H": [1, 3]})
@@ -635,11 +665,30 @@ def test_human_rendering(tmp_path):
 # ---------------------------------------------------------------------------
 # arbitrary documents: every outcome is an exit code and a JSON report
 
+_CONTROL_OR_NON_ASCII = st.characters(max_codepoint=0x1F) | st.characters(min_codepoint=0x80)
+_TEXT = st.text(max_size=3) | st.text(_CONTROL_OR_NON_ASCII, max_size=3)
 _ANY_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-4, 4) | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    st.none()
+    | st.booleans()
+    | st.integers(-4, 4)
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | _TEXT
+    | st.builds(list)
+    | st.builds(tuple)
+    | st.builds(dict),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=3),
     max_leaves=8,
 )
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANY_JSON)
+def test_reports_render_as_json_dumps_with_indent_2(value):
+    assert cli._render_json(value) == json.dumps(value, indent=2)
 
 
 def _ints(size, lo=-2, hi=2):
