@@ -14,6 +14,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -247,7 +248,6 @@ class DecompositionScan:
     violations: list[ViolationCertificate] = field(default_factory=list)
     pairs: list[PairRecord] = field(default_factory=list)
     candidates_scanned: int = 0
-    unknown_candidates: int = 0
     # one count per effectivity verdict (D1, and D2 = H - D1 when D1 is
     # Effective), keyed as in SCAN_VERDICT_KEYS
     verdicts: Counter = field(default_factory=Counter)
@@ -256,13 +256,14 @@ class DecompositionScan:
     window_classes: int | None = None
     x_h: bool = False
 
+    @property
+    def unknown_candidates(self) -> int:
+        return self.verdicts["unknown_root_nef_residual"] + self.verdicts["unknown_search_exhausted"]
+
     def _settle(self, verdict: EffectivityVerdict) -> bool:
         """Count one verdict; True when it is Effective."""
-        status = verdict.status
-        self.verdicts[f"{status.name.lower()}_{verdict.rule}"] += 1
-        if status is Effectivity.UNKNOWN:
-            self.unknown_candidates += 1
-        return status is Effectivity.EFFECTIVE
+        self.verdicts[f"{verdict.status.name.lower()}_{verdict.rule}"] += 1
+        return verdict.status is Effectivity.EFFECTIVE
 
     def stats(self) -> dict:
         """Candidates in the degree window and how each verdict was reached."""
@@ -310,14 +311,15 @@ def _convolve(sums: dict, w: int, col: tuple[int, ...], full: range) -> dict:
     return step
 
 
-def _window_counts(covector: tuple[int, ...], bound: int, h2: int, roots: Sequence[tuple] = ()) -> Counter:
-    """The vectors ``_degree_window`` yields, counted per value of (v . R_j)_j.
+def _window_counts(covector: tuple[int, ...], bound: int, h2: int, roots: Sequence[tuple] = (), cap=None) -> dict:
+    """The vectors ``_degree_window`` yields, counted per ((v . R_j)_j, v . H < cap(dots)).
 
-    ``roots`` are root covectors.  The coordinates some root touches are
-    counted per (partial degree, root dots), the others of nonzero degree but
-    the last per partial degree; the admissible values of the last form an
-    interval, and each coordinate touched by neither multiplies by 2 bound + 1.
-    The completions of each partial degree are counted once.
+    ``roots`` are root covectors, and without ``cap`` no vector is below it.
+    The coordinates some root touches are counted per (partial degree, root
+    dots), the others of nonzero degree but the last per partial degree; the
+    admissible values of the last form an interval, and each coordinate
+    touched by neither multiplies by 2 bound + 1.  The completions of each
+    partial degree are counted once per degree bound, H^2 or a cap.
     """
     full = range(-bound, bound + 1)
     touched = [i for i in range(len(covector)) if any(r[i] for r in roots)]
@@ -329,15 +331,20 @@ def _window_counts(covector: tuple[int, ...], bound: int, h2: int, roots: Sequen
     for i in rest[:-1]:
         rest_sums = _convolve(rest_sums, covector[i], (), full)
     w = covector[rest[-1]] if rest else 0
-    completions, out = {}, Counter()
+    completions, out = {}, {}
     for (part, dots), count in sums.items():
-        if part not in completions:
-            completions[part] = free * (
-                sum(n * len(_lasts(part + p, w, full, h2)) for (p, _), n in rest_sums.items())
-                if rest
-                else 0 < part < h2
-            )
-        out[dots] += count * completions[part]
+        tops = (h2, min(cap(dots), h2)) if cap else (h2,)
+        for top in tops:  # the completions to 0 < v . H < top
+            if (part, top) not in completions:
+                completions[part, top] = free * (
+                    sum(n * len(_lasts(part + p, w, full, top)) for (p, _), n in rest_sums.items())
+                    if rest
+                    else 0 < part < top
+                )
+        below = completions[part, tops[-1]] if cap else 0
+        if below:
+            out[dots, True] = out.get((dots, True), 0) + count * below
+        out[dots, False] = out.get((dots, False), 0) + count * (completions[part, h2] - below)
     return out
 
 
@@ -432,7 +439,6 @@ def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
 
 def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
     """Settle D1 and, when it is Effective, H - D1, and record the pair; True on a violation."""
-    out.candidates_scanned += 1
     if not out._settle(effectivity_status(pol, d1, roots)):
         return False
     d2 = pol.h - d1
@@ -450,6 +456,7 @@ def _window_scan(pol, roots, degree_bound, first_violation=False) -> Decompositi
     """Decide every class of the degree window, in lexicographic order, or up to the first violation."""
     out = DecompositionScan()
     for coords in _degree_window(pol.h_covector, degree_bound, pol.degree(pol.h)):
+        out.candidates_scanned += 1
         if _decide(out, pol, roots, DivClass(coords)) and first_violation:
             break
     return out
@@ -458,52 +465,48 @@ def _window_scan(pol, roots, degree_bound, first_violation=False) -> Decompositi
 def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
     """The window scan, deciding only the classes that can be Effective.
 
-    For H^perp negative definite and roots none or contracted (of degree 0).
-    Peeling and the root search end in E + sum c_j R_j, c_j in
-    [0, coeff_bound], E zero or Riemann-Roch-effective; in the window E lies
-    in X (``x_classes``), in the box widened by coeff_bound sum |R_j|.  The
-    shifts of X into the box, S, are decided as the window scan decides
-    them.  Peeling keeps the degree, so no window class is NotEffective and
-    the rest is Unknown; it is search_exhausted exactly when its peel
-    exceeds coeff_bound, which depends only on its root dots: the rest is
-    counted per value of the dots, and each value is peeled once.
+    For H^perp negative definite and roots declared for ``pol``.  Peeling
+    and the root search end in E + sum c_j R_j, c_j in [0, coeff_bound], E
+    zero or in X (``x_classes``), as no root has negative degree.  S, the
+    window classes of that shape, is built one root at a time from X and 0,
+    each shift kept where the later ones can bring it into the box, and is
+    decided as the window scan decides it.  Outside S the search fails, so
+    the peel decides by degree and root dots: below t(dots) = sum mult_j
+    (H.R_j) NotEffective, else Unknown, a root-nef residual when contracted
+    roots peel within coeff_bound.  The rest is counted per dots and side of
+    t, and each value of the dots is peeled once.
     """
-    rs, cb = [r.coords for r in roots.roots] if roots else [], DEFAULT_COEFF_BOUND
-    h2, rank = pol.degree(pol.h), pol.lattice.rank
-    wide = [degree_bound + cb * sum(abs(r[i]) for r in rs) for i in range(rank)]
-    xs = x_classes(pol, [range(-w, w + 1) for w in wide])
-    # reach[j][i]: the range of sum_{l >= j} c_l R_l[i] over c in [0, cb]
-    reach = [[(0, 0)] * rank]
-    for r in reversed(rs):
-        reach.insert(0, [(lo + cb * min(x, 0), hi + cb * max(x, 0)) for (lo, hi), x in zip(reach[0], r)])
-    shape = set()
-
-    def shift(j: int, v: tuple[int, ...]) -> None:
-        if j == len(rs):
-            shape.add(v)
-            return
-        cs = range(cb + 1)
-        for x, vi, (lo, hi) in zip(rs[j], v, reach[j + 1]):
-            if x:  # the c with -bound <= vi + c x + (the later shifts) <= bound
-                p, q = -degree_bound - hi - vi, degree_bound - lo - vi
-                p, q, x = (p, q, x) if x > 0 else (-q, -p, -x)
-                cs = range(max(cs.start, -(-p // x)), min(cs.stop, q // x + 1))
-        for c in cs:
-            shift(j + 1, tuple(a + c * b for a, b in zip(v, rs[j])))
-
-    for e in xs:
-        shift(0, e)
-    out = DecompositionScan()
-    for coords in sorted(shape):
-        _decide(out, pol, roots, DivClass(coords))
-    covectors = roots.covectors if roots else ()
-    rest = _window_counts(pol.h_covector, degree_bound, h2, covectors)
-    out.candidates_scanned = sum(rest.values())
-    rest.subtract(tuple(_dot(cv, coords) for cv in covectors) for coords in shape)
-    for dots, n in rest.items():
-        rule = "search_exhausted" if _peel(list(dots), roots, 0, 0, cb) is None else "root_nef_residual"
-        out.verdicts[f"unknown_{rule}"] += n
-        out.unknown_candidates += n
+    roots = roots or RootSet(pol)
+    rs, cb = [r.coords for r in roots.roots], DEFAULT_COEFF_BOUND
+    h2, hc, rank = pol.degree(pol.h), pol.h_covector, pol.lattice.rank
+    # [lo_i, hi_i]: where coordinate i must lie before the shifts by the roots still to come
+    lo = [-degree_bound - cb * sum(max(r[i], 0) for r in rs) for i in range(rank)]
+    hi = [degree_bound - cb * sum(min(r[i], 0) for r in rs) for i in range(rank)]
+    level = {(0,) * rank, *x_classes(pol, [range(a, b + 1) for a, b in zip(lo, hi)])}
+    for r in rs:
+        lo = [a + cb * max(x, 0) for a, x in zip(lo, r)]
+        hi = [b + cb * min(x, 0) for b, x in zip(hi, r)]
+        # on each coordinate x = R_i != 0, c runs from (p - v_i) / x to (q - v_i) / x
+        support = [(i, x, *((lo[i], hi[i]) if x > 0 else (hi[i], lo[i]))) for i, x in enumerate(r) if x]
+        steps = [tuple(c * x for x in r) for c in range(cb + 1)]
+        shifted = set()
+        for v in level:
+            first, last = 0, cb
+            for i, x, p, q in support:
+                first, last = max(first, -((v[i] - p) // x)), min(last, (q - v[i]) // x)
+            shifted.update(tuple(map(operator.add, v, steps[c])) for c in range(first, last + 1))
+        level = shifted
+    peel = cache(lambda dots: _peel(list(dots), roots, 0, 0, cb))
+    cap = cache(lambda dots: -peel(dots)[1] if peel(dots) else 0)  # t(dots); 0 past coeff_bound
+    rest = _window_counts(hc, degree_bound, h2, roots.covectors, cap)
+    out = DecompositionScan(candidates_scanned=sum(rest.values()))
+    for v in sorted(v for v in level if 0 < _dot(hc, v) < h2):
+        _decide(out, pol, roots, DivClass(v))
+        dots = tuple(_dot(cv, v) for cv in roots.covectors)
+        rest[dots, _dot(hc, v) < cap(dots)] -= 1
+    for (dots, below), n in rest.items():
+        unknown = "unknown_root_nef_residual" if roots.contracted and peel(dots) else "unknown_search_exhausted"
+        out.verdicts["not_effective_peeling" if below else unknown] += n
     return out
 
 
@@ -518,15 +521,13 @@ def scan_decompositions(
     [-degree_bound, degree_bound], restricted to 0 < D1.H < H^2 with both
     D1 and H - D1 certified effective.  The search box is a hard cutoff and
     is echoed by callers; results outside it are simply not seen.  When
-    H^perp is negative definite and the roots are none, or contracted,
-    declared for ``pol`` and small enough to search, ``_certificate_scan``
-    decides only the classes that can be Effective and counts the rest;
-    every other input takes the window scan.
+    H^perp is negative definite and the roots, of any degree, are declared
+    for ``pol`` and few enough to search, ``_certificate_scan`` decides only
+    the classes that can be Effective and counts the rest; the window scan
+    is left where X may be infinite or the search is refused.
     """
     _check_degree_bound(pol, degree_bound)
-    searchable = not roots or roots.contracted and roots.polarization == pol and (
-        (DEFAULT_COEFF_BOUND + 1) ** len(roots) <= _MAX_SEARCH_STATES
-    )
+    searchable = not roots or roots.pol == pol and (DEFAULT_COEFF_BOUND + 1) ** len(roots) <= _MAX_SEARCH_STATES
     if pol.q_form.perp_negative_definite and searchable:
         return _certificate_scan(pol, roots, degree_bound)
     return _window_scan(pol, roots, degree_bound)

@@ -42,7 +42,7 @@ reached it.
 from __future__ import annotations
 
 import operator
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -59,7 +59,7 @@ _MAX_SEARCH_STATES = 5_000_000
 
 @dataclass(frozen=True)
 class RootSet:
-    """Declared classes of irreducible curves with self-intersection -2.
+    """Declared classes of irreducible curves with self-intersection -2 on ``pol``.
 
     Construction checks R^2 = -2 and R.H >= 0 for every root (a nef
     polarization has nonnegative degree on every irreducible curve) and
@@ -70,17 +70,16 @@ class RootSet:
     distinct roots meeting nonnegatively, negative definite.
     """
 
-    pol: InitVar[QuasiPolarization]
+    pol: QuasiPolarization = field(repr=False, compare=False)
     roots: tuple[DivClass, ...] = ()
-    polarization: QuasiPolarization = field(init=False, repr=False, compare=False)
     covectors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
     products: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     contracted: bool = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, pol: QuasiPolarization) -> None:
+    def __post_init__(self) -> None:
         roots = tuple(self.roots)
-        covectors, products, degrees, bad = RootSet.measure(pol.lattice, pol.h_covector, roots)
+        covectors, products, degrees, bad = RootSet.measure(self.pol.lattice, self.pol.h_covector, roots)
         if bad:
             raise InputError(*bad)
         contracted = (
@@ -90,7 +89,6 @@ class RootSet:
         )
         for name, value in (
             ("roots", roots),
-            ("polarization", pol),
             ("covectors", covectors),
             ("degrees", degrees),
             ("products", products),
@@ -252,7 +250,7 @@ def effectivity_status(
     covector = pol.lattice.covector(d)
     if coeff_bound < 0:
         raise InputError("coefficient bound must be nonnegative")
-    if roots is not None and roots.polarization != pol:
+    if roots is not None and roots.pol != pol:
         raise PreconditionError("the root set was declared for a different polarization")
     if d.is_zero:
         return EffectivityVerdict(Effectivity.NOT_EFFECTIVE, "the zero class is excluded", rule="zero_class")

@@ -4,8 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from k3bn import (
     DecompositionProfile,
@@ -339,13 +340,13 @@ def test_x_h_path_matches_brute_force_and_the_window_scan(form):
     if found.x_h:
         assert found.candidates_scanned == len(classes)
         assert found.window_classes - found.candidates_scanned >= full.unknown_candidates
-    # decompose's certificate-shaped path runs where H^perp is negative definite and the
-    # roots are none or contracted, and there it must give the window scan's answers
+    # decompose's certificate-shaped path runs wherever H^perp is negative definite,
+    # whatever the roots' degrees, and there it must give the window scan's answers
     taken = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bn, "_certificate_scan", lambda *args: taken.append(args) or _certificate_scan(*args))
         scan = scan_decompositions(pol, roots, bound)
-    assert bool(taken) == (hyperbolic and (len(roots) == 0 or roots.contracted))
+    assert bool(taken) == hyperbolic
     assert _scan_summary(scan) == _scan_summary(full)
 
 
@@ -679,7 +680,7 @@ def test_classify_without_a_certificate_matches_the_sorted_mask_loop():
 
 
 # the negative definite blocks after U, and the coordinates of their simple roots
-_CONTRACTED_LATTICES = {
+_ROOT_LATTICES = {
     "U": ((), ()),
     "U+A1": ((((-2,),),), (2,)),
     "U+A2": ((((-2, 1), (1, -2)),), (2, 3)),
@@ -688,18 +689,30 @@ _CONTRACTED_LATTICES = {
 }
 
 
+def _u_a1(h, bound):
+    # U + A1 with H = e + 2f - r: r has degree 2 and the class r - f, Effective by
+    # Riemann-Roch, peels to -f, so the search certifies classes that peeling refutes
+    pol = QuasiPolarization(GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2))), DivClass(h))
+    return pol, RootSet(pol, (DivClass((0, 0, 1)),)), bound
+
+
 @st.composite
-def contracted_surfaces(draw):
-    """A lattice of ``_CONTRACTED_LATTICES`` with H = a e + b f (+ a part on the
-    <-4> blocks) of positive square, some of its simple roots, all of degree 0,
-    and a degree bound, in a signed-permutation basis."""
-    blocks, root_coords = _CONTRACTED_LATTICES[draw(st.sampled_from(sorted(_CONTRACTED_LATTICES)))]
+def root_surfaces(draw):
+    """A lattice of ``_ROOT_LATTICES`` with H = a e + b f plus a part on the
+    other blocks, of positive square; some of its simple roots, each signed so
+    that its degree is >= 0, so that roots may have positive degree or meet
+    negatively; and a degree bound, in a signed-permutation basis."""
+    blocks, root_coords = _ROOT_LATTICES[draw(st.sampled_from(sorted(_ROOT_LATTICES)))]
     gram = _block_sum([((0, 1), (1, 0)), *blocks])
     n = len(gram)
     h = [draw(st.integers(1, 5)), draw(st.integers(1, 5))]
-    h += [0 if i in root_coords else draw(st.integers(-1, 1)) for i in range(2, n)]
+    h += draw(st.lists(st.integers(-1, 1), min_size=n - 2, max_size=n - 2))
     declared = draw(st.lists(st.sampled_from(root_coords), unique=True)) if root_coords else []
-    roots = [[int(i == k) for i in range(n)] for k in declared]
+    roots = []
+    for k in declared:
+        degree = sum(h[i] * gram[i][k] for i in range(n))  # H . r_k for the simple root r_k
+        sign = -1 if degree < 0 else 1 if degree > 0 else draw(st.sampled_from((1, -1)))
+        roots.append([sign * int(i == k) for i in range(n)])
     perm = draw(st.permutations(range(n)))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
     gram = tuple(tuple(signs[i] * signs[j] * gram[perm[i]][perm[j]] for j in range(n)) for i in range(n))
@@ -712,12 +725,20 @@ def contracted_surfaces(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(contracted_surfaces())
+@given(root_surfaces())
+@example(_u_a1((1, 2, -1), 6))
 def test_certificate_scan_matches_the_window_scan(surface):
     pol, roots, bound = surface
     scan = _certificate_scan(pol, roots, bound)
     assert _scan_summary(scan) == _scan_summary(_window_scan(pol, roots, bound))
     assert _scan_summary(scan_decompositions(pol, roots, bound)) == _scan_summary(scan)
+
+
+def test_root_sets_print_their_roots():
+    # Hypothesis prints a falsifying example through its pretty printer, which
+    # reads every field a RootSet is constructed from
+    _, roots, _ = _u_a1((1, 2, -1), 1)
+    assert "roots=(DivClass(coords=(0, 0, 1)),)" in pretty(roots)
 
 
 @pytest.mark.parametrize(
@@ -742,23 +763,31 @@ def test_certificate_scan_needs_the_widened_box(gram, h, roots, bound):
     assert _scan_summary(scan) == _scan_summary(_window_scan(pol, root_set, bound))
 
 
-def test_certificate_scan_leaves_other_root_sets_to_the_window_scan(monkeypatch):
+def test_certificate_scan_leaves_only_infinite_x_to_the_window_scan(monkeypatch):
+    # an A2 pair meeting negatively, and a root of positive degree, are not contracted
+    # and take the certificate-shaped path
+    a2 = QuasiPolarization(GramLattice(_A2), DivClass((1, 2, 0, 0)))
+    lat = GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
+    pol = QuasiPolarization(lat, DivClass((2, 3, -1)))
+    for p, roots in (
+        (a2, RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1))))),
+        (pol, RootSet(pol, (DivClass((0, 0, 1)),))),
+    ):
+        assert not roots.contracted
+        taken = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bn, "_certificate_scan", lambda *args: taken.append(args) or _certificate_scan(*args))
+            scan = scan_decompositions(p, roots, 2)
+        assert taken and _scan_summary(scan) == _scan_summary(_window_scan(p, roots, 2))
+
     def unreachable(*args):
         raise AssertionError("the certificate-shaped scan ran")
 
     monkeypatch.setattr(bn, "_certificate_scan", unreachable)
-    # an A2 pair meeting negatively, and a root of positive degree, are not contracted
-    a2 = QuasiPolarization(GramLattice(_A2), DivClass((1, 2, 0, 0)))
-    lat = GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
-    pol = QuasiPolarization(lat, DivClass((2, 3, -1)))
-    # a degenerate form: H^perp holds the isotropic (0, 0, 1)
+    # a degenerate form: H^perp holds the isotropic (0, 0, 1), so X may be infinite
     degenerate = QuasiPolarization(GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, 0))), DivClass((1, 2, 0)))
-    for p, roots in (
-        (a2, RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1))))),
-        (pol, RootSet(pol, (DivClass((0, 0, 1)),))),
-        (degenerate, None),
-    ):
-        assert _scan_summary(scan_decompositions(p, roots, 2)) == _scan_summary(_window_scan(p, roots, 2))
+    scan = scan_decompositions(degenerate, None, 2)
+    assert _scan_summary(scan) == _scan_summary(_window_scan(degenerate, None, 2))
 
 
 def test_certificate_scan_pins_the_window_scan_stats():
