@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
-from .divisors import _MAX_SEARCH_STATES, _dot, _peel, h0_floor
+from .divisors import _MAX_SEARCH_STATES, _dot, _peel, _peel_rule, h0_floor
 from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size
 from .lattice import DivClass, QuasiPolarization
 
@@ -437,6 +437,16 @@ def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
     )
 
 
+def _record_pair(out: DecompositionScan, pol, d1: DivClass, d2: DivClass) -> bool:
+    """Record D1 and D2 = H - D1, both Effective, with their h^0 floors; True on a violation."""
+    lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
+    violates = lb1 * lb2 > g
+    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
+    if violates:
+        out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
+    return violates
+
+
 def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
     """Settle D1 and, when it is Effective, H - D1, and record the pair; True on a violation."""
     if not out._settle(effectivity_status(pol, d1, roots)):
@@ -444,12 +454,7 @@ def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
     d2 = pol.h - d1
     if not out._settle(effectivity_status(pol, d2, roots)):
         return False
-    lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
-    violates = lb1 * lb2 > g
-    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
-    if violates:
-        out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
-    return violates
+    return _record_pair(out, pol, d1, d2)
 
 
 def _window_scan(pol, roots, degree_bound, first_violation=False) -> DecompositionScan:
@@ -462,21 +467,22 @@ def _window_scan(pol, roots, degree_bound, first_violation=False) -> Decompositi
     return out
 
 
-def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
-    """The window scan, deciding only the classes that can be Effective.
+def _linear(cols: list[tuple[int, ...]], w: Sequence[int], n: int) -> list[int]:
+    """w . v for each of n vectors v given column by column in ``cols``, a whole column at a time."""
+    out = [0] * n
+    for col, x in zip(cols, w):
+        if x:
+            out = list(map(operator.add, out, map(operator.mul, col, itertools.repeat(x))))
+    return out
 
-    For H^perp negative definite and roots declared for ``pol``.  Peeling
-    and the root search end in E + sum c_j R_j, c_j in [0, coeff_bound], E
-    zero or in X (``x_classes``), as no root has negative degree.  S, the
-    window classes of that shape, is built one root at a time from X and 0,
-    each shift kept where the later ones can bring it into the box, and is
-    decided as the window scan decides it.  Outside S the search fails, so
-    the peel decides by degree and root dots: below t(dots) = sum mult_j
-    (H.R_j) NotEffective, else Unknown, a root-nef residual when contracted
-    roots peel within coeff_bound.  The rest is counted per dots and side of
-    t, and each value of the dots is peeled once.
+
+def _shape_classes(pol, roots: RootSet, degree_bound) -> list[tuple[int, ...]]:
+    """S: the window classes E + sum c_j R_j with E zero or in X, c_j in [0, coeff_bound], in order.
+
+    Built one root at a time from X (``x_classes``) and 0, each shift kept
+    where the later ones can bring it into the box.  H^perp must be negative
+    definite.
     """
-    roots = roots or RootSet(pol)
     rs, cb = [r.coords for r in roots.roots], DEFAULT_COEFF_BOUND
     h2, hc, rank = pol.degree(pol.h), pol.h_covector, pol.lattice.rank
     # [lo_i, hi_i]: where coordinate i must lie before the shifts by the roots still to come
@@ -496,14 +502,80 @@ def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
                 first, last = max(first, -((v[i] - p) // x)), min(last, (q - v[i]) // x)
             shifted.update(tuple(map(operator.add, v, steps[c])) for c in range(first, last + 1))
         level = shifted
-    peel = cache(lambda dots: _peel(list(dots), roots, 0, 0, cb))
+    return sorted(v for v in level if 0 < _dot(hc, v) < h2)
+
+
+def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> Iterator[tuple]:
+    """Each class v of S in order: (v, v.H, its root dots, its verdict, that of H - v or None).
+
+    A verdict is a (status, rule) pair, and H - v is settled only when v is
+    Effective.  Under ``_certificate_scan``'s precondition a verdict depends
+    on three integers alone, the degree, the square and the root dots:
+    ``_peel_rule`` reads them with ``peel`` of the dots, and a residual of
+    degree 0 is zero exactly when its square is 0, as H^perp is negative
+    definite.  H - v has degree H^2 - v.H, square H^2 - 2 v.H + v^2 and dots
+    H.R_j - v.R_j, so it needs no vector.  The values that rule leaves open
+    go to ``effectivity_status``, once each, for the bounded root search.
+    """
+    h2 = pol.degree(pol.h)
+    searched = {}
+
+    def settle(deg: int, sq: int, dots: tuple[int, ...], d) -> tuple[Effectivity, str]:
+        verdict = _peel_rule(deg, sq, peel(dots), roots.contracted)
+        if verdict is None:
+            key = deg, sq, dots
+            if key not in searched:
+                found = effectivity_status(pol, d(), roots)
+                searched[key] = found.status, found.rule
+            verdict = searched[key]
+        return verdict
+
+    classes = _shape_classes(pol, roots, degree_bound)
+    cols, n = list(zip(*classes)), len(classes)
+    sqs = [0] * n
+    for col, row in zip(cols, pol.lattice.gram):
+        sqs = list(map(operator.add, sqs, map(operator.mul, col, _linear(cols, row, n))))
+    dots = zip(*(_linear(cols, cv, n) for cv in roots.covectors)) if roots else [()] * n
+    for v, deg, sq, ds in zip(classes, _linear(cols, pol.h_covector, n), sqs, dots):
+        first = settle(deg, sq, ds, lambda: DivClass(v))
+        second = None
+        if first[0] is Effectivity.EFFECTIVE:
+            dots2 = tuple(map(operator.sub, roots.degrees, ds))
+            second = settle(h2 - deg, h2 - 2 * deg + sq, dots2, lambda: pol.h - DivClass(v))
+        yield v, deg, ds, first, second
+
+
+def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
+    """The window scan, settling only the classes that can be Effective, from integers.
+
+    For H^perp negative definite and roots declared for ``pol``.  Peeling
+    and the root search end in E + sum c_j R_j, c_j in [0, coeff_bound], E
+    zero or in X (``x_classes``), as no root has negative degree.  So only
+    the window classes of that shape, S (``_shape_classes``), can be
+    Effective; each is settled from its degree, square and root dots
+    (``_shape_verdicts``), and a class becomes a ``DivClass`` only when it
+    and H - D are both Effective.  Outside S the search fails, so the peel
+    decides by degree and root dots: below t(dots) = sum mult_j (H.R_j)
+    NotEffective, else Unknown, a root-nef residual when contracted roots
+    peel within coeff_bound.  The rest is counted per dots and side of t.
+    Each value of the dots is peeled once.
+    """
+    roots = roots or RootSet(pol)
+    peel = cache(lambda dots: _peel(list(dots), roots, DEFAULT_COEFF_BOUND))
     cap = cache(lambda dots: -peel(dots)[1] if peel(dots) else 0)  # t(dots); 0 past coeff_bound
-    rest = _window_counts(hc, degree_bound, h2, roots.covectors, cap)
+    rest = _window_counts(pol.h_covector, degree_bound, pol.degree(pol.h), roots.covectors, cap)
     out = DecompositionScan(candidates_scanned=sum(rest.values()))
-    for v in sorted(v for v in level if 0 < _dot(hc, v) < h2):
-        _decide(out, pol, roots, DivClass(v))
-        dots = tuple(_dot(cv, v) for cv in roots.covectors)
-        rest[dots, _dot(hc, v) < cap(dots)] -= 1
+    settled = Counter()
+    for v, deg, dots, first, second in _shape_verdicts(pol, roots, degree_bound, peel):
+        rest[dots, deg < cap(dots)] -= 1
+        settled[first] += 1
+        if second is not None:
+            settled[second] += 1
+            if second[0] is Effectivity.EFFECTIVE:
+                d1 = DivClass(v)
+                _record_pair(out, pol, d1, pol.h - d1)
+    for (status, rule), n in settled.items():
+        out.verdicts[f"{status.name.lower()}_{rule}"] += n
     for (dots, below), n in rest.items():
         unknown = "unknown_root_nef_residual" if roots.contracted and peel(dots) else "unknown_search_exhausted"
         out.verdicts["not_effective_peeling" if below else unknown] += n

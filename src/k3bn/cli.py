@@ -392,10 +392,14 @@ def _cmd_profile_check(args) -> tuple[RunReport, int]:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of a document file, or of stdin for "-", decoded as UTF-8 whatever the locale."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{'stdin' if path == '-' else path}: not UTF-8 text ({exc})") from None
 
 
 _HANDLERS = {

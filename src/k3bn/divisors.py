@@ -44,7 +44,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InconsistentGeometryError, InputError, PreconditionError
 from .lattice import DivClass, GramLattice, QuasiPolarization, negative_definite
@@ -192,17 +192,15 @@ def _root_combination(
     return tuple(coeffs) if dfs(0, *start) else None
 
 
-def _peel(
-    dots: list[int], roots: RootSet, deg: int, sq: int, bound: int
-) -> tuple[tuple[int, ...], int, int] | None:
+def _peel(dots: list[int], roots: RootSet, bound: int) -> tuple[tuple[int, ...], int, int] | None:
     """Subtract the first root R with D.R < 0 until none is left.
 
-    ``dots`` holds every D.R_j.  Works on integers only (``_minus_root``).
-    Returns the peel multiplicities with the degree and square of the
-    residual, or None when some root would be peeled more than ``bound``
-    times, which depends on ``dots`` alone.
+    ``dots`` holds every D.R_j, which alone decide the peel.  Works on
+    integers only (``_minus_root``).  Returns the peel multiplicities with
+    what they add to the degree and to the square of D, or None when some
+    root would be peeled more than ``bound`` times.
     """
-    mult = [0] * len(dots)
+    mult, deg, sq = [0] * len(dots), 0, 0
     while True:
         j = next((j for j, x in enumerate(dots) if x < 0), None)
         if j is None:
@@ -211,6 +209,36 @@ def _peel(
             return None
         mult[j] += 1
         deg, sq, dots = _minus_root(roots, j, deg, sq, dots)
+
+
+def _peel_rule(
+    deg: int, sq: int, peeled, contracted: bool, is_zero: Callable | None = None
+) -> tuple[Effectivity, str] | None:
+    """The verdict Riemann-Roch or root peeling gives a class D of positive degree.
+
+    ``deg`` and ``sq`` are D.H and D^2, ``peeled`` is ``_peel`` of the root
+    dots of D, and ``contracted`` says that the declared roots, if any, form
+    a configuration H contracts.  Returns (status, rule):
+      * square >= -2: Effective by riemann_roch;
+      * a peeled residual of positive degree and square >= -2, or the zero
+        class: Effective by peeling;
+      * a peeled residual of positive degree and square < -2 under
+        contracted roots: Unknown, root_nef_residual;
+    and None otherwise, which leaves D to the bounded root search.
+    ``is_zero(mult)`` tells whether the residual D - sum mult_j R_j, of
+    degree 0 and square 0, is the zero class; without it that is taken to
+    hold, as it does where H^perp is negative definite.
+    """
+    if sq >= -2:
+        return Effectivity.EFFECTIVE, "riemann_roch"
+    if peeled is None:
+        return None
+    mult, rdeg, rsq = peeled[0], deg + peeled[1], sq + peeled[2]
+    if (rdeg > 0 and rsq >= -2) or (rdeg == rsq == 0 and (is_zero is None or is_zero(mult))):
+        return Effectivity.EFFECTIVE, "peeling"
+    if rdeg > 0 and contracted:
+        return Effectivity.UNKNOWN, "root_nef_residual"
+    return None
 
 
 def _root_certificate(coeffs: tuple[int, ...], rem: tuple[int, ...], rule: str) -> EffectivityVerdict:
@@ -241,6 +269,11 @@ def effectivity_status(
         nonnegative combination of declared roots with coefficients
         <= ``coeff_bound``, possibly plus a remainder that carries its own
         Riemann-Roch certificate.
+    At positive degree the first and third are ``_peel_rule`` on D.H, D^2
+    and the peel of the root dots, the one copy of that rule, which
+    ``bn._certificate_scan`` applies to those integers without a class.
+    The search runs only where that rule leaves D open, and before the
+    peeling obstruction is claimed.
     Obstructions: the zero class, negative degree on the (nef) polarization,
     degree zero with no bounded combination of degree-zero roots, or a peeled
     residual of negative degree that the bounded search does not contradict.
@@ -262,12 +295,6 @@ def effectivity_status(
             rule="negative_degree",
         )
     sq = _dot(covector, d.coords)
-    if deg > 0 and sq >= -2:
-        return EffectivityVerdict(
-            Effectivity.EFFECTIVE,
-            f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0",
-            rule="riemann_roch",
-        )
     dots = [_dot(covector, r.coords) for r in roots.roots] if roots else []
     if deg == 0:
         orth = [j for j in range(len(dots)) if roots.degrees[j] == 0]
@@ -284,24 +311,26 @@ def effectivity_status(
             f"degree 0 and not a combination of degree-zero roots with coefficients <= {coeff_bound}",
             rule="degree_zero_roots",
         )
-    peeled = _peel(dots, roots, deg, sq, coeff_bound)
-    if peeled is not None:
-        mult, rdeg, rsq = peeled
-        if (rdeg > 0 and rsq >= -2) or (rdeg == 0 and not any(_residual(d, roots.roots, mult))):
-            return _root_certificate(mult, _residual(d, roots.roots, mult), "peeling")
-        if rdeg > 0 and (not roots or roots.contracted):
-            return EffectivityVerdict(
-                Effectivity.UNKNOWN,
-                f"root-nef residual with square < -2 (square {rsq} after peeling multiplicities {mult})",
-                rule="root_nef_residual",
-            )
+    peeled = _peel(dots, roots, coeff_bound)
+    settled = _peel_rule(
+        deg, sq, peeled, not roots or roots.contracted, lambda mult: not any(_residual(d, roots.roots, mult))
+    )
+    if settled is not None:
+        status, rule = settled
+        if rule == "riemann_roch":
+            return EffectivityVerdict(status, f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0", rule=rule)
+        mult, rsq = peeled[0], sq + peeled[2]
+        if rule == "peeling":
+            return _root_certificate(mult, _residual(d, roots.roots, mult), rule)
+        witness = f"root-nef residual with square < -2 (square {rsq} after peeling multiplicities {mult})"
+        return EffectivityVerdict(status, witness, rule=rule)
     hit = _root_combination(d, roots, range(len(dots)), (deg, sq, dots), coeff_bound, allow_remainder=True)
     if hit is not None:
         return _root_certificate(hit, _residual(d, roots.roots, hit), "root_search")
-    if peeled is not None and peeled[1] < 0:
+    if peeled is not None and deg + peeled[1] < 0:
         return EffectivityVerdict(
             Effectivity.NOT_EFFECTIVE,
-            f"peeling root multiplicities {peeled[0]} leaves a residual of degree {peeled[1]} < 0",
+            f"peeling root multiplicities {peeled[0]} leaves a residual of degree {deg + peeled[1]} < 0",
             rule="peeling",
         )
     return EffectivityVerdict(

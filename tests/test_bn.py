@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from functools import cache
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ from k3bn.bn import (
     x_classes,
     x_h_classes,
 )
-from k3bn.divisors import h0_floor
+from k3bn.divisors import DEFAULT_COEFF_BOUND, _peel, h0_floor
 from k3bn.lattice import hyperbolic_plane_warnings
 from conftest import rank_one
 
@@ -732,6 +733,47 @@ def test_certificate_scan_matches_the_window_scan(surface):
     scan = _certificate_scan(pol, roots, bound)
     assert _scan_summary(scan) == _scan_summary(_window_scan(pol, roots, bound))
     assert _scan_summary(scan_decompositions(pol, roots, bound)) == _scan_summary(scan)
+
+
+def _u_a1_a1_search():
+    # U + A1 + A1 with H = 2e + 5f - r1 at bound 11: r1 has degree 2, and 106
+    # verdicts of the scan are effective_root_search
+    gram = tuple(map(tuple, _block_sum([((0, 1), (1, 0)), ((-2,),), ((-2,),)])))
+    pol = QuasiPolarization(GramLattice(gram), DivClass((2, 5, -1, 0)))
+    return pol, RootSet(pol, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, 1)))), 11
+
+
+def _u_a2_search():
+    # U + A2 with H = 2e + 3f - r1 at bound 3: classes H - D of equal degree
+    # and root dots but squares -4 and -6 get root_search and peeling verdicts
+    pol = QuasiPolarization(GramLattice(_A2), DivClass((2, 3, -1, 0)))
+    return pol, RootSet(pol, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1)))), 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(root_surfaces())
+@example(_u_a1((1, 2, -1), 6))
+@example(_u_a1_a1_search())
+@example(_u_a2_search())
+def test_shape_verdicts_match_effectivity_status(surface):
+    # every verdict the certificate scan reads from degree, square and root
+    # dots, on D and on H - D, is the verdict effectivity_status gives the class
+    pol, roots, bound = surface
+    peel = cache(lambda dots: _peel(list(dots), roots, DEFAULT_COEFF_BOUND))
+    rules = Counter()
+    for v, deg, dots, first, second in bn._shape_verdicts(pol, roots, bound, peel):
+        d = DivClass(v)
+        assert (deg, dots) == (pol.degree(d), tuple(pol.lattice.intersect(d, r) for r in roots.roots))
+        want = effectivity_status(pol, d, roots)
+        assert first == (want.status, want.rule)
+        if want.status is Effectivity.EFFECTIVE:
+            want = effectivity_status(pol, pol.h - d, roots)
+            assert second == (want.status, want.rule)
+        else:
+            assert second is None
+        rules.update(verdict[1] for verdict in (first, second) if verdict)
+    if surface == _u_a1_a1_search():
+        assert rules["root_search"] == 106
 
 
 def test_root_sets_print_their_roots():

@@ -399,6 +399,49 @@ def _python(*args):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bn-check", "--surface", "{bad}"],
+        ["decompose", "--surface", "{bad}"],
+        ["classify", "--profile", "{bad}"],
+        ["profile-check", "--profile", "{bad}"],
+        ["reduce-fixed", "--surface", "{good}", "--data", "{bad}"],
+    ],
+)
+def test_documents_that_are_not_utf8_are_input_errors(tmp_path, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    good = write(tmp_path, "u.json", U_DOC)
+    code, rep = run_cli([a.format(bad=bad, good=good) for a in argv])
+    assert (code, rep["verdict"]) == (EXIT_INPUT_ERROR, "input error")
+    assert rep["warnings"] == [
+        f"{bad}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "stdin, position",
+    [(b"\xff{}", 0), (b'{"gram": [[0, 1], [1, 0]], "H": [1, 1], "name": "\xff"}', 49)],
+    ids=["not-json", "in-a-string"],
+)
+def test_stdin_that_is_not_utf8_is_an_input_error(stdin, position):
+    # read as UTF-8 like a file, not with the locale's decoding of stdin, which
+    # may turn such bytes into surrogates and accept the second document
+    src = os.path.dirname(os.path.dirname(k3bn.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "k3bn", "bn-check", "--surface", "-"],
+        input=stdin,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        timeout=60,
+    )
+    assert out.returncode == EXIT_INPUT_ERROR and b"Traceback" not in out.stderr
+    assert json.loads(out.stdout)["warnings"] == [
+        f"stdin: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position {position}: invalid start byte)"
+    ]
+
+
 def test_cli_import_leaves_multiprocessing_out():
     # every command pays the import; multiprocessing is a large share of it
     out = _python("-c", "import sys, k3bn.cli; print('multiprocessing' in sys.modules)")
@@ -721,11 +764,14 @@ def _spoil(draw, value, depth):
 @st.composite
 def _document(draw, fields):
     """Every field well shaped but, in most documents, one, which is spoiled
-    or left out; now and then the whole document is arbitrary JSON or not JSON."""
+    or left out; now and then the whole document is arbitrary JSON, not JSON,
+    or raw bytes that need not be UTF-8."""
     whole = draw(st.integers(0, 19))
-    if whole == 19:
+    if whole >= 18:
+        return draw(st.binary(min_size=1, max_size=5))
+    if whole == 17:
         return draw(st.text(max_size=5))
-    if whole == 18:
+    if whole == 16:
         return json.dumps(draw(_ANY_JSON))
     broken = draw(st.sampled_from(list(fields))) if draw(st.integers(0, 3)) else None
     doc = {}
@@ -800,8 +846,8 @@ def test_arbitrary_documents_get_an_exit_code_and_a_json_report(tmp_path_factory
     argv, docs = data.draw(_argv(command))
     folder = tmp_path_factory.mktemp("docs")
     paths = [folder / f"{k}.json" for k in range(len(docs))]
-    for path, text in zip(paths, docs):
-        path.write_text(text)
+    for path, doc in zip(paths, docs):
+        path.write_bytes(doc if isinstance(doc, bytes) else doc.encode("utf-8"))
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main([a.format(*paths) for a in argv])
