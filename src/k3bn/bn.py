@@ -19,13 +19,9 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
-from .divisors import _MAX_SEARCH_STATES, _dot, _peel, _peel_rule, h0_floor
-from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size
+from .divisors import _MAX_SEARCH_STATES, _dot, _open_verdict, _peel, _verdict, h0_floor
+from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size, is_int
 from .lattice import DivClass, QuasiPolarization
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -47,7 +43,7 @@ class DecompositionProfile:
         n = len(sq)
         bad = ["a decomposition profile needs at least two parts"] if n < 2 else []
         for i, s in enumerate(sq):
-            if not _is_int(s):
+            if not is_int(s):
                 bad.append(f"sq[{i}] is not an integer")
             elif s % 2 != 0:
                 bad.append(f"sq[{i}] = {s} is odd; squares in an even lattice are even")
@@ -55,7 +51,7 @@ class DecompositionProfile:
             bad.append(f"x must be an {n}x{n} matrix")
         else:
             for i in range(n):
-                bad += [f"x[{i}][{j}] is not an integer" for j in range(n) if not _is_int(x[i][j])]
+                bad += [f"x[{i}][{j}] is not an integer" for j in range(n) if not is_int(x[i][j])]
                 if x[i][i] != 0:
                     bad.append(f"x[{i}][{i}] must be zero")
                 bad += [f"x is not symmetric at ({i}, {j})" for j in range(i + 1, n) if x[i][j] != x[j][i]]
@@ -205,12 +201,13 @@ def check_pair(
         v = effectivity_status(pol, d, roots)
         if v.status is not Effectivity.EFFECTIVE:
             raise PreconditionError(f"{name} is not certified effective: {v.witness}")
-    lb1 = h0_floor(pol, d1)
-    lb2 = h0_floor(pol, d2)
-    g = pol.genus
-    if lb1 * lb2 > g:
-        return ViolationCertificate(d1, d2, lb1, lb2, g)
-    return None
+    return _pair_floors(pol, d1, d2)[2]
+
+
+def _pair_floors(pol: QuasiPolarization, d1: DivClass, d2: DivClass) -> tuple[int, int, ViolationCertificate | None]:
+    """The h^0 floors of D1 and D2 = H - D1, both Effective, and the violation they make, if any."""
+    lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
+    return lb1, lb2, ViolationCertificate(d1, d2, lb1, lb2, g) if lb1 * lb2 > g else None
 
 
 @dataclass(frozen=True)
@@ -260,9 +257,13 @@ class DecompositionScan:
     def unknown_candidates(self) -> int:
         return self.verdicts["unknown_root_nef_residual"] + self.verdicts["unknown_search_exhausted"]
 
+    def count(self, status: Effectivity, rule: str, n: int = 1) -> None:
+        """Count n verdicts of one status and rule, under their "<status>_<rule>" key."""
+        self.verdicts[f"{status.name.lower()}_{rule}"] += n
+
     def _settle(self, verdict: EffectivityVerdict) -> bool:
         """Count one verdict; True when it is Effective."""
-        self.verdicts[f"{verdict.status.name.lower()}_{verdict.rule}"] += 1
+        self.count(verdict.status, verdict.rule)
         return verdict.status is Effectivity.EFFECTIVE
 
     def stats(self) -> dict:
@@ -429,7 +430,10 @@ def x_classes(pol: QuasiPolarization, box: Sequence[range]) -> list[tuple[int, .
     return _short_classes(pol, box, (h2 - 1) ** 2 + 2 * h2, lambda d: d * d + 2 * h2)
 
 
-def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
+def _check_scan(pol: QuasiPolarization, roots: RootSet | None, degree_bound: int) -> None:
+    """Refuse, before any work, roots declared for another polarization and a box past the ceiling."""
+    if roots is not None and roots.pol != pol:
+        raise PreconditionError("the root set was declared for a different polarization")
     if degree_bound <= 0:
         raise InputError("degree bound must be positive")
     check_search_size(
@@ -439,12 +443,11 @@ def _check_degree_bound(pol: QuasiPolarization, degree_bound: int) -> None:
 
 def _record_pair(out: DecompositionScan, pol, d1: DivClass, d2: DivClass) -> bool:
     """Record D1 and D2 = H - D1, both Effective, with their h^0 floors; True on a violation."""
-    lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
-    violates = lb1 * lb2 > g
-    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
-    if violates:
-        out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
-    return violates
+    lb1, lb2, violation = _pair_floors(pol, d1, d2)
+    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violation is not None))
+    if violation:
+        out.violations.append(violation)
+    return violation is not None
 
 
 def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
@@ -510,25 +513,18 @@ def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> Iterator[tuple]:
 
     A verdict is a (status, rule) pair, and H - v is settled only when v is
     Effective.  Under ``_certificate_scan``'s precondition a verdict depends
-    on three integers alone, the degree, the square and the root dots:
-    ``_peel_rule`` reads them with ``peel`` of the dots, and a residual of
+    on three integers alone, the degree, the square and the root dots, and
+    is ``divisors._verdict`` of them with ``peel`` of the dots: a residual of
     degree 0 is zero exactly when its square is 0, as H^perp is negative
     definite.  H - v has degree H^2 - v.H, square H^2 - 2 v.H + v^2 and dots
-    H.R_j - v.R_j, so it needs no vector.  The values that rule leaves open
-    go to ``effectivity_status``, once each, for the bounded root search.
+    H.R_j - v.R_j, so it needs no vector.  Verdicts are not cached: settled
+    classes rarely share all three integers (none do in the golden fixture
+    or the benchmark's inputs), so a cache would only grow.
     """
     h2 = pol.degree(pol.h)
-    searched = {}
 
-    def settle(deg: int, sq: int, dots: tuple[int, ...], d) -> tuple[Effectivity, str]:
-        verdict = _peel_rule(deg, sq, peel(dots), roots.contracted)
-        if verdict is None:
-            key = deg, sq, dots
-            if key not in searched:
-                found = effectivity_status(pol, d(), roots)
-                searched[key] = found.status, found.rule
-            verdict = searched[key]
-        return verdict
+    def settle(deg: int, sq: int, dots: tuple[int, ...]) -> tuple[Effectivity, str]:
+        return _verdict(deg, sq, dots, peel(dots), roots, DEFAULT_COEFF_BOUND)[:2]
 
     classes = _shape_classes(pol, roots, degree_bound)
     cols, n = list(zip(*classes)), len(classes)
@@ -537,11 +533,10 @@ def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> Iterator[tuple]:
         sqs = list(map(operator.add, sqs, map(operator.mul, col, _linear(cols, row, n))))
     dots = zip(*(_linear(cols, cv, n) for cv in roots.covectors)) if roots else [()] * n
     for v, deg, sq, ds in zip(classes, _linear(cols, pol.h_covector, n), sqs, dots):
-        first = settle(deg, sq, ds, lambda: DivClass(v))
+        first = settle(deg, sq, ds)
         second = None
         if first[0] is Effectivity.EFFECTIVE:
-            dots2 = tuple(map(operator.sub, roots.degrees, ds))
-            second = settle(h2 - deg, h2 - 2 * deg + sq, dots2, lambda: pol.h - DivClass(v))
+            second = settle(h2 - deg, h2 - 2 * deg + sq, tuple(map(operator.sub, roots.degrees, ds)))
         yield v, deg, ds, first, second
 
 
@@ -555,10 +550,9 @@ def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
     Effective; each is settled from its degree, square and root dots
     (``_shape_verdicts``), and a class becomes a ``DivClass`` only when it
     and H - D are both Effective.  Outside S the search fails, so the peel
-    decides by degree and root dots: below t(dots) = sum mult_j (H.R_j)
-    NotEffective, else Unknown, a root-nef residual when contracted roots
-    peel within coeff_bound.  The rest is counted per dots and side of t.
-    Each value of the dots is peeled once.
+    decides by degree and root dots (``divisors._open_verdict``): below
+    t(dots) = sum mult_j (H.R_j) NotEffective, else Unknown.  The rest is
+    counted per dots and side of t.  Each value of the dots is peeled once.
     """
     roots = roots or RootSet(pol)
     peel = cache(lambda dots: _peel(list(dots), roots, DEFAULT_COEFF_BOUND))
@@ -574,11 +568,10 @@ def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
             if second[0] is Effectivity.EFFECTIVE:
                 d1 = DivClass(v)
                 _record_pair(out, pol, d1, pol.h - d1)
-    for (status, rule), n in settled.items():
-        out.verdicts[f"{status.name.lower()}_{rule}"] += n
     for (dots, below), n in rest.items():
-        unknown = "unknown_root_nef_residual" if roots.contracted and peel(dots) else "unknown_search_exhausted"
-        out.verdicts["not_effective_peeling" if below else unknown] += n
+        settled[_open_verdict(peel(dots), below, roots.contracted)[:2]] += n
+    for (status, rule), n in settled.items():
+        out.count(status, rule, n)
     return out
 
 
@@ -598,8 +591,8 @@ def scan_decompositions(
     the classes that can be Effective and counts the rest; the window scan
     is left where X may be infinite or the search is refused.
     """
-    _check_degree_bound(pol, degree_bound)
-    searchable = not roots or roots.pol == pol and (DEFAULT_COEFF_BOUND + 1) ** len(roots) <= _MAX_SEARCH_STATES
+    _check_scan(pol, roots, degree_bound)
+    searchable = not roots or (DEFAULT_COEFF_BOUND + 1) ** len(roots) <= _MAX_SEARCH_STATES
     if pol.q_form.perp_negative_definite and searchable:
         return _certificate_scan(pol, roots, degree_bound)
     return _window_scan(pol, roots, degree_bound)
@@ -619,20 +612,18 @@ def violation_scan(
     stop at.  When H^perp is not negative definite the window scan runs up
     to its first violation.
     """
-    _check_degree_bound(pol, degree_bound)
+    _check_scan(pol, roots, degree_bound)
     if not pol.q_form.perp_negative_definite:
         out = _window_scan(pol, roots, degree_bound, first_violation=True)
     else:
         classes = x_h_classes(pol, degree_bound)
         out = DecompositionScan(candidates_scanned=len(classes), x_h=True)
-        out.verdicts["effective_riemann_roch"] = 2 * len(classes)
-        g = pol.genus
+        out.count(Effectivity.EFFECTIVE, "riemann_roch", 2 * len(classes))
         for coords in classes:
             d1 = DivClass(coords)
-            d2 = pol.h - d1
-            lb1, lb2 = h0_floor(pol, d1), h0_floor(pol, d2)
-            if lb1 * lb2 > g:
-                out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, g))
+            violation = _pair_floors(pol, d1, pol.h - d1)[2]
+            if violation:
+                out.violations.append(violation)
                 break
     out.window_classes = degree_window_size(pol.h_covector, degree_bound, pol.degree(pol.h))
     return out
@@ -738,7 +729,7 @@ def elliptic_multiple(n: int, e_dot_d: int, d_square: int) -> CertificateSketch 
     certificate is 2 * chi((n-1)E + D) > g.  None when no condition applies.
     """
     for name, v in (("n", n), ("e_dot_d", e_dot_d), ("d_square", d_square)):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if not is_int(v):
             raise InputError(f"{name} must be an integer")
     if e_dot_d < 0:
         raise PreconditionError("E . D must be nonnegative: the pencil has no fixed components")

@@ -58,7 +58,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
-from .errors import InputError, check_search_size
+from .errors import InputError, check_search_size, is_int
 
 _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
 
@@ -77,9 +77,7 @@ class FiltrationProfile:
         entries = tuple(tuple(e) for e in self.entries)
         bad = ["a filtration profile needs at least two entries"] if len(entries) < 2 else []
         for k, entry in enumerate(entries):
-            if len(entry) != 3 or any(
-                not isinstance(v, int) or isinstance(v, bool) for v in entry
-            ):
+            if len(entry) != 3 or not all(map(is_int, entry)):
                 bad.append(f"entries[{k}] must be an integer triple")
                 continue
             r, _, eps = entry
@@ -198,7 +196,7 @@ class Box:
 
     def __post_init__(self) -> None:
         vals = (self.r_max, self.s_min, self.s_max, self.eps_max, self.x_min, self.x_max)
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in vals):
+        if not all(map(is_int, vals)):
             raise InputError("box bounds must be integers")
         if any(abs(v) > _MAGNITUDE_CAP for v in vals):
             raise InputError("bound overflow: box entries must stay within 10^6")

@@ -34,7 +34,7 @@ from .bn import (
 )
 from .cases import Box, FiltrationProfile, default_box
 from .divisors import RootSet, h0_lower_bound, reduce_fixed_components
-from .errors import InconsistentGeometryError, InputError, PreconditionError
+from .errors import InconsistentGeometryError, InputError, PreconditionError, is_int
 from .lattice import (
     DivClass,
     GramLattice,
@@ -72,10 +72,6 @@ class SurfaceSpec:
         }
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
@@ -88,7 +84,7 @@ def _or_null(ok):
     return lambda v: v is None or ok(v)
 
 
-_INT_VECTOR = _list_of(_is_int)
+_INT_VECTOR = _list_of(is_int)
 _VECTOR_LIST = _list_of(_INT_VECTOR)
 
 # The JSON shape of every field of every input document, with the words an

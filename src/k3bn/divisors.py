@@ -154,23 +154,23 @@ def _residual(d: DivClass, roots: tuple[DivClass, ...], mult: tuple[int, ...]) -
 
 
 def _root_combination(
-    d: DivClass, roots: RootSet, searched: Sequence[int], start: tuple, bound: int, allow_remainder: bool
+    roots: RootSet, searched: Sequence[int], start: tuple, bound: int, is_zero: Callable | None = None
 ) -> tuple[int, ...] | None:
     """Search c_j in [0, bound] with D - sum c_j R_j zero or RR-certified effective.
 
     The sum runs over the roots ``searched`` (indices into ``roots``), from
     ``start``, the degree, square and root dots of D, which each subtracted
-    root updates (``_minus_root``).  Remainders are accepted only with
-    positive degree and square >= -2, so a hit is always a sound
-    effectivity certificate; a remainder of degree 0 is built only to test
-    it for zero.  Returns the coefficients of the searched roots, or None.
+    root updates (``_minus_root``).  A remainder of positive degree counts
+    when its square is >= -2, so a hit is always a sound effectivity
+    certificate; one of degree 0 counts when it is the zero class: square 0
+    and ``is_zero`` of the multiplicities of every root (``_verdict``).
+    Returns the coefficients of the searched roots, or None.
     """
     if (bound + 1) ** len(searched) > _MAX_SEARCH_STATES:
         raise InputError(
             "root combination search too large; lower the coefficient bound or declare fewer roots"
         )
-    pool = tuple(roots.roots[j] for j in searched)
-    coeffs = [0] * len(searched)
+    coeffs = [0] * len(start[2])
 
     def dfs(idx: int, deg: int, sq: int, dots: list[int]) -> bool:
         # every remaining summand has nonnegative degree, so a negative-degree
@@ -179,17 +179,18 @@ def _root_combination(
             return False
         if idx == len(searched):
             if deg > 0:
-                return allow_remainder and sq >= -2
-            return sq == 0 and not any(dots) and not any(_residual(d, pool, coeffs))
+                return sq >= -2
+            return sq == 0 and (is_zero is None or is_zero(tuple(coeffs)))
+        j = searched[idx]
         for c in range(bound + 1):
-            coeffs[idx] = c
+            coeffs[j] = c
             if dfs(idx + 1, deg, sq, dots):
                 return True
-            deg, sq, dots = _minus_root(roots, searched[idx], deg, sq, dots)
-        coeffs[idx] = 0
+            deg, sq, dots = _minus_root(roots, j, deg, sq, dots)
+        coeffs[j] = 0
         return False
 
-    return tuple(coeffs) if dfs(0, *start) else None
+    return tuple(coeffs[j] for j in searched) if dfs(0, *start) else None
 
 
 def _peel(dots: list[int], roots: RootSet, bound: int) -> tuple[tuple[int, ...], int, int] | None:
@@ -211,44 +212,52 @@ def _peel(dots: list[int], roots: RootSet, bound: int) -> tuple[tuple[int, ...],
         deg, sq, dots = _minus_root(roots, j, deg, sq, dots)
 
 
-def _peel_rule(
-    deg: int, sq: int, peeled, contracted: bool, is_zero: Callable | None = None
-) -> tuple[Effectivity, str] | None:
-    """The verdict Riemann-Roch or root peeling gives a class D of positive degree.
+def _open_verdict(peeled, below: bool, contracted: bool) -> tuple[Effectivity, str, tuple[int, ...] | None]:
+    """The verdict of a class of positive degree that no certificate reaches.
 
-    ``deg`` and ``sq`` are D.H and D^2, ``peeled`` is ``_peel`` of the root
-    dots of D, and ``contracted`` says that the declared roots, if any, form
-    a configuration H contracts.  Returns (status, rule):
-      * square >= -2: Effective by riemann_roch;
-      * a peeled residual of positive degree and square >= -2, or the zero
-        class: Effective by peeling;
-      * a peeled residual of positive degree and square < -2 under
-        contracted roots: Unknown, root_nef_residual;
-    and None otherwise, which leaves D to the bounded root search.
-    ``is_zero(mult)`` tells whether the residual D - sum mult_j R_j, of
-    degree 0 and square 0, is the zero class; without it that is taken to
-    hold, as it does where H^perp is negative definite.
+    ``peeled`` is ``_peel`` of its root dots, ``below`` says that the peeled
+    residual has negative degree, and ``contracted`` that the roots form a
+    configuration H contracts.  NotEffective by peeling when ``below``;
+    else Unknown: root_nef_residual when the roots are contracted and the
+    peel stays within the bound, search_exhausted otherwise.
+    """
+    if below:
+        return Effectivity.NOT_EFFECTIVE, "peeling", peeled[0]
+    if peeled is not None and contracted:
+        return Effectivity.UNKNOWN, "root_nef_residual", peeled[0]
+    return Effectivity.UNKNOWN, "search_exhausted", None
+
+
+def _verdict(
+    deg: int, sq: int, dots: Sequence[int], peeled, roots: RootSet | None, bound: int, is_zero: Callable | None = None
+) -> tuple[Effectivity, str, tuple[int, ...] | None]:
+    """The verdict of a class D of positive degree from integers alone: (status, rule, multiplicities).
+
+    ``deg``, ``sq`` and ``dots`` are D.H, D^2 and every D.R_j, and
+    ``peeled`` is ``_peel`` of the dots within ``bound``.  The order is the
+    module docstring's: Riemann-Roch, Effective by peeling, the root-nef
+    residual under contracted roots, the bounded root search, and then
+    ``_open_verdict``.  The multiplicities are the peel's or the search's,
+    or None.  ``is_zero(mult)`` tells whether a residual D - sum mult_j R_j
+    of degree 0 and square 0 is the zero class; without it that is taken to
+    hold, as it does where H^perp is negative definite.  This is the one
+    copy of the rule: ``effectivity_status`` adds witness texts to it, and
+    ``bn._certificate_scan`` applies it to the integers of classes it never
+    builds.
     """
     if sq >= -2:
-        return Effectivity.EFFECTIVE, "riemann_roch"
-    if peeled is None:
-        return None
-    mult, rdeg, rsq = peeled[0], deg + peeled[1], sq + peeled[2]
-    if (rdeg > 0 and rsq >= -2) or (rdeg == rsq == 0 and (is_zero is None or is_zero(mult))):
-        return Effectivity.EFFECTIVE, "peeling"
-    if rdeg > 0 and contracted:
-        return Effectivity.UNKNOWN, "root_nef_residual"
-    return None
-
-
-def _root_certificate(coeffs: tuple[int, ...], rem: tuple[int, ...], rule: str) -> EffectivityVerdict:
-    tail = "zero remainder" if not any(rem) else f"remainder {rem} carries its own certificate"
-    return EffectivityVerdict(
-        Effectivity.EFFECTIVE,
-        f"root multiplicities {coeffs}, {tail}",
-        combination=coeffs,
-        rule=rule,
-    )
+        return Effectivity.EFFECTIVE, "riemann_roch", None
+    below = False
+    if peeled is not None:
+        mult, rdeg, rsq = peeled[0], deg + peeled[1], sq + peeled[2]
+        if (rdeg > 0 and rsq >= -2) or (rdeg == rsq == 0 and (is_zero is None or is_zero(mult))):
+            return Effectivity.EFFECTIVE, "peeling", mult
+        below = rdeg < 0
+    verdict = _open_verdict(peeled, below, not roots or roots.contracted)
+    if verdict[1] == "root_nef_residual":
+        return verdict
+    hit = _root_combination(roots, range(len(dots)), (deg, sq, list(dots)), bound, is_zero)
+    return verdict if hit is None else (Effectivity.EFFECTIVE, "root_search", hit)
 
 
 def effectivity_status(
@@ -269,11 +278,8 @@ def effectivity_status(
         nonnegative combination of declared roots with coefficients
         <= ``coeff_bound``, possibly plus a remainder that carries its own
         Riemann-Roch certificate.
-    At positive degree the first and third are ``_peel_rule`` on D.H, D^2
-    and the peel of the root dots, the one copy of that rule, which
-    ``bn._certificate_scan`` applies to those integers without a class.
-    The search runs only where that rule leaves D open, and before the
-    peeling obstruction is claimed.
+    At positive degree the verdict is ``_verdict`` of D.H, D^2, the root
+    dots and their peel; this function adds the witness texts.
     Obstructions: the zero class, negative degree on the (nef) polarization,
     degree zero with no bounded combination of degree-zero roots, or a peeled
     residual of negative degree that the bounded search does not contradict.
@@ -296,9 +302,13 @@ def effectivity_status(
         )
     sq = _dot(covector, d.coords)
     dots = [_dot(covector, r.coords) for r in roots.roots] if roots else []
+
+    def is_zero(mult: tuple[int, ...]) -> bool:
+        return not any(_residual(d, roots.roots if roots else (), mult))
+
     if deg == 0:
         orth = [j for j in range(len(dots)) if roots.degrees[j] == 0]
-        hit = _root_combination(d, roots, orth, (deg, sq, dots), coeff_bound, allow_remainder=False)
+        hit = _root_combination(roots, orth, (deg, sq, dots), coeff_bound, is_zero)
         if hit is not None:
             return EffectivityVerdict(
                 Effectivity.EFFECTIVE,
@@ -312,32 +322,21 @@ def effectivity_status(
             rule="degree_zero_roots",
         )
     peeled = _peel(dots, roots, coeff_bound)
-    settled = _peel_rule(
-        deg, sq, peeled, not roots or roots.contracted, lambda mult: not any(_residual(d, roots.roots, mult))
-    )
-    if settled is not None:
-        status, rule = settled
-        if rule == "riemann_roch":
-            return EffectivityVerdict(status, f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0", rule=rule)
-        mult, rsq = peeled[0], sq + peeled[2]
-        if rule == "peeling":
-            return _root_certificate(mult, _residual(d, roots.roots, mult), rule)
-        witness = f"root-nef residual with square < -2 (square {rsq} after peeling multiplicities {mult})"
-        return EffectivityVerdict(status, witness, rule=rule)
-    hit = _root_combination(d, roots, range(len(dots)), (deg, sq, dots), coeff_bound, allow_remainder=True)
-    if hit is not None:
-        return _root_certificate(hit, _residual(d, roots.roots, hit), "root_search")
-    if peeled is not None and deg + peeled[1] < 0:
-        return EffectivityVerdict(
-            Effectivity.NOT_EFFECTIVE,
-            f"peeling root multiplicities {peeled[0]} leaves a residual of degree {deg + peeled[1]} < 0",
-            rule="peeling",
-        )
-    return EffectivityVerdict(
-        Effectivity.UNKNOWN,
-        f"no certificate within coefficient bound {coeff_bound}",
-        rule="search_exhausted",
-    )
+    status, rule, mult = _verdict(deg, sq, dots, peeled, roots, coeff_bound, is_zero)
+    effective = status is Effectivity.EFFECTIVE
+    if rule == "riemann_roch":
+        witness = f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0"
+    elif effective:
+        rem = _residual(d, roots.roots, mult)
+        tail = "zero remainder" if not any(rem) else f"remainder {rem} carries its own certificate"
+        witness = f"root multiplicities {mult}, {tail}"
+    elif rule == "root_nef_residual":
+        witness = f"root-nef residual with square < -2 (square {sq + peeled[2]} after peeling multiplicities {mult})"
+    elif rule == "peeling":
+        witness = f"peeling root multiplicities {mult} leaves a residual of degree {deg + peeled[1]} < 0"
+    else:
+        witness = f"no certificate within coefficient bound {coeff_bound}"
+    return EffectivityVerdict(status, witness, combination=mult if effective else None, rule=rule)
 
 
 def h0_floor(pol: QuasiPolarization, d: DivClass) -> int:

@@ -1,4 +1,9 @@
-"""Exceptions and the search-size ceiling shared across the package."""
+"""Exceptions, the search-size ceiling and the integer test shared across the package."""
+
+
+def is_int(v) -> bool:
+    """An int that is not a bool: the one integer test of input values."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 class InputError(ValueError):

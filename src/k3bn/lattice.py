@@ -15,7 +15,7 @@ from functools import reduce
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .errors import InputError
+from .errors import InputError, is_int
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class DivClass:
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
         for c in coords:
-            if not isinstance(c, int) or isinstance(c, bool):
+            if not is_int(c):
                 raise InputError(f"coordinates must be integers, got {c!r}")
         object.__setattr__(self, "coords", coords)
 
@@ -68,7 +68,7 @@ class DivClass:
         return DivClass(tuple(-a for a in self.coords))
 
     def __mul__(self, k: int) -> "DivClass":
-        if not isinstance(k, int) or isinstance(k, bool):
+        if not is_int(k):
             raise InputError("divisor classes scale by integers only")
         return DivClass(tuple(k * a for a in self.coords))
 
@@ -99,7 +99,7 @@ class GramLattice:
             f"gram[{i}][{j}]: not an integer"
             for i, row in enumerate(rows)
             for j, entry in enumerate(row)
-            if not isinstance(entry, int) or isinstance(entry, bool)
+            if not is_int(entry)
         ]
         if not bad:
             for i in range(n):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, is_int
 from .lattice import DivClass, GramLattice
 
 
@@ -23,7 +23,7 @@ class MukaiVector:
     def __post_init__(self) -> None:
         for name in ("r", "s"):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not is_int(v):
                 raise InputError(f"{name} component must be an integer, got {v!r}")
         if not isinstance(self.c1, DivClass):
             raise InputError("c1 component must be a DivClass")

@@ -391,6 +391,28 @@ def test_find_violation_takes_the_x_h_path():
     assert scan.violations[0].d1 == DivClass((0, 1, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "blocks, h, other_h, scan, negative_definite",
+    [
+        ([((-2,),)], (1, 3, 0), (1, 2, 0), violation_scan, True),
+        ([((-2,),)], (1, 3, 0), (1, 2, 0), scan_decompositions, True),
+        ([((0, 1), (1, 0)), ((-2,),)], (1, 3, 0, 0, 0), (1, 2, 0, 0, 0), scan_decompositions, False),
+    ],
+    ids=["x_h", "certificate_shaped", "window"],
+)
+def test_scans_refuse_roots_declared_for_another_polarization(blocks, h, other_h, scan, negative_definite):
+    # U + A1 (the X_H path of bn-check, the certificate-shaped decompose) and
+    # U + U + A1 (H^perp indefinite: the window scan), with the root r declared
+    # for H' != H: every scan refuses it before any work
+    lat = GramLattice(tuple(map(tuple, _block_sum([((0, 1), (1, 0)), *blocks]))))
+    pol, other = QuasiPolarization(lat, DivClass(h)), QuasiPolarization(lat, DivClass(other_h))
+    assert pol.q_form.perp_negative_definite is negative_definite
+    r = DivClass(tuple(int(i == len(h) - 1) for i in range(len(h))))
+    assert scan(pol, RootSet(pol, (r,)), 2).candidates_scanned > 0
+    with pytest.raises(PreconditionError, match="declared for a different polarization"):
+        scan(pol, RootSet(other, (r,)), 2)
+
+
 def test_violation_certificate_invariant(U, ef):
     e, f = ef
     with pytest.raises(InputError):

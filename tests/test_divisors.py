@@ -17,6 +17,7 @@ from k3bn import (
     RootSet,
     SameEllipticPencil,
     SumSquareAtLeastFour,
+    check_pair,
     effectivity_status,
     h0_lower_bound,
     reduce_fixed_components,
@@ -55,6 +56,21 @@ def test_effectivity_via_root_combination():
     # degree 0 and not a root combination
     v3 = effectivity_status(pol, e - f, roots)
     assert v3.status is Effectivity.NOT_EFFECTIVE
+
+
+def test_degree_zero_without_roots_is_not_effective(U, ef, u_pol):
+    e, f = ef
+    v = effectivity_status(u_pol, e - f)
+    assert (v.status, v.rule) == (Effectivity.NOT_EFFECTIVE, "degree_zero_roots")
+    with pytest.raises(PreconditionError):
+        h0_lower_bound(u_pol, e - f)
+    with pytest.raises(PreconditionError):
+        check_pair(u_pol, e - f, 2 * f)
+    # U + U with H = e1 + f1: e2 has degree 0 and square 0 but is not zero
+    lat = GramLattice(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))
+    pol = QuasiPolarization(lat, lat.basis(0) + lat.basis(1))
+    v = effectivity_status(pol, lat.basis(2))
+    assert (v.status, v.rule) == (Effectivity.NOT_EFFECTIVE, "degree_zero_roots")
 
 
 def test_effectivity_antisymmetry(U, u_pol):
