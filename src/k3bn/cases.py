@@ -26,9 +26,13 @@ cheapest first:
     (g / a_i - 1, g / a_i], so c g - E - 2 - 2n < f(g) <= c g - E - 2 - n.
     -  n >= 4: every a_i >= 2 gives c <= 2 - n / 2 <= 0, so f(g) < 0 and the
        test closes every class; the driver counts them without an eps loop.
-    -  n = 3: c <= 0 (sum 1/a_i <= 1) closes the class; otherwise every g
-       from the root of c g = E + 8 up survives and only the band above the
-       root of c g = E + 5 is tested genus by genus.
+    -  n = 3: c <= 0 (sum 1/a_i <= 1) closes the class.  With legs
+       l_i = eps_i + 1 = a_i - 1, clearing denominators turns c > 0 into
+       l1 l2 l3 - l1 - l2 - l3 - 2 < 0, so the survivors are the classes
+       whose legs permute an exceptional (ADE) triple; the driver visits
+       only those and counts every other class without a loop.  In a
+       survivor every g from the root of c g = E + 8 up survives and only
+       the band above the root of c g = E + 5 is tested genus by genus.
     -  n = 2: c > 0 always and f is nondecreasing, so the survivors form an
        interval; the same band, under 2 min(a_i) genera wide, finds its
        start.
@@ -54,9 +58,9 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, check_search_size, is_int
 
@@ -420,6 +424,24 @@ def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list
     return band + list(range(band_hi, hi + 1))
 
 
+def _row_sum_open_classes(n: int, box: Box) -> Iterable[tuple[int, ...]]:
+    """The eps-classes with c > 0, the only ones the row-sum test can leave open.
+
+    In product order: at n = 2 every class, at n = 3 the classes whose legs
+    eps_i + 1 permute an exceptional triple, from n = 4 on none (module
+    docstring).
+    """
+    if n == 2:
+        return itertools.product(range(box.eps_max + 1), repeat=2)
+    if n > 3:
+        return ()
+    return sorted({
+        eps
+        for triple in enumerate_exceptional_triples(box.eps_max + 1)
+        for eps in itertools.permutations(tuple(leg - 1 for leg in triple))
+    })
+
+
 def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple[int, ...]]:
     """Tuples in [lo, hi]^length with the given coordinate sum."""
     cur = [0] * length
@@ -558,18 +580,18 @@ def exhaustive_case_check(
     stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
     counterexamples: list[BoxCounterexample] = []
     enumerated = 0
-    if n == 4:  # the row-sum test closes every class (module docstring)
-        stats["closed_row_sum"] = eps_classes
-    else:
-        for eps in itertools.product(range(box.eps_max + 1), repeat=n):
-            layer, count, cexs = _check_eps_class(
-                n, box, eps, max_counterexamples - len(counterexamples)
-            )
-            stats[layer] += 1
-            enumerated += count
-            counterexamples.extend(cexs)
-            if len(counterexamples) >= max_counterexamples:
-                break
+    reached = eps_classes  # classes up to the one the cap stopped at
+    for eps in _row_sum_open_classes(n, box):
+        layer, count, cexs = _check_eps_class(
+            n, box, eps, max_counterexamples - len(counterexamples)
+        )
+        stats[layer] += 1
+        enumerated += count
+        counterexamples.extend(cexs)
+        if len(counterexamples) >= max_counterexamples:
+            reached = reduce(lambda rank, e: rank * (box.eps_max + 1) + e, eps, 0) + 1
+            break
+    stats["closed_row_sum"] += reached - sum(stats.values())  # the classes not visited
 
     cross_checks: list[str] = []
     if n == 2:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -546,6 +547,61 @@ def test_four_part_box_never_reaches_the_later_layers(monkeypatch):
     report = exhaustive_case_check(4)
     assert report.eps_classes == 9**4
     assert report.eps_classes_closed_form == 9**4
+
+
+def test_three_part_open_classes_are_the_row_sum_survivors():
+    # c > 0 exactly when the legs eps_i + 1 permute an exceptional triple
+    survivors = [
+        eps for eps in itertools.product(range(41), repeat=3)
+        if sum(Fraction(1, e + 2) for e in eps) > 1
+    ]
+    for eps_max in range(41):
+        box = Box(r_max=8, s_min=-8, s_max=8, eps_max=eps_max, x_min=-8, x_max=24)
+        expected = [eps for eps in survivors if max(eps) <= eps_max]
+        assert list(cases._row_sum_open_classes(3, box)) == expected, f"eps_max = {eps_max}"
+
+
+def test_three_part_box_visits_only_the_open_classes(monkeypatch):
+    check = cases._check_eps_class
+    visited = []
+
+    def open_classes_only(n, box, eps, max_cex):
+        assert sum(Fraction(1, e + 2) for e in eps) > 1, f"{eps} closes by row sum"
+        visited.append(eps)
+        return check(n, box, eps, max_cex)
+
+    monkeypatch.setattr(cases, "_check_eps_class", open_classes_only)
+    report = exhaustive_case_check(3)
+    assert len(visited) == 40
+    assert report.stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
+
+
+@pytest.mark.parametrize("max_cex", (1, 2, 3, 6))
+@pytest.mark.parametrize("box", [Box(2, -2, 2, 3, -2, 6), Box(3, -3, 3, 4, -3, 6)], ids=str)
+def test_capped_three_part_report_matches_the_loop_driver(box, max_cex):
+    # the cap stops the run inside the box: closed_row_sum then counts only
+    # the classes before the last visited one in product order
+    for forced in range(41):
+        with pytest.MonkeyPatch.context() as mp:
+            _forcing_patches(mp, forced)
+            report = exhaustive_case_check(3, box, max_counterexamples=max_cex).to_dict()
+            expected = _loop_exhaustive_case_check(3, box, max_cex)
+        del report["elapsed_ms"]
+        assert report == expected, f"forced = {forced}"
+
+
+@pytest.mark.parametrize("box", BENCHMARK_BOXES, ids=str)
+def test_benchmark_box_report_matches_the_loop_driver(box):
+    report = exhaustive_case_check(3, box).to_dict()
+    del report["elapsed_ms"]
+    assert report == _loop_exhaustive_case_check(3, box, 50)
+
+
+def test_three_part_box_at_eps_max_60():
+    box = Box(r_max=8, s_min=-8, s_max=8, eps_max=60, x_min=-8, x_max=24)
+    report = exhaustive_case_check(3, box)
+    assert report.stats == {"closed_row_sum": 226_962, "closed_product_max": 19, "swept": 0}
+    assert report.counterexamples == []
 
 
 def test_stats_split_the_eps_classes_by_deciding_layer():
