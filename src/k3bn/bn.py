@@ -391,10 +391,8 @@ def _short_classes(pol: QuasiPolarization, box: Sequence[range], limit: int, sla
                 found.append((*x[:k], x[top], *x[k:top]))
             return
         piv, prev = a[p][p], a[p - 1][p - 1] if p else 1
-        r = prev * (piv * limit - q)
-        if r < 0:
-            return
-        s = isqrt(r)
+        # never negative: q = 0 at the top, and the caller's |t| <= s leaves q <= piv * limit
+        s = isqrt(prev * (piv * limit - q))
         lin = sum(map(operator.mul, a[p][p + 1 :], x[p + 1 :]))
         us = range(max(ranges[p].start, -((s + lin) // piv)), min(ranges[p].stop, (s - lin) // piv + 1))
         if p == 0:
@@ -668,24 +666,22 @@ def chi_product_identity_gap(
     return direct - expanded
 
 
-def _pair_sketch(
-    profile: DecompositionProfile, pair: tuple[int, int], single: int, detail: str
+def _split_label(left: Sequence[int], right: Sequence[int]) -> str:
+    """The split as the paper writes it, parts counted from 1: "{1,2} | {3}"."""
+    return " | ".join("{%s}" % ",".join(str(i + 1) for i in side) for side in (left, right))
+
+
+def _split_sketch(
+    profile: DecompositionProfile, left: tuple[int, ...], right: tuple[int, ...], floor, detail: str
 ) -> CertificateSketch | None:
-    lb1 = profile.group_chi(pair)
-    lb2 = profile.group_chi((single,))
-    g = profile.genus
-    if lb1 * lb2 > g:
-        split = "{%s} | {%d}" % (",".join(str(i + 1) for i in pair), single + 1)
-        return CertificateSketch(
-            lb1=lb1,
-            lb2=lb2,
-            genus=g,
-            split=split,
-            group=tuple(pair),
-            complement=(single,),
-            detail=detail,
-        )
-    return None
+    """The sketch of H = (sum of ``left``) + (sum of ``right``) if floor(left) * floor(right) > genus.
+
+    ``floor`` maps a group of parts to an h^0 lower bound; every group split is built here.
+    """
+    lb1, lb2, genus = floor(left), floor(right), profile.genus
+    if lb1 * lb2 <= genus:
+        return None
+    return CertificateSketch(lb1, lb2, genus, _split_label(left, right), left, right, detail)
 
 
 def no_negative_intersections(profile: DecompositionProfile) -> CertificateSketch | None:
@@ -706,16 +702,15 @@ def no_negative_intersections(profile: DecompositionProfile) -> CertificateSketc
     eps = [s // 2 for s in profile.sq]
     total_eps = sum(eps)
     if x[0][1] * (eps[2] + 1) >= x[0][2] + x[1][2]:
-        sketch = _pair_sketch(profile, (0, 1), 2, "condition (1)")
+        sketch = _split_sketch(profile, (0, 1), (2,), profile.group_chi, "condition (1)")
         if sketch is not None:
             return sketch
     if x[1][2] <= 2 + total_eps:
         partners = (1, 2) if x[0][1] >= x[0][2] else (2, 1)
         for p in partners:
             t = 3 - p
-            sketch = _pair_sketch(
-                profile, (0, p), t, f"condition (2), parts 2 and 3 ordered as ({p + 1},{t + 1})"
-            )
+            detail = f"condition (2), parts 2 and 3 ordered as ({p + 1},{t + 1})"
+            sketch = _split_sketch(profile, (0, p), (t,), profile.group_chi, detail)
             if sketch is not None:
                 return sketch
     return None
@@ -803,21 +798,12 @@ def n4_low_intersections(profile: DecompositionProfile) -> CertificateSketch | N
     if sketch is None:
         return None
     mapping = ((0, p4), (p2,), (p3,))
-    group = tuple(sorted(i for k in sketch.group or () for i in mapping[k]))
-    complement = tuple(sorted(i for k in sketch.complement or () for i in mapping[k]))
-    split = "{%s} | {%s}" % (
-        ",".join(str(i + 1) for i in group),
-        ",".join(str(i + 1) for i in complement),
+    group, complement = (
+        tuple(sorted(i for k in side for i in mapping[k])) for side in (sketch.group, sketch.complement)
     )
-    return CertificateSketch(
-        lb1=sketch.lb1,
-        lb2=sketch.lb2,
-        genus=sketch.genus,
-        split=split,
-        group=group,
-        complement=complement,
-        detail=f"last three parts reordered as ({p2 + 1},{p3 + 1},{p4 + 1}); {sketch.detail}",
-    )
+    detail = f"last three parts reordered as ({p2 + 1},{p3 + 1},{p4 + 1}); {sketch.detail}"
+    # each derived part sums original parts, so both floors and the genus carry over
+    return _split_sketch(profile, group, complement, profile.group_chi, detail)
 
 
 @dataclass(frozen=True)
@@ -842,25 +828,11 @@ LABEL_N4_ISOTROPIC = "n=4 all isotropic"
 
 
 def _first_partition_certificate(profile: DecompositionProfile) -> CertificateSketch | None:
-    g = profile.genus
-    for left, right in profile.splits():
-        lb1 = profile.group_h0_floor(left)
-        lb2 = profile.group_h0_floor(right)
-        if lb1 * lb2 > g:
-            split = "{%s} | {%s}" % (
-                ",".join(str(i + 1) for i in left),
-                ",".join(str(i + 1) for i in right),
-            )
-            return CertificateSketch(
-                lb1=lb1,
-                lb2=lb2,
-                genus=g,
-                split=split,
-                group=left,
-                complement=right,
-                detail="partial-sum h0 floors",
-            )
-    return None
+    sketches = (
+        _split_sketch(profile, left, right, profile.group_h0_floor, "partial-sum h0 floors")
+        for left, right in profile.splits()
+    )
+    return next(filter(None, sketches), None)
 
 
 def classify_multi_decomposition(

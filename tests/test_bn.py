@@ -73,6 +73,51 @@ def test_profile_rejects_non_integer_products():
     assert err.value.violations == ["x[0][1] is not an integer", "x[1][0] is not an integer"]
 
 
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: DecompositionProfile((2, 2.0, 0), _connected_x(3)), InputError, "sq[1] is not an integer"),
+        (lambda: DecompositionProfile.from_upper((0, 0, 0), (1, 1)), InputError, "expected 3 upper-triangle entries, got 2"),
+        (lambda: CertificateSketch(2, 2, 4, "{1} | {2}"), InputError, "not a certificate: 2 * 2 <= genus 4"),
+        (
+            lambda: n4_low_intersections(DecompositionProfile((0, 0, 0), _connected_x(3))),
+            InputError,
+            "this criterion applies to four-part profiles",
+        ),
+        (
+            lambda: n4_low_intersections(DecompositionProfile((-2, 0, 0, 0), _connected_x(4))),
+            PreconditionError,
+            "squares must be nonnegative",
+        ),
+        (
+            lambda: classify_multi_decomposition(DecompositionProfile((4, -2, 0), _connected_x(3)), [True] * 3),
+            PreconditionError,
+            "squares must be nonnegative for n = 3 and n = 4 cases",
+        ),
+        (
+            lambda: classify_multi_decomposition(DecompositionProfile((0, 0, 0, -2), _connected_x(4)), [True] * 4),
+            PreconditionError,
+            "squares must be nonnegative for n = 3 and n = 4 cases",
+        ),
+        (lambda: elliptic_multiple(2, 1.0, 0), InputError, "e_dot_d must be an integer"),
+    ],
+    ids=[
+        "non-integer square",
+        "short upper triangle",
+        "sketch not beating the genus",
+        "four-part criterion on three parts",
+        "four-part criterion on a negative square",
+        "classify n=3 with a negative square",
+        "classify n=4 with a negative square",
+        "elliptic multiple with a non-integer",
+    ],
+)
+def test_profile_layer_input_errors(call, kind, message):
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind and str(err.value) == message
+
+
 def test_profile_derived_quantities():
     p = DecompositionProfile.from_upper((0, 0, 0), (2, 1, 1))
     assert p.h_square == 8
@@ -552,6 +597,85 @@ def test_four_part_asymmetric_trio_ordering():
     sk = n4_low_intersections(p)
     assert sk is not None
     assert p.group_chi(sk.group) * p.group_chi(sk.complement) > p.genus
+
+
+def _reference_group_sketch(sq, x, group, complement, detail):
+    """The sketch for ``group | complement`` from the raw squares and products, or None."""
+
+    def chi(members):
+        square = sum(sq[i] for i in members) + 2 * sum(x[a][b] for a, b in itertools.combinations(members, 2))
+        return square // 2 + 2
+
+    genus = chi(range(len(sq))) - 1
+    lb1, lb2 = chi(group), chi(complement)
+    if lb1 * lb2 <= genus:
+        return None
+    split = "{%s} | {%s}" % tuple(",".join(str(i + 1) for i in side) for side in (group, complement))
+    return CertificateSketch(lb1, lb2, genus, split, tuple(group), tuple(complement), detail)
+
+
+def _reference_three_part(sq, x):
+    """``no_negative_intersections`` read from its docstring: condition (1) on
+    {1,2} | {3}, then condition (2) with the partner of higher product first."""
+    if x[0][1] * (sq[2] // 2 + 1) >= x[0][2] + x[1][2]:
+        sketch = _reference_group_sketch(sq, x, (0, 1), (2,), "condition (1)")
+        if sketch is not None:
+            return sketch
+    if x[1][2] <= 2 + sum(sq) // 2:
+        for p, t in ((1, 2), (2, 1)) if x[0][1] >= x[0][2] else ((2, 1), (1, 2)):
+            detail = f"condition (2), parts 2 and 3 ordered as ({p + 1},{t + 1})"
+            sketch = _reference_group_sketch(sq, x, (0, p), (t,), detail)
+            if sketch is not None:
+                return sketch
+    return None
+
+
+def _reference_four_part(sq, x):
+    """``n4_low_intersections`` read from its docstring: the last three parts
+    by descending excluded product, part 1 absorbs the last, then three parts."""
+
+    def excluded(t):
+        a, b = (u for u in (1, 2, 3) if u != t)
+        return x[a][b]
+
+    p2, p3, p4 = sorted((1, 2, 3), key=lambda t: (-excluded(t), t))
+    parts = ((0, p4), (p2,), (p3,))
+    sq3 = [sum(sq[i] for i in part) + 2 * sum(x[a][b] for a, b in itertools.combinations(part, 2)) for part in parts]
+    x3 = [[sum(x[a][b] for a in parts[i] for b in parts[j]) if i != j else 0 for j in range(3)] for i in range(3)]
+    sketch = _reference_three_part(sq3, x3)
+    if sketch is None:
+        return None
+    group, complement = (tuple(sorted(i for k in side for i in parts[k])) for side in (sketch.group, sketch.complement))
+    detail = f"last three parts reordered as ({p2 + 1},{p3 + 1},{p4 + 1}); {sketch.detail}"
+    return _reference_group_sketch(sq, x, group, complement, detail)
+
+
+@st.composite
+def _three_and_four_part_profiles(draw):
+    """Nonnegative squares; at four parts, 2-connected with trio products at most 1."""
+    n = draw(st.sampled_from((3, 4)))
+    sq = tuple(2 * draw(st.integers(0, 6)) for _ in range(n))
+    if n == 3:
+        upper = draw(st.lists(st.integers(-6, 20), min_size=3, max_size=3))
+    else:
+        upper = draw(st.lists(st.integers(-1, 8), min_size=3, max_size=3))
+        upper += draw(st.lists(st.integers(-2, 1), min_size=3, max_size=3))
+    profile = DecompositionProfile.from_upper(sq, upper)
+    assume(n == 3 or profile.two_connected())
+    return profile
+
+
+@settings(max_examples=400, deadline=None)
+@given(_three_and_four_part_profiles())
+@example(DecompositionProfile.from_upper((0, 0, 0), (2, 1, 1)))
+@example(DecompositionProfile.from_upper((2, 2, 2), (1, 5, 5)))
+@example(DecompositionProfile.from_upper((0, 0, 0, 0), (2, 2, 2, 1, 0, 1)))
+def test_profile_sketches_match_the_docstring_references(profile):
+    # every field: lb1 and lb2 in group order, the split label, both groups and the detail
+    if profile.n == 3:
+        assert no_negative_intersections(profile) == _reference_three_part(profile.sq, profile.x)
+    else:
+        assert n4_low_intersections(profile) == _reference_four_part(profile.sq, profile.x)
 
 
 # ---------------------------------------------------------------------------
