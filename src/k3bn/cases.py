@@ -42,8 +42,9 @@ cheapest first:
     class.
 3.  Genera that survive both get an exhaustive slice enumeration (all
     x-matrices with the matching coordinate sum), each profile checked
-    against every split; any failing profile is paired with an explicit
-    violating filtration and recorded as a counterexample.
+    against every split; any failing profile is paired with the (r, s)
+    that attains the layer-2 maximum, which beats every genus left, and
+    recorded as a counterexample.
 
 Layer 1 keeps a superset of the genera the exact maximum would keep, so the
 order changes no count and no counterexample.  ``BoxReport.stats`` counts
@@ -241,23 +242,22 @@ def default_box(n: int) -> Box:
 
 @dataclass(frozen=True)
 class BoxCounterexample:
-    """A re-verifiable instance on which a checked statement failed."""
+    """A failing profile with violating filtration data, re-verifiable from scratch."""
 
-    kind: str  # "partition", the only kind verify_counterexample accepts
-    eps: tuple[int, ...] | None = None
-    upper_x: tuple[int, ...] | None = None
-    r: tuple[int, ...] | None = None
-    s: tuple[int, ...] | None = None
-    genus: int | None = None
+    eps: tuple[int, ...]
+    upper_x: tuple[int, ...]
+    r: tuple[int, ...]
+    s: tuple[int, ...]
+    genus: int
     note: str = ""
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "eps": list(self.eps) if self.eps is not None else None,
-            "upper_x": list(self.upper_x) if self.upper_x is not None else None,
-            "r": list(self.r) if self.r is not None else None,
-            "s": list(self.s) if self.s is not None else None,
+            "kind": "partition",
+            "eps": list(self.eps),
+            "upper_x": list(self.upper_x),
+            "r": list(self.r),
+            "s": list(self.s),
             "genus": self.genus,
             "note": self.note,
         }
@@ -366,11 +366,15 @@ def _caps(eps: Sequence[int], r: Sequence[int], box: Box) -> tuple[int, ...] | N
     return tuple(caps)
 
 
-def _max_fp_product(n: int, eps: tuple[int, ...], box: Box) -> int | None:
-    """Exact max of (sum r)(sum s) over feasible filtration data, None if empty.
+def _max_fp_product(
+    n: int, eps: tuple[int, ...], box: Box
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """Exact max of (sum r)(sum s) over feasible filtration data, with a witness.
 
-    For fixed ranks the product is maximized by pushing every s to its cap,
-    so only rank vectors are enumerated.
+    Returns (max, r, s) for the first feasible (r, s) in scan order that
+    attains the maximum, or None when the feasible set is empty.  For fixed
+    ranks the product is maximized by pushing every s to its cap, so only
+    rank vectors are enumerated.
     """
     best: int | None = None
     s_room = n * box.s_max
@@ -383,22 +387,8 @@ def _max_fp_product(n: int, eps: tuple[int, ...], box: Box) -> int | None:
                 continue
             p = rsum * sum(caps)
             if best is None or p > best:
-                best = p
-    return best
-
-
-def _violating_fp(
-    n: int, eps: tuple[int, ...], box: Box, genus: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Some feasible (r, s) in the box with (sum r)(sum s) > genus."""
-    for last in range(1, min(box.r_max, eps[-1] + 1) + 1):
-        for rsum, vec in _chain_r_vectors(n, box.r_max, last):
-            caps = _caps(eps, vec, box)
-            if caps is None:
-                continue
-            if rsum * sum(caps) > genus:
-                return vec, caps
-    return None
+                best, r, s = p, vec, caps
+    return None if best is None else (best, r, s)
 
 
 def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list[int]:
@@ -481,8 +471,9 @@ def _check_eps_class(
     genera = _surviving_genera(n, eps, box, n * box.r_max * n * box.s_max)
     if not genera:
         return "closed_row_sum", 0, []
-    pmax = _max_fp_product(n, eps, box)
-    genera = [g for g in genera if pmax is not None and g < pmax]
+    # no feasible data: no product beats a genus, every genus being >= 1
+    pmax, r, s = _max_fp_product(n, eps, box) or (0, (), ())
+    genera = [g for g in genera if g < pmax]
     if not genera:
         return "closed_product_max", 0, []
     total_eps = sum(eps)
@@ -495,13 +486,8 @@ def _check_eps_class(
             enumerated += 1
             if not _is_failing(n, eps, upper_x, g):
                 continue
-            fp = _violating_fp(n, eps, box, g)
-            if fp is None:
-                continue
-            r, s = fp
             cexs.append(
                 BoxCounterexample(
-                    kind="partition",
                     eps=eps,
                     upper_x=upper_x,
                     r=r,
@@ -561,16 +547,19 @@ def exhaustive_case_check(
     """Run the box verification for n in {2, 3, 4}.
 
     Longer decompositions reduce to these lengths through the case analysis
-    in :mod:`k3bn.bn` and are deliberately not enumerated here.  A box with
-    more eps-classes, rank vectors or (at n = 2) cross-check tuples than the
-    search ceiling is refused as bound overflow before any work starts.
+    in :mod:`k3bn.bn` and are deliberately not enumerated here.  A two- or
+    three-part box with more eps-classes, rank vectors or (at n = 2)
+    cross-check tuples than the search ceiling is refused as bound overflow
+    before any work starts; a four-part box never is, since the row-sum test
+    closes its classes without visiting any.
     """
     if n not in (2, 3, 4):
         raise InputError("exhaustive checks cover n = 2, 3, 4")
     box = box or default_box(n)
     eps_classes = (box.eps_max + 1) ** n
-    check_search_size(eps_classes, "eps-classes", "lower eps_max")
-    check_search_size(box.r_max**n, "rank vectors", "lower r_max")
+    if n < 4:
+        check_search_size(eps_classes, "eps-classes", "lower eps_max")
+        check_search_size(box.r_max**n, "rank vectors", "lower r_max")
     if n == 2:
         check_search_size(
             box.r_max**2 * box.s_max**2, "cross-check (r, s) tuples", "lower r_max or s_max"
@@ -621,20 +610,17 @@ def exhaustive_case_check(
 def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:
     """Recompute a reported counterexample from scratch.
 
-    Reports that fail this re-verification are false alarms and must be
-    rejected by callers; a kind other than "partition" always fails.
+    Reports that fail this re-verification, malformed ones included, are
+    false alarms and must be rejected by callers.
     """
-    if cex.kind == "partition":
-        if cex.eps is None or cex.upper_x is None or cex.r is None or cex.s is None:
-            return False
+    shaped = len(cex.eps) == len(cex.r) == len(cex.s) == n and len(cex.upper_x) == n * (n - 1) // 2
+    if not shaped or not all(map(is_int, (*cex.upper_x, cex.genus))):
+        return False
+    try:  # ranks below 1, negative eps, non-integer entries, fewer than two parts
         fp = FiltrationProfile(tuple(zip(cex.r, cex.s, cex.eps)))
-        if not profile_feasible(fp):
-            return False
-        total_eps = sum(cex.eps)
-        genus = total_eps + sum(cex.upper_x) + 1
-        if cex.genus is not None and genus != cex.genus:
-            return False
-        if fp.sum_r * fp.sum_s <= genus:
-            return False
-        return _is_failing(n, cex.eps, cex.upper_x, genus)
-    return False
+    except InputError:
+        return False
+    genus = sum(cex.eps) + sum(cex.upper_x) + 1
+    if genus != cex.genus or not profile_feasible(fp) or fp.sum_r * fp.sum_s <= genus:
+        return False
+    return _is_failing(n, cex.eps, cex.upper_x, genus)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -169,18 +170,31 @@ def test_default_boxes():
 
 
 def test_max_fp_product_matches_brute_force():
-    box = Box(r_max=3, s_min=-3, s_max=3, eps_max=3, x_min=-2, x_max=4)
-    for eps in itertools.product(range(box.eps_max + 1), repeat=2):
-        best = None
-        for r in itertools.product(range(1, box.r_max + 1), repeat=2):
-            for s in itertools.product(range(box.s_min, box.s_max + 1), repeat=2):
-                fp = FiltrationProfile(tuple(zip(r, s, eps)))
-                if not profile_feasible(fp):
-                    continue
-                p = fp.sum_r * fp.sum_s
-                if best is None or p > best:
-                    best = p
-        assert cases._max_fp_product(2, eps, box) == best, eps
+    # the returned (r, s) is feasible and attains the brute-force maximum
+    for n, box in [
+        (2, Box(r_max=3, s_min=-3, s_max=3, eps_max=3, x_min=-2, x_max=4)),
+        (3, Box(r_max=2, s_min=-2, s_max=2, eps_max=2, x_min=-2, x_max=4)),
+        (3, Box(r_max=3, s_min=2, s_max=3, eps_max=3, x_min=-2, x_max=4)),  # some classes empty
+    ]:
+        for eps in itertools.product(range(box.eps_max + 1), repeat=n):
+            best = None
+            for r in itertools.product(range(1, box.r_max + 1), repeat=n):
+                for s in itertools.product(range(box.s_min, box.s_max + 1), repeat=n):
+                    fp = FiltrationProfile(tuple(zip(r, s, eps)))
+                    if not profile_feasible(fp):
+                        continue
+                    p = fp.sum_r * fp.sum_s
+                    if best is None or p > best:
+                        best = p
+            got = cases._max_fp_product(n, eps, box)
+            if best is None:
+                assert got is None, eps
+                continue
+            pmax, r, s = got
+            fp = FiltrationProfile(tuple(zip(r, s, eps)))
+            assert profile_feasible(fp), eps
+            assert all(box.s_min <= v <= box.s_max for v in s) and max(r) <= box.r_max, eps
+            assert fp.sum_r * fp.sum_s == pmax == best, eps
 
 
 def test_chain_r_vector_buckets_match_brute_force():
@@ -250,27 +264,18 @@ def test_surviving_genera_tight_for_all_isotropic():
     # the necessary row-sum condition first admits genus 10 when eps = 0 ...
     assert cases._surviving_genera(3, (0, 0, 0), box, pmax=12) == [10]
     # ... which the exact product maximum 9 rules out
-    assert cases._max_fp_product(3, (0, 0, 0), box) == 9
+    assert cases._max_fp_product(3, (0, 0, 0), box)[0] == 9
     assert cases._surviving_genera(3, (0, 0, 0), box, pmax=9) == []
 
 
-def test_slice_path_exercised_when_forced(monkeypatch):
-    # force the slice sweep by pretending richer filtration data exists
-    monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box: 12)
+def test_forced_false_alarm_is_detectable(monkeypatch):
+    # force the slice sweep by pretending richer filtration data exists: the
+    # failing profiles are real, but the fake witness's product 9 does not
+    # beat their genus 10, so re-verification rejects every report
+    monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box: (12, (1, 1, 1), (1, 1, 1)))
     layer, enumerated, cexs = cases._check_eps_class(3, default_box(3), (0, 0, 0), 50)
     assert layer == "swept"
     assert enumerated > 0
-    # the failing profiles are real, but no genuine violating filtration
-    # exists, so nothing may be reported
-    assert cexs == []
-
-
-def test_forced_false_alarm_is_detectable(monkeypatch):
-    monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box: 12)
-    monkeypatch.setattr(
-        cases, "_violating_fp", lambda n, eps, box, g: ((1, 1, 1), (1, 1, 1))
-    )
-    _, _, cexs = cases._check_eps_class(3, default_box(3), (0, 0, 0), 50)
     assert cexs
     assert all(not verify_counterexample(3, c) for c in cexs)
 
@@ -304,36 +309,45 @@ def test_spec_instance_is_not_a_counterexample():
     assert not cases._is_failing(2, (0, 0), (2,), genus)
 
 
-def test_verify_counterexample_rejects_bogus_reports():
-    bogus = BoxCounterexample(
-        kind="partition",
-        eps=(0, 0),
-        upper_x=(2,),
-        r=(1, 1),
-        s=(1, 1),
-        genus=3,
-        note="",
-    )
+def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
+    bogus = BoxCounterexample(eps=(0, 0), upper_x=(2,), r=(1, 1), s=(1, 1), genus=3)
     # hypothesis holds but the split {1} | {2} certifies: not a counterexample
     assert not verify_counterexample(2, bogus)
-    infeasible = BoxCounterexample(
-        kind="partition",
-        eps=(0, 0),
-        upper_x=(2,),
-        r=(2, 1),
-        s=(1, 1),
-        genus=3,
-        note="",
-    )
-    assert not verify_counterexample(2, infeasible)
-    assert not verify_counterexample(2, BoxCounterexample(kind="unknown"))
+    # one fault each: infeasible ranks, then malformed reports
+    faults = [
+        {"r": (2, 1)},
+        {"eps": (0,)},
+        {"eps": (0, 0, 0)},
+        {"r": (1,)},
+        {"r": (1, 1, 1)},
+        {"s": (1,)},
+        {"s": (1, 1, 1)},
+        {"upper_x": ()},
+        {"upper_x": (2, 0)},
+        {"upper_x": (2.0,)},
+        {"r": (0, 1)},
+        {"eps": (-1, 0)},
+        {"s": (1.0, 1)},
+        {"genus": 4},
+        {"genus": 3.0},
+    ]
+    wrong_n = [(3, bogus), (1, replace(bogus, eps=(0,), r=(1,), s=(1,), upper_x=()))]
+    # none may raise, and once the split test is forced to accept bogus,
+    # each fault alone must still reject it
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(cases, "_is_failing", lambda n, eps, upper_x, genus: True)
+            assert verify_counterexample(2, bogus)
+        for n, cex in [(2, replace(bogus, **fault)) for fault in faults] + wrong_n:
+            assert not verify_counterexample(n, cex), (forced, n, cex)
 
 
 def _seed_check_eps_class(n, box, eps, max_cex):
     """The procedure before the reorder: exact product maximum first, then rows."""
-    pmax = cases._max_fp_product(n, eps, box)
-    if pmax is None:
+    best = cases._max_fp_product(n, eps, box)
+    if best is None:
         return True, 0, []
+    pmax, r, s = best
     genera = _loop_surviving_genera(n, eps, box, pmax)
     if not genera:
         return True, 0, []
@@ -346,13 +360,9 @@ def _seed_check_eps_class(n, box, eps, max_cex):
             enumerated += 1
             if not cases._is_failing(n, eps, upper_x, g):
                 continue
-            fp = cases._violating_fp(n, eps, box, g)
-            if fp is None:
-                continue
-            r, s = fp
             cexs.append(
                 BoxCounterexample(
-                    kind="partition", eps=eps, upper_x=upper_x, r=r, s=s, genus=g,
+                    eps=eps, upper_x=upper_x, r=r, s=s, genus=g,
                     note=f"(sum r)(sum s) = {sum(r) * sum(s)} > genus with no certifying split",
                 )
             )
@@ -377,15 +387,16 @@ def small_boxes(draw):
 
 def _forcing_patches(mp, forced):
     # replace the exact maximum by another upper bound that depends on eps,
-    # and give every failing profile violating data, so genera reach the
-    # slice sweep and the counterexample cap; real small boxes close before
-    # the sweep
+    # with the all-ones (r, s) as its witness, so genera reach the slice
+    # sweep and the counterexample cap; real small boxes close before the
+    # sweep
     if forced is not None:
         mp.setattr(
             cases, "_max_fp_product",
-            lambda n, eps, box: min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps)),
+            lambda n, eps, box: (
+                min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps)), (1,) * n, (1,) * n
+            ),
         )
-        mp.setattr(cases, "_violating_fp", lambda n, eps, box, g: ((1,) * n, (1,) * n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -407,11 +418,7 @@ def _loop_two_part_product_bound(box):
     for r1, r2, s1, s2 in itertools.product(rng_r, rng_r, rng_s, rng_s):
         checked += 1
         if (r1 + r2) * (s1 + s2) > (r1 * s1 + 1) * (r2 * s2 + 1):
-            bad.append(
-                BoxCounterexample(
-                    kind="product_identity", r=(r1, r2), s=(s1, s2), note="positive-s product bound failed"
-                )
-            )
+            bad.append({"r": [r1, r2], "s": [s1, s2], "note": "positive-s product bound failed"})
     return checked, bad
 
 
@@ -428,20 +435,10 @@ def _loop_all_isotropic_caps(n, box):
         if sum(caps) >= n:
             full_s += 1
             if vec != (1,) * n or rsum * n != n * n:
-                bad.append(
-                    BoxCounterexample(
-                        kind="subbox", eps=eps, r=vec, s=caps,
-                        note="full-positive s family is not the rank-one profile",
-                    )
-                )
+                bad.append({"r": vec, "s": caps, "note": "full-positive s family is not the rank-one profile"})
         capped += 1
         if rsum * min(sum(caps), n - 1) > 24:
-            bad.append(
-                BoxCounterexample(
-                    kind="subbox", eps=eps, r=vec, s=caps,
-                    note=f"(sum r)(sum s) = {rsum * min(sum(caps), n - 1)} > 24 with sum s <= {n - 1}",
-                )
-            )
+            bad.append({"r": vec, "s": caps, "note": f"(sum r)(sum s) = {rsum * min(sum(caps), n - 1)} > 24"})
     notes = [
         f"all-isotropic sub-box: (sum r)(sum s) = 16 on each of {full_s} full-positive-s profiles",
         f"all-isotropic sub-box: (sum r)(sum s) <= 24 across {capped} rank vectors with sum s <= 3",
@@ -482,7 +479,7 @@ def _loop_exhaustive_case_check(n, box, max_cex):
         closed, count, found = _seed_check_eps_class(n, box, eps, max_cex - len(cexs))
         stats["closed_product_max" if closed else "swept"] += 1
         enumerated += count
-        cexs.extend(found)
+        cexs.extend(c.to_dict() for c in found)
         if len(cexs) >= max_cex:
             break
     cross_checks = []
@@ -498,7 +495,7 @@ def _loop_exhaustive_case_check(n, box, max_cex):
         "n": n,
         "box": box.to_dict(),
         "instances_checked": (box.eps_max + 1) ** n * (box.x_max - box.x_min + 1) ** (n * (n - 1) // 2),
-        "counterexamples": [c.to_dict() for c in cexs],
+        "counterexamples": cexs,
         "eps_classes": (box.eps_max + 1) ** n,
         "eps_classes_closed_form": stats["closed_row_sum"] + stats["closed_product_max"],
         "profiles_enumerated": enumerated,

@@ -374,7 +374,7 @@ def test_usage_errors_are_input_errors(tmp_path, argv):
     "argv",
     [
         ["verify-cases", "--n", "2", "--r-max", "1000000"],
-        ["verify-cases", "--n", "4", "--eps-max", "1000000"],
+        ["verify-cases", "--n", "3", "--eps-max", "1000000"],
         ["verify-cases", "--n", "2", "--r-max", "200", "--s-max", "100"],
         ["triples", "--a-max", "100000001"],
     ],
@@ -384,6 +384,15 @@ def test_oversized_searches_are_refused_before_any_work(argv):
     code, rep = run_cli(argv)
     assert code == EXIT_INPUT_ERROR
     assert rep["warnings"][0].startswith("bound overflow: ")
+    assert time.perf_counter() - started < 1.0
+
+
+def test_four_part_boxes_are_never_refused():
+    # the row-sum test closes every four-part class without visiting it
+    started = time.perf_counter()
+    code, rep = run_cli(["verify-cases", "--n", "4", "--eps-max", "1000000", "--r-max", "1000000"])
+    assert code == EXIT_OK
+    assert rep["results"]["report"]["stats"]["closed_row_sum"] == (10**6 + 1) ** 4
     assert time.perf_counter() - started < 1.0
 
 
