@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
-from .divisors import _MAX_SEARCH_STATES, _dot, _open_verdict, _peel, _verdict, h0_floor
+from .divisors import _dot, _open_verdict, _peel, _verdict, h0_floor
 from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size, is_int
 from .lattice import DivClass, QuasiPolarization
 
@@ -584,14 +584,12 @@ def scan_decompositions(
     [-degree_bound, degree_bound], restricted to 0 < D1.H < H^2 with both
     D1 and H - D1 certified effective.  The search box is a hard cutoff and
     is echoed by callers; results outside it are simply not seen.  When
-    H^perp is negative definite and the roots, of any degree, are declared
-    for ``pol`` and few enough to search, ``_certificate_scan`` decides only
-    the classes that can be Effective and counts the rest; the window scan
-    is left where X may be infinite or the search is refused.
+    H^perp is negative definite, ``_certificate_scan`` decides only the
+    classes that can be Effective and counts the rest; the window scan is
+    left where X may be infinite.
     """
     _check_scan(pol, roots, degree_bound)
-    searchable = not roots or (DEFAULT_COEFF_BOUND + 1) ** len(roots) <= _MAX_SEARCH_STATES
-    if pol.q_form.perp_negative_definite and searchable:
+    if pol.q_form.perp_negative_definite:
         return _certificate_scan(pol, roots, degree_bound)
     return _window_scan(pol, roots, degree_bound)
 
@@ -848,11 +846,13 @@ def classify_multi_decomposition(
 
     A matched case carries a partial-sum certificate when one exists in the
     profile alone; otherwise the report notes that geometric input would be
-    required to produce one.
+    required to produce one.  A split search past the search ceiling
+    (n >= 21) is refused as bound overflow before any work.
     """
     n = profile.n
     if n < 3:
         raise InputError("classification applies to three or more parts")
+    check_search_size((2 ** (n - 1) - 1) * n * (n - 1) // 2, "split-search steps", "use fewer parts")
     flags = tuple(bool(b) for b in h0_at_least_2)
     if len(flags) != n:
         raise InputError(f"expected {n} flags, got {len(flags)}")

@@ -10,7 +10,8 @@ The statement verified by :func:`exhaustive_case_check`, for n parts:
 
 Feasibility of the filtration data means: r_i >= 1, r_i s_i <= eps_i + 1,
 r_i <= r_{i+1} + ... + r_n for i < n, and s_n >= 1.  The h^0 floor of a
-group is max(chi, 1), chi computed from the profile.
+group is ``bn.DecompositionProfile.group_h0_floor``, max(chi, 1) with chi
+computed from the profile.
 
 A raw sweep of the default four-part box has ~10^13 instances, so the
 checker decides the same quantified statement exactly in three layers, the
@@ -41,10 +42,11 @@ cheapest first:
     admit no violating filtration data; an empty feasible set closes the
     class.
 3.  Genera that survive both get an exhaustive slice enumeration (all
-    x-matrices with the matching coordinate sum), each profile checked
-    against every split; any failing profile is paired with the (r, s)
-    that attains the layer-2 maximum, which beats every genus left, and
-    recorded as a counterexample.
+    x-matrices with the matching coordinate sum), each profile decided by
+    the split search of ``classify`` (``bn._first_partition_certificate``);
+    any failing profile is paired with the (r, s) that attains the layer-2
+    maximum, which beats every genus left, and recorded as a
+    counterexample.
 
 Layer 1 keeps a superset of the genera the exact maximum would keep, so the
 order changes no count and no counterexample.  ``BoxReport.stats`` counts
@@ -63,6 +65,7 @@ from functools import lru_cache, reduce
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
+from . import bn
 from .errors import InputError, check_search_size, is_int
 
 _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
@@ -307,35 +310,6 @@ class BoxReport:
 
 
 @lru_cache(maxsize=None)
-def _upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
-
-
-@lru_cache(maxsize=None)
-def _split_tables(
-    n: int,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-    """Per split: (left, right, upper-x indices inside left / right / crossing)."""
-    pairs = _upper_pairs(n)
-    tables = []
-    for mask in range(2 ** (n - 1) - 1):
-        left = frozenset({0} | {k + 1 for k in range(n - 1) if mask >> k & 1})
-        right = tuple(sorted(set(range(n)) - left))
-        inside_l, inside_r, cross = [], [], []
-        for k, (i, j) in enumerate(pairs):
-            if i in left and j in left:
-                inside_l.append(k)
-            elif i not in left and j not in left:
-                inside_r.append(k)
-            else:
-                cross.append(k)
-        tables.append(
-            (tuple(sorted(left)), right, tuple(inside_l), tuple(inside_r), tuple(cross))
-        )
-    return tuple(tables)
-
-
-@lru_cache(maxsize=None)
 def _chain_r_vectors(n: int, r_max: int, last: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Chain-feasible rank vectors ending in `last`, one bucket per call.
 
@@ -450,18 +424,10 @@ def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple
     yield from rec(0, total)
 
 
-def _is_failing(
-    n: int, eps: tuple[int, ...], upper_x: tuple[int, ...], genus: int
-) -> bool:
-    """2-connected with every split's h^0-floor product at most the genus."""
-    for left, right, inside_l, inside_r, cross in _split_tables(n):
-        if sum(upper_x[k] for k in cross) < 2:
-            return False
-        chi_l = sum(eps[i] for i in left) + sum(upper_x[k] for k in inside_l) + 2
-        chi_r = sum(eps[i] for i in right) + sum(upper_x[k] for k in inside_r) + 2
-        if max(chi_l, 1) * max(chi_r, 1) > genus:
-            return False
-    return True
+def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
+    """2-connected with no certifying split: ``classify``'s split search finds none."""
+    profile = bn.DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
+    return profile.two_connected() and bn._first_partition_certificate(profile) is None
 
 
 def _check_eps_class(
@@ -484,7 +450,7 @@ def _check_eps_class(
         coord_sum = g - total_eps - 1
         for upper_x in _iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
             enumerated += 1
-            if not _is_failing(n, eps, upper_x, g):
+            if not _is_failing(eps, upper_x):
                 continue
             cexs.append(
                 BoxCounterexample(
@@ -623,4 +589,4 @@ def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:
     genus = sum(cex.eps) + sum(cex.upper_x) + 1
     if genus != cex.genus or not profile_feasible(fp) or fp.sum_r * fp.sum_s <= genus:
         return False
-    return _is_failing(n, cex.eps, cex.upper_x, genus)
+    return _is_failing(cex.eps, cex.upper_x)

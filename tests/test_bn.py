@@ -822,6 +822,16 @@ def test_classify_without_a_certificate_matches_the_sorted_mask_loop():
     assert out == _reference_classify(p) and out.certificate is None and out.note
 
 
+def test_classify_refuses_split_searches_past_the_ceiling():
+    # (2^(n-1) - 1) n(n-1)/2 steps: 99 614 530 at n = 20, 220 200 750 at n = 21;
+    # the first split certifies these, so only the refusal could make them slow
+    p = DecompositionProfile.from_upper((10,) * 20, (1,) * 190)
+    assert classify_multi_decomposition(p, [True] * 20).certificate.split.startswith("{1} | ")
+    p = DecompositionProfile.from_upper((10,) * 21, (1,) * 210)
+    with pytest.raises(InputError, match="bound overflow: 220200750 split-search steps"):
+        classify_multi_decomposition(p, [True] * 21)
+
+
 # ---------------------------------------------------------------------------
 # decompose over certificate-shaped candidates
 
@@ -953,20 +963,25 @@ def test_certificate_scan_needs_the_widened_box(gram, h, roots, bound):
 
 def test_certificate_scan_leaves_only_infinite_x_to_the_window_scan(monkeypatch):
     # an A2 pair meeting negatively, and a root of positive degree, are not contracted
-    # and take the certificate-shaped path
+    # and take the certificate-shaped path; so do seven roots, whose search space
+    # 11^7 is past the root search's cap, for the window scan runs the same search
     a2 = QuasiPolarization(GramLattice(_A2), DivClass((1, 2, 0, 0)))
     lat = GramLattice(((0, 1, 0), (1, 0, 0), (0, 0, -2)))
     pol = QuasiPolarization(lat, DivClass((2, 3, -1)))
-    for p, roots in (
-        (a2, RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1))))),
-        (pol, RootSet(pol, (DivClass((0, 0, 1)),))),
+    gram = tuple(map(tuple, _block_sum([((0, 1), (1, 0))] + [((-2,),)] * 7)))
+    ua7 = QuasiPolarization(GramLattice(gram), DivClass((1, 2) + (0,) * 7))
+    seven = tuple(DivClass(tuple(int(i == k) for i in range(9))) for k in range(2, 9))
+    for p, roots, bound in (
+        (a2, RootSet(a2, (DivClass((0, 0, 1, 0)), DivClass((0, 0, 0, -1)))), 2),
+        (pol, RootSet(pol, (DivClass((0, 0, 1)),)), 2),
+        (ua7, RootSet(ua7, seven), 1),
     ):
-        assert not roots.contracted
+        assert roots.contracted == (p is ua7)
         taken = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bn, "_certificate_scan", lambda *args: taken.append(args) or _certificate_scan(*args))
-            scan = scan_decompositions(p, roots, 2)
-        assert taken and _scan_summary(scan) == _scan_summary(_window_scan(p, roots, 2))
+            scan = scan_decompositions(p, roots, bound)
+        assert taken and _scan_summary(scan) == _scan_summary(_window_scan(p, roots, bound))
 
     def unreachable(*args):
         raise AssertionError("the certificate-shaped scan ran")

@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import k3bn.cases as cases
@@ -222,11 +222,64 @@ def test_iter_fixed_sum():
 def test_is_failing_known_profile():
     # all-isotropic three-part profile with every product 3: genus 10, every
     # split capped at exactly the genus
-    assert cases._is_failing(3, (0, 0, 0), (3, 3, 3), 10)
+    assert cases._is_failing((0, 0, 0), (3, 3, 3))
     # raising any product creates a certifying split
-    assert not cases._is_failing(3, (0, 0, 0), (3, 3, 4), 10)
+    assert not cases._is_failing((0, 0, 0), (3, 3, 4))
     # non-2-connected data is not a hypothesis instance
-    assert not cases._is_failing(3, (0, 0, 0), (1, 0, 3), 10)
+    assert not cases._is_failing((0, 0, 0), (1, 0, 3))
+
+
+def _table_split_tables(n):
+    """Per split: (left, right, upper-x indices inside left / right / crossing)."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = []
+    for mask in range(2 ** (n - 1) - 1):
+        left = frozenset({0} | {k + 1 for k in range(n - 1) if mask >> k & 1})
+        right = tuple(sorted(set(range(n)) - left))
+        inside_l, inside_r, cross = [], [], []
+        for k, (i, j) in enumerate(pairs):
+            if i in left and j in left:
+                inside_l.append(k)
+            elif i not in left and j not in left:
+                inside_r.append(k)
+            else:
+                cross.append(k)
+        tables.append((tuple(sorted(left)), right, inside_l, inside_r, cross))
+    return tables
+
+
+def _table_is_failing(n, eps, upper_x, genus):
+    """The split test over precomputed index tables: the reference for ``_is_failing``."""
+    for left, right, inside_l, inside_r, cross in _table_split_tables(n):
+        if sum(upper_x[k] for k in cross) < 2:
+            return False
+        chi_l = sum(eps[i] for i in left) + sum(upper_x[k] for k in inside_l) + 2
+        chi_r = sum(eps[i] for i in right) + sum(upper_x[k] for k in inside_r) + 2
+        if max(chi_l, 1) * max(chi_r, 1) > genus:
+            return False
+    return True
+
+
+@st.composite
+def _split_test_profiles(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    n_pairs = n * (n - 1) // 2
+    eps = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+    return tuple(eps), tuple(draw(st.lists(st.integers(-3, 12), min_size=n_pairs, max_size=n_pairs)))
+
+
+# random three-part draws fail about once in 3 600 (none at four parts, where the
+# row-sum test rules failing profiles out), so failing ones are also given
+@settings(max_examples=600, deadline=None)
+@given(_split_test_profiles())
+@example(((0, 0, 0), (3, 3, 3)))
+@example(((1, 0, 0), (6, 6, 4)))
+@example(((0, 0, 1), (4, 6, 6)))
+@example(((2, 0, 0), (10, 10, 5)))
+def test_is_failing_matches_the_table_split_test(profile):
+    eps, upper_x = profile
+    genus = sum(eps) + sum(upper_x) + 1
+    assert cases._is_failing(eps, upper_x) == _table_is_failing(len(eps), eps, upper_x, genus)
 
 
 def _loop_surviving_genera(n, eps, box, pmax):
@@ -306,7 +359,7 @@ def test_spec_instance_is_not_a_counterexample():
     assert profile_feasible(fp)
     genus = 0 + 2 + 1
     assert fp.sum_r * fp.sum_s == 4 > genus
-    assert not cases._is_failing(2, (0, 0), (2,), genus)
+    assert not cases._is_failing((0, 0), (2,))
 
 
 def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
@@ -336,14 +389,18 @@ def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
     # each fault alone must still reject it
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(cases, "_is_failing", lambda n, eps, upper_x, genus: True)
+            monkeypatch.setattr(cases, "_is_failing", lambda eps, upper_x: True)
             assert verify_counterexample(2, bogus)
         for n, cex in [(2, replace(bogus, **fault)) for fault in faults] + wrong_n:
             assert not verify_counterexample(n, cex), (forced, n, cex)
 
 
 def _seed_check_eps_class(n, box, eps, max_cex):
-    """The procedure before the reorder: exact product maximum first, then rows."""
+    """The procedure before the reorder: exact product maximum first, then rows.
+
+    Profiles are decided by the table split test, so the sweep's use of
+    ``classify``'s split search is checked against it too.
+    """
     best = cases._max_fp_product(n, eps, box)
     if best is None:
         return True, 0, []
@@ -358,7 +415,7 @@ def _seed_check_eps_class(n, box, eps, max_cex):
         coord_sum = g - sum(eps) - 1
         for upper_x in cases._iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
             enumerated += 1
-            if not cases._is_failing(n, eps, upper_x, g):
+            if not _table_is_failing(n, eps, upper_x, g):
                 continue
             cexs.append(
                 BoxCounterexample(
@@ -596,6 +653,9 @@ def test_benchmark_box_report_matches_the_loop_driver(box):
     report = exhaustive_case_check(3, box).to_dict()
     del report["elapsed_ms"]
     assert report == _loop_exhaustive_case_check(3, box, 50)
+    # no benchmark box reaches the slice sweep, so the split test's speed is off every workload
+    assert report["stats"]["swept"] == 0
+    assert report["profiles_enumerated"] == 0
 
 
 def test_three_part_box_at_eps_max_60():
@@ -628,8 +688,9 @@ def test_tiny_box_brute_force_agrees_with_decision_procedure():
     box = Box(r_max=2, s_min=-2, s_max=2, eps_max=1, x_min=0, x_max=3)
     report = exhaustive_case_check(3, box)
     assert report.counterexamples == []
-    # independent brute force over every instance in the box, built on the
-    # profile methods rather than the checker internals
+    # brute force over every instance in the box, independent of the row-sum
+    # test and the product maximum (layers 1 and 2); its split test is the
+    # profile's own, the one the sweep also uses
     bad = []
     for eps in itertools.product(range(box.eps_max + 1), repeat=3):
         for xs in itertools.product(range(box.x_min, box.x_max + 1), repeat=3):

@@ -377,11 +377,15 @@ def test_usage_errors_are_input_errors(tmp_path, argv):
         ["verify-cases", "--n", "3", "--eps-max", "1000000"],
         ["verify-cases", "--n", "2", "--r-max", "200", "--s-max", "100"],
         ["triples", "--a-max", "100000001"],
+        # 22 parts and no certifying split: the split search took about 115 s
+        ["classify", "--profile", "{profile}"],
     ],
 )
-def test_oversized_searches_are_refused_before_any_work(argv):
+def test_oversized_searches_are_refused_before_any_work(tmp_path, argv):
+    n = 22
+    profile = write(tmp_path, "p.json", {"sq": [-10] * n, "x": [[int(i != j) for j in range(n)] for i in range(n)]})
     started = time.perf_counter()
-    code, rep = run_cli(argv)
+    code, rep = run_cli([a.format(profile=profile) for a in argv])
     assert code == EXIT_INPUT_ERROR
     assert rep["warnings"][0].startswith("bound overflow: ")
     assert time.perf_counter() - started < 1.0
