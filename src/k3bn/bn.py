@@ -13,19 +13,17 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from math import isqrt
 from typing import Iterator, Sequence
 
 from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
 from .divisors import _dot, _open_verdict, _peel, _verdict, h0_floor
-from .errors import InconsistentGeometryError, InputError, PreconditionError, check_search_size, is_int
+from .errors import Frozen, InconsistentGeometryError, InputError, PreconditionError, check_search_size, is_int
 from .lattice import DivClass, QuasiPolarization
 
 
-@dataclass(frozen=True)
-class DecompositionProfile:
+class DecompositionProfile(Frozen):
     """Numeric shadow of a decomposition H = D_1 + ... + D_n.
 
     ``sq[i]`` is the (even) square of the i-th part and ``x[i][j]`` the
@@ -34,8 +32,23 @@ class DecompositionProfile:
     InputError listing every violation.
     """
 
-    sq: tuple[int, ...]
-    x: tuple[tuple[int, ...], ...]
+    __slots__ = ("sq", "x")
+
+    def __init__(self, sq: tuple[int, ...], x: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "sq", sq)
+        object.__setattr__(self, "x", x)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sq, self.x) == (other.sq, other.x)
+
+    def __hash__(self) -> int:
+        return hash((self.sq, self.x))
+
+    def __repr__(self) -> str:
+        return f"DecompositionProfile(sq={self.sq!r}, x={self.x!r})"
 
     def __post_init__(self) -> None:
         sq = tuple(self.sq)
@@ -126,15 +139,35 @@ class DecompositionProfile:
         return all(self.crossing(left) >= 2 for left, _ in self.splits())
 
 
-@dataclass(frozen=True)
-class ViolationCertificate:
+class ViolationCertificate(Frozen):
     """Witness that some decomposition beats the genus: lb1 * lb2 > g."""
 
-    d1: DivClass
-    d2: DivClass
-    lb1: int
-    lb2: int
-    genus: int
+    __slots__ = ("d1", "d2", "lb1", "lb2", "genus")
+
+    def __init__(self, d1: DivClass, d2: DivClass, lb1: int, lb2: int, genus: int) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "lb1", lb1)
+        object.__setattr__(self, "lb2", lb2)
+        object.__setattr__(self, "genus", genus)
+        self.__post_init__()
+
+    def _fields(self) -> tuple:
+        return (self.d1, self.d2, self.lb1, self.lb2, self.genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"ViolationCertificate(d1={self.d1!r}, d2={self.d2!r}, lb1={self.lb1!r}, "
+            f"lb2={self.lb2!r}, genus={self.genus!r})"
+        )
 
     def __post_init__(self) -> None:
         if self.lb1 * self.lb2 <= self.genus:
@@ -152,17 +185,47 @@ class ViolationCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CertificateSketch:
+class CertificateSketch(Frozen):
     """Profile-level certificate: a split whose chi-level bounds beat the genus."""
 
-    lb1: int
-    lb2: int
-    genus: int
-    split: str
-    group: tuple[int, ...] | None = None
-    complement: tuple[int, ...] | None = None
-    detail: str = ""
+    __slots__ = ("lb1", "lb2", "genus", "split", "group", "complement", "detail")
+
+    def __init__(
+        self,
+        lb1: int,
+        lb2: int,
+        genus: int,
+        split: str,
+        group: tuple[int, ...] | None = None,
+        complement: tuple[int, ...] | None = None,
+        detail: str = "",
+    ) -> None:
+        object.__setattr__(self, "lb1", lb1)
+        object.__setattr__(self, "lb2", lb2)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "complement", complement)
+        object.__setattr__(self, "detail", detail)
+        self.__post_init__()
+
+    def _fields(self) -> tuple:
+        return (self.lb1, self.lb2, self.genus, self.split, self.group, self.complement, self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"CertificateSketch(lb1={self.lb1!r}, lb2={self.lb2!r}, genus={self.genus!r}, "
+            f"split={self.split!r}, group={self.group!r}, complement={self.complement!r}, "
+            f"detail={self.detail!r})"
+        )
 
     def __post_init__(self) -> None:
         if self.lb1 * self.lb2 <= self.genus:
@@ -210,13 +273,32 @@ def _pair_floors(pol: QuasiPolarization, d1: DivClass, d2: DivClass) -> tuple[in
     return lb1, lb2, ViolationCertificate(d1, d2, lb1, lb2, g) if lb1 * lb2 > g else None
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    d1: DivClass
-    d2: DivClass
-    lb1: int
-    lb2: int
-    violates: bool
+class PairRecord(Frozen):
+    __slots__ = ("d1", "d2", "lb1", "lb2", "violates")
+
+    def __init__(self, d1: DivClass, d2: DivClass, lb1: int, lb2: int, violates: bool) -> None:
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "lb1", lb1)
+        object.__setattr__(self, "lb2", lb2)
+        object.__setattr__(self, "violates", violates)
+
+    def _fields(self) -> tuple:
+        return (self.d1, self.d2, self.lb1, self.lb2, self.violates)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"PairRecord(d1={self.d1!r}, d2={self.d2!r}, lb1={self.lb1!r}, "
+            f"lb2={self.lb2!r}, violates={self.violates!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -240,18 +322,33 @@ SCAN_VERDICT_KEYS = (
 )
 
 
-@dataclass
 class DecompositionScan:
-    violations: list[ViolationCertificate] = field(default_factory=list)
-    pairs: list[PairRecord] = field(default_factory=list)
-    candidates_scanned: int = 0
-    # one count per effectivity verdict (D1, and D2 = H - D1 when D1 is
-    # Effective), keyed as in SCAN_VERDICT_KEYS
-    verdicts: Counter = field(default_factory=Counter)
-    # set by ``violation_scan``: the size of the degree window, and whether
-    # the candidates were X_H in the box (the rest of the window unexamined)
-    window_classes: int | None = None
-    x_h: bool = False
+    """The pairs and violations a scan found, with its counts; None means a fresh list or Counter."""
+
+    def __init__(
+        self,
+        violations: list[ViolationCertificate] | None = None,
+        pairs: list[PairRecord] | None = None,
+        candidates_scanned: int = 0,
+        verdicts: Counter | None = None,
+        window_classes: int | None = None,
+        x_h: bool = False,
+    ) -> None:
+        self.violations = [] if violations is None else violations
+        self.pairs = [] if pairs is None else pairs
+        self.candidates_scanned = candidates_scanned
+        # one count per effectivity verdict (D1, and D2 = H - D1 when D1 is
+        # Effective), keyed as in SCAN_VERDICT_KEYS
+        self.verdicts = Counter() if verdicts is None else verdicts
+        # set by ``violation_scan``: the size of the degree window, and whether
+        # the candidates were X_H in the box (the rest of the window unexamined)
+        self.window_classes = window_classes
+        self.x_h = x_h
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def unknown_candidates(self) -> int:
@@ -804,20 +901,46 @@ def n4_low_intersections(profile: DecompositionProfile) -> CertificateSketch | N
     return _split_sketch(profile, group, complement, profile.group_chi, detail)
 
 
-@dataclass(frozen=True)
-class NotBNGeneral:
+class NotBNGeneral(Frozen):
     """The profile matches a case that rules out Brill-Noether generality."""
 
-    case_id: str
-    certificate: CertificateSketch | None
-    note: str | None = None
+    __slots__ = ("case_id", "certificate", "note")
+
+    def __init__(self, case_id: str, certificate: CertificateSketch | None, note: str | None = None) -> None:
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.case_id, self.certificate, self.note) == (other.case_id, other.certificate, other.note)
+
+    def __hash__(self) -> int:
+        return hash((self.case_id, self.certificate, self.note))
+
+    def __repr__(self) -> str:
+        return f"NotBNGeneral(case_id={self.case_id!r}, certificate={self.certificate!r}, note={self.note!r})"
 
 
-@dataclass(frozen=True)
-class ExceptionalProfile:
+class ExceptionalProfile(Frozen):
     """The profile matches none of the cases; only these shapes survive."""
 
-    label: str
+    __slots__ = ("label",)
+
+    def __init__(self, label: str) -> None:
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label
+
+    def __hash__(self) -> int:
+        return hash((self.label,))
+
+    def __repr__(self) -> str:
+        return f"ExceptionalProfile(label={self.label!r})"
 
 
 LABEL_N3_ISOTROPIC_PAIR = "n=3: D2^2 = D3^2 = 0"

@@ -60,13 +60,12 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from . import bn
-from .errors import InputError, check_search_size, is_int
+from .errors import Frozen, InputError, check_search_size, is_int
 
 _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
 
@@ -75,11 +74,25 @@ _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
 # filtration profiles
 
 
-@dataclass(frozen=True)
-class FiltrationProfile:
+class FiltrationProfile(Frozen):
     """Length-n list of (r_i, s_i, eps_i) integer triples, eps_i = sq_i / 2."""
 
-    entries: tuple[tuple[int, int, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, int], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"FiltrationProfile(entries={self.entries!r})"
 
     def __post_init__(self) -> None:
         entries = tuple(tuple(e) for e in self.entries)
@@ -191,19 +204,39 @@ def am_gm(u: int, v: int, c: int) -> tuple[bool, bool]:
 # boxes and reports
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """Finite search box for the exhaustive check; every bound is inclusive."""
 
-    r_max: int
-    s_min: int
-    s_max: int
-    eps_max: int
-    x_min: int
-    x_max: int
+    __slots__ = ("r_max", "s_min", "s_max", "eps_max", "x_min", "x_max")
+
+    def __init__(self, r_max: int, s_min: int, s_max: int, eps_max: int, x_min: int, x_max: int) -> None:
+        object.__setattr__(self, "r_max", r_max)
+        object.__setattr__(self, "s_min", s_min)
+        object.__setattr__(self, "s_max", s_max)
+        object.__setattr__(self, "eps_max", eps_max)
+        object.__setattr__(self, "x_min", x_min)
+        object.__setattr__(self, "x_max", x_max)
+        self.__post_init__()
+
+    def _fields(self) -> tuple:
+        return (self.r_max, self.s_min, self.s_max, self.eps_max, self.x_min, self.x_max)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Box(r_max={self.r_max!r}, s_min={self.s_min!r}, s_max={self.s_max!r}, "
+            f"eps_max={self.eps_max!r}, x_min={self.x_min!r}, x_max={self.x_max!r})"
+        )
 
     def __post_init__(self) -> None:
-        vals = (self.r_max, self.s_min, self.s_max, self.eps_max, self.x_min, self.x_max)
+        vals = self._fields()
         if not all(map(is_int, vals)):
             raise InputError("box bounds must be integers")
         if any(abs(v) > _MAGNITUDE_CAP for v in vals):
@@ -243,16 +276,43 @@ def default_box(n: int) -> Box:
     return _DEFAULT_BOXES[n]
 
 
-@dataclass(frozen=True)
-class BoxCounterexample:
+class BoxCounterexample(Frozen):
     """A failing profile with violating filtration data, re-verifiable from scratch."""
 
-    eps: tuple[int, ...]
-    upper_x: tuple[int, ...]
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-    genus: int
-    note: str = ""
+    __slots__ = ("eps", "upper_x", "r", "s", "genus", "note")
+
+    def __init__(
+        self,
+        eps: tuple[int, ...],
+        upper_x: tuple[int, ...],
+        r: tuple[int, ...],
+        s: tuple[int, ...],
+        genus: int,
+        note: str = "",
+    ) -> None:
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "upper_x", upper_x)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "note", note)
+
+    def _fields(self) -> tuple:
+        return (self.eps, self.upper_x, self.r, self.s, self.genus, self.note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"BoxCounterexample(eps={self.eps!r}, upper_x={self.upper_x!r}, r={self.r!r}, "
+            f"s={self.s!r}, genus={self.genus!r}, note={self.note!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -266,7 +326,6 @@ class BoxCounterexample:
         }
 
 
-@dataclass
 class BoxReport:
     """Outcome of one box run; counterexamples are expected to be empty.
 
@@ -279,16 +338,34 @@ class BoxReport:
     when the counterexample cap stopped the run.
     """
 
-    n: int
-    box: Box
-    instances_checked: int
-    counterexamples: list[BoxCounterexample]
-    elapsed_ms: float
-    eps_classes: int
-    eps_classes_closed_form: int
-    profiles_enumerated: int
-    cross_checks: list[str]
-    stats: dict[str, int]
+    def __init__(
+        self,
+        n: int,
+        box: Box,
+        instances_checked: int,
+        counterexamples: list[BoxCounterexample],
+        elapsed_ms: float,
+        eps_classes: int,
+        eps_classes_closed_form: int,
+        profiles_enumerated: int,
+        cross_checks: list[str],
+        stats: dict[str, int],
+    ) -> None:
+        self.n = n
+        self.box = box
+        self.instances_checked = instances_checked
+        self.counterexamples = counterexamples
+        self.elapsed_ms = elapsed_ms
+        self.eps_classes = eps_classes
+        self.eps_classes_closed_form = eps_classes_closed_form
+        self.profiles_enumerated = profiles_enumerated
+        self.cross_checks = cross_checks
+        self.stats = stats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {
@@ -425,9 +502,18 @@ def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple
 
 
 def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
-    """2-connected with no certifying split: ``classify``'s split search finds none."""
+    """2-connected with no certifying split: ``classify``'s split search finds none.
+
+    The search alone decides both: a profile that is not 2-connected has a
+    split (L, R) with crossing c <= 1, and such a split certifies itself.
+    With a = L^2/2 and b = R^2/2 the genus is a + b + c + 1 and the floors
+    are max(a + 2, 1) and max(b + 2, 1), so their product minus the genus is
+    (a + 1)(b + 1) + 2 - c >= 1 when a, b >= -1; 1 - a - c >= 2 when
+    a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
+    a, b <= -2.
+    """
     profile = bn.DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
-    return profile.two_connected() and bn._first_partition_certificate(profile) is None
+    return bn._first_partition_certificate(profile) is None
 
 
 def _check_eps_class(

@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
 
 from . import cases
 from .bn import (
@@ -48,18 +47,39 @@ EXIT_EXCEPTIONAL = 20
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass
 class SurfaceSpec:
-    """A validated surface document with its polarization and roots, each built once."""
+    """A validated surface document with its polarization and roots, each built once.
 
-    gram: list[list[int]]
-    H: list[int]
-    name: str
-    basis_names: list[str] | None
-    roots: list[list[int]]
-    asserts_nef: bool
-    pol: QuasiPolarization = field(repr=False, compare=False)
-    root_set: RootSet = field(repr=False, compare=False)
+    Equality reads the document fields, not ``pol`` and ``root_set``.
+    """
+
+    def __init__(
+        self,
+        gram: list[list[int]],
+        H: list[int],
+        name: str,
+        basis_names: list[str] | None,
+        roots: list[list[int]],
+        asserts_nef: bool,
+        pol: QuasiPolarization,
+        root_set: RootSet,
+    ) -> None:
+        self.gram = gram
+        self.H = H
+        self.name = name
+        self.basis_names = basis_names
+        self.roots = roots
+        self.asserts_nef = asserts_nef
+        self.pol = pol
+        self.root_set = root_set
+
+    def _fields(self) -> tuple:
+        return (self.gram, self.H, self.name, self.basis_names, self.roots, self.asserts_nef)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def to_doc(self) -> dict:
         return {
@@ -198,16 +218,33 @@ def _parse_filtration_profile(text: str) -> FiltrationProfile:
     return FiltrationProfile(tuple(map(tuple, data["entries"])))
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs_echo: dict
-    verdict: str
-    certificates: list[dict] = field(default_factory=list)
-    bounds: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    elapsed_ms: float = 0.0
-    results: dict = field(default_factory=dict)
+    """One command's report; a None list or dict argument means a fresh empty one."""
+
+    def __init__(
+        self,
+        command: str,
+        inputs_echo: dict,
+        verdict: str,
+        certificates: list[dict] | None = None,
+        bounds: dict | None = None,
+        warnings: list[str] | None = None,
+        elapsed_ms: float = 0.0,
+        results: dict | None = None,
+    ) -> None:
+        self.command = command
+        self.inputs_echo = inputs_echo
+        self.verdict = verdict
+        self.certificates = [] if certificates is None else certificates
+        self.bounds = {} if bounds is None else bounds
+        self.warnings = [] if warnings is None else warnings
+        self.elapsed_ms = elapsed_ms
+        self.results = {} if results is None else results
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_dict(self) -> dict:
         return {
@@ -319,8 +356,10 @@ def _cmd_classify(args) -> tuple[RunReport, int]:
 
 
 def _cmd_verify_cases(args) -> tuple[RunReport, int]:
-    given = {f.name: getattr(args, f.name) for f in fields(Box) if getattr(args, f.name) is not None}
-    box = default_box(args.n) if args.default_box else replace(default_box(args.n), **given)
+    bounds = default_box(args.n).to_dict()
+    if not args.default_box:
+        bounds.update({k: getattr(args, k) for k in bounds if getattr(args, k) is not None})
+    box = Box(**bounds)
     box_report = cases.exhaustive_case_check(args.n, box)
     for cex in box_report.counterexamples:
         if not cases.verify_counterexample(args.n, cex):

@@ -42,11 +42,10 @@ reached it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
-from .errors import InconsistentGeometryError, InputError, PreconditionError
+from .errors import Frozen, InconsistentGeometryError, InputError, PreconditionError
 from .lattice import DivClass, GramLattice, QuasiPolarization, negative_definite
 
 # Coefficient bound for the cone-membership search over declared roots.
@@ -57,8 +56,7 @@ DEFAULT_COEFF_BOUND = 10
 _MAX_SEARCH_STATES = 5_000_000
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Frozen):
     """Declared classes of irreducible curves with self-intersection -2 on ``pol``.
 
     Construction checks R^2 = -2 and R.H >= 0 for every root (a nef
@@ -67,15 +65,27 @@ class RootSet:
     integers root peeling needs: each covector R^T (gram), each degree H.R
     and every product R_i.R_j.  ``contracted`` records
     whether the roots form a configuration H contracts: all of degree zero,
-    distinct roots meeting nonnegatively, negative definite.
+    distinct roots meeting nonnegatively, negative definite.  Equality,
+    hash and repr read ``roots`` alone.
     """
 
-    pol: QuasiPolarization = field(repr=False, compare=False)
-    roots: tuple[DivClass, ...] = ()
-    covectors: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    products: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    contracted: bool = field(init=False, repr=False, compare=False)
+    __slots__ = ("pol", "roots", "covectors", "degrees", "products", "contracted")
+
+    def __init__(self, pol: QuasiPolarization, roots: tuple[DivClass, ...] = ()) -> None:
+        object.__setattr__(self, "pol", pol)
+        object.__setattr__(self, "roots", roots)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.roots == other.roots
+
+    def __hash__(self) -> int:
+        return hash((self.roots,))
+
+    def __repr__(self) -> str:
+        return f"RootSet(roots={self.roots!r})"
 
     def __post_init__(self) -> None:
         roots = tuple(self.roots)
@@ -120,8 +130,7 @@ class Effectivity(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class EffectivityVerdict:
+class EffectivityVerdict(Frozen):
     """Outcome of an effectivity test together with its certificate.
 
     An Effective verdict always stores a certificate and a NotEffective
@@ -131,10 +140,33 @@ class EffectivityVerdict:
     the reason root_nef_residual or search_exhausted.
     """
 
-    status: Effectivity
-    witness: str
-    combination: tuple[int, ...] | None = None
-    rule: str = ""
+    __slots__ = ("status", "witness", "combination", "rule")
+
+    def __init__(
+        self, status: Effectivity, witness: str, combination: tuple[int, ...] | None = None, rule: str = ""
+    ) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "combination", combination)
+        object.__setattr__(self, "rule", rule)
+        self.__post_init__()
+
+    def _fields(self) -> tuple:
+        return (self.status, self.witness, self.combination, self.rule)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"EffectivityVerdict(status={self.status!r}, witness={self.witness!r}, "
+            f"combination={self.combination!r}, rule={self.rule!r})"
+        )
 
     def __post_init__(self) -> None:
         if self.status in (Effectivity.EFFECTIVE, Effectivity.NOT_EFFECTIVE) and not self.witness:
@@ -425,24 +457,63 @@ def reduce_fixed_components(
     return work
 
 
-@dataclass(frozen=True)
-class SameEllipticPencil:
+class SameEllipticPencil(Frozen):
     """Both classes are multiples (n1, n2) of one primitive isotropic class."""
 
-    n1: int
-    n2: int
+    __slots__ = ("n1", "n2")
+
+    def __init__(self, n1: int, n2: int) -> None:
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n1, self.n2) == (other.n1, other.n2)
+
+    def __hash__(self) -> int:
+        return hash((self.n1, self.n2))
+
+    def __repr__(self) -> str:
+        return f"SameEllipticPencil(n1={self.n1!r}, n2={self.n2!r})"
 
 
-@dataclass(frozen=True)
-class SumSquareAtLeastFour:
-    total_square: int
+class SumSquareAtLeastFour(Frozen):
+    __slots__ = ("total_square",)
+
+    def __init__(self, total_square: int) -> None:
+        object.__setattr__(self, "total_square", total_square)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.total_square == other.total_square
+
+    def __hash__(self) -> int:
+        return hash((self.total_square,))
+
+    def __repr__(self) -> str:
+        return f"SumSquareAtLeastFour(total_square={self.total_square!r})"
 
 
-@dataclass(frozen=True)
-class IncompatiblePair:
+class IncompatiblePair(Frozen):
     """The numeric data cannot come from two fixed-component-free classes."""
 
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        object.__setattr__(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.reason == other.reason
+
+    def __hash__(self) -> int:
+        return hash((self.reason,))
+
+    def __repr__(self) -> str:
+        return f"IncompatiblePair(reason={self.reason!r})"
 
 
 def two_divisor_classification(

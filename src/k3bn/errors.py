@@ -1,9 +1,29 @@
-"""Exceptions, the search-size ceiling and the integer test shared across the package."""
+"""Exceptions, the search-size ceiling, the integer test and the frozen base class shared across the package."""
 
 
 def is_int(v) -> bool:
     """An int that is not a bool: the one integer test of input values."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+class Frozen:
+    """Base of the immutable value classes: ``__init__`` sets each field once, through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # pickle and copy restore the fields past __setattr__; state is (__dict__ or None, slot values)
+        attrs, slots = state
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+        if attrs:
+            self.__dict__.update(attrs)
 
 
 class InputError(ValueError):

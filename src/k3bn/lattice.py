@@ -10,19 +10,29 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .errors import InputError, is_int
+from .errors import Frozen, InputError, is_int
 
 
-@dataclass(frozen=True)
-class DivClass:
+class DivClass(Frozen):
     """A divisor class: an integer coordinate vector in the lattice basis."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coords", coords)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
@@ -78,8 +88,7 @@ class DivClass:
         return f"DivClass{self.coords}"
 
 
-@dataclass(frozen=True)
-class GramLattice:
+class GramLattice(Frozen):
     """A free abelian group of finite rank with an even symmetric pairing.
 
     Construction checks that the rows are square and integer, then that the
@@ -87,7 +96,22 @@ class GramLattice:
     listing every violation.
     """
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram",)
+
+    def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "gram", gram)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self) -> int:
+        return hash((self.gram,))
+
+    def __repr__(self) -> str:
+        return f"GramLattice(gram={self.gram!r})"
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.gram)
@@ -175,18 +199,32 @@ class QForm(NamedTuple):
     witness: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class QuasiPolarization:
+class QuasiPolarization(Frozen):
     """A distinguished class with positive square; nefness is the caller's assertion.
 
     The lattice cannot decide nefness without a full description of the
-    curve classes.
+    curve classes.  Equality, hash and repr read ``lattice`` and ``h``; the
+    instance ``__dict__`` holds the cached ``q_form``.
     """
 
-    lattice: GramLattice
-    h: DivClass
-    # H^T (gram), computed once: the degree of a class is a dot product with it
-    h_covector: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # h_covector is H^T (gram), computed once: the degree of a class is a dot product with it
+    __slots__ = ("lattice", "h", "h_covector", "__dict__")
+
+    def __init__(self, lattice: GramLattice, h: DivClass) -> None:
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "h", h)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lattice, self.h) == (other.lattice, other.h)
+
+    def __hash__(self) -> int:
+        return hash((self.lattice, self.h))
+
+    def __repr__(self) -> str:
+        return f"QuasiPolarization(lattice={self.lattice!r}, h={self.h!r})"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_covector", self.lattice.covector(self.h))

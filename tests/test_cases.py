@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -363,7 +362,8 @@ def test_spec_instance_is_not_a_counterexample():
 
 
 def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
-    bogus = BoxCounterexample(eps=(0, 0), upper_x=(2,), r=(1, 1), s=(1, 1), genus=3)
+    fields = {"eps": (0, 0), "upper_x": (2,), "r": (1, 1), "s": (1, 1), "genus": 3}
+    bogus = BoxCounterexample(**fields)
     # hypothesis holds but the split {1} | {2} certifies: not a counterexample
     assert not verify_counterexample(2, bogus)
     # one fault each: infeasible ranks, then malformed reports
@@ -384,14 +384,14 @@ def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
         {"genus": 4},
         {"genus": 3.0},
     ]
-    wrong_n = [(3, bogus), (1, replace(bogus, eps=(0,), r=(1,), s=(1,), upper_x=()))]
+    wrong_n = [(3, bogus), (1, BoxCounterexample(**{**fields, "eps": (0,), "r": (1,), "s": (1,), "upper_x": ()}))]
     # none may raise, and once the split test is forced to accept bogus,
     # each fault alone must still reject it
     for forced in (False, True):
         if forced:
             monkeypatch.setattr(cases, "_is_failing", lambda eps, upper_x: True)
             assert verify_counterexample(2, bogus)
-        for n, cex in [(2, replace(bogus, **fault)) for fault in faults] + wrong_n:
+        for n, cex in [(2, BoxCounterexample(**{**fields, **fault})) for fault in faults] + wrong_n:
             assert not verify_counterexample(n, cex), (forced, n, cex)
 
 

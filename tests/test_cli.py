@@ -467,6 +467,14 @@ def test_cli_import_leaves_fractions_and_decimal_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_dataclasses_out():
+    # dataclasses and the modules only it loads cost about a third of the import,
+    # and its decorators compile generated methods at every start
+    names = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    out = _python("-c", f"import sys, k3bn.cli; print(sorted({names} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]"
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bn-check", "--help"])
