@@ -970,7 +970,8 @@ def classify_multi_decomposition(
     A matched case carries a partial-sum certificate when one exists in the
     profile alone; otherwise the report notes that geometric input would be
     required to produce one.  A split search past the search ceiling
-    (n >= 21) is refused as bound overflow before any work.
+    (n >= 21) is refused as bound overflow before any work, and a profile
+    of genus < 2 (H^2 <= 0, so not a quasi-polarization) is refused too.
     """
     n = profile.n
     if n < 3:
@@ -983,6 +984,11 @@ def classify_multi_decomposition(
         raise PreconditionError("every part must be flagged h0 >= 2")
     if n in (3, 4) and any(s < 0 for s in profile.sq):
         raise PreconditionError("squares must be nonnegative for n = 3 and n = 4 cases")
+    if profile.genus < 2:
+        raise PreconditionError(
+            f"genus {profile.genus} < 2: the parts sum to H with H^2 = {profile.h_square} <= 0, "
+            "not a quasi-polarization"
+        )
 
     t = sorted(profile.sq, reverse=True)
     if n >= 5:

@@ -1,4 +1,4 @@
-"""Command-line interface: surface-spec parsing, dispatch, JSON reports.
+"""Command-line interface: command lines, surface-spec parsing, dispatch, JSON reports.
 
 Commands map one-to-one onto the library capabilities: bn-check, decompose,
 classify, verify-cases, triples, reduce-fixed, profile-check.  Reports are
@@ -13,12 +13,12 @@ the code.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import cases
 from .bn import (
@@ -448,8 +448,8 @@ _HANDLERS = {
 }
 
 
-def run(args: argparse.Namespace) -> tuple[RunReport, int]:
-    """Dispatch a parsed command; reports echo their inputs and bounds."""
+def run(args) -> tuple[RunReport, int]:
+    """Dispatch a parsed command line; reports echo their inputs and bounds."""
     started = time.perf_counter()
     report, status = _HANDLERS[args.command](args)
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -496,17 +496,73 @@ def _render_human(report: RunReport) -> str:
     return "\n".join(lines)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors, so that they get the JSON input-error report.
+# The command-line grammar: each command's help line and its options in
+# order, as (option, kind, default, choices, help).  A kind of bool is a flag,
+# int and str take one value, and a default of _REQUIRED makes the option
+# required.  `build_parser` and `_parse_plain` both read it.
+_REQUIRED = object()
+_GRAMMAR = {
+    "bn-check": (
+        "search for a Brill-Noether violation certificate",
+        (
+            ("--surface", str, _REQUIRED, None, "surface spec JSON file ('-' for stdin)"),
+            ("--degree-bound", int, 10, None, None),
+        ),
+    ),
+    "decompose": (
+        "enumerate effective decompositions up to the bound",
+        (("--surface", str, _REQUIRED, None, None), ("--degree-bound", int, 10, None, None)),
+    ),
+    "classify": (
+        "match a decomposition profile against the case list",
+        (("--profile", str, _REQUIRED, None, "profile JSON file with 'sq' and 'x'"),),
+    ),
+    "verify-cases": (
+        "exhaustive box verification for n = 2, 3, 4",
+        (
+            ("--n", int, _REQUIRED, (2, 3, 4), None),
+            ("--default-box", bool, False, None, "force the default box"),
+            *((f"--{b}", int, None, None, None) for b in ("r-max", "s-min", "s-max", "eps-max", "x-min", "x-max")),
+        ),
+    ),
+    "triples": (
+        "enumerate exceptional triples of the determinant condition",
+        (("--a-max", int, _REQUIRED, None, None),),
+    ),
+    "reduce-fixed": (
+        "absorb declared irreducible summands into parts",
+        (
+            ("--surface", str, _REQUIRED, None, None),
+            ("--data", str, _REQUIRED, None, "JSON file with 'parts' and 'delta'"),
+        ),
+    ),
+    "profile-check": (
+        "test filtration-profile feasibility",
+        (("--profile", str, _REQUIRED, None, "profile JSON file with 'entries'"),),
+    ),
+}
+# per command, each option's namespace attribute and its spec
+_OPTIONS = {
+    command: {opt: (opt[2:].replace("-", "_"), *spec) for opt, *spec in options}
+    for command, (_, options) in _GRAMMAR.items()
+}
 
-    Subparsers are built from the same class, so their errors are raised too.
+
+def build_parser():
+    """A fresh argparse parser for the grammar table.
+
+    It reads every line that `_parse_plain` does not, so abbreviations,
+    ``--opt=value``, ``--``, help and every usage error keep argparse's own
+    behaviour and texts.  Usage errors are raised as InputError, so that they
+    get the JSON input-error report; the subparsers share the parser class,
+    so their errors are raised too.
     """
+    import argparse
 
-    def error(self, message: str):
-        raise InputError(f"{self.prog}: {message}")
+    class _ArgumentParser(argparse.ArgumentParser):
+        def error(self, message: str):
+            raise InputError(f"{self.prog}: {message}")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="k3bn",
         description="Divisor arithmetic and Brill-Noether generality certificates "
@@ -514,39 +570,68 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bn-check", help="search for a Brill-Noether violation certificate")
-    p.add_argument("--surface", required=True, help="surface spec JSON file ('-' for stdin)")
-    p.add_argument("--degree-bound", type=int, default=10)
-
-    p = sub.add_parser("decompose", help="enumerate effective decompositions up to the bound")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--degree-bound", type=int, default=10)
-
-    p = sub.add_parser("classify", help="match a decomposition profile against the case list")
-    p.add_argument("--profile", required=True, help="profile JSON file with 'sq' and 'x'")
-
-    p = sub.add_parser("verify-cases", help="exhaustive box verification for n = 2, 3, 4")
-    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
-    p.add_argument("--default-box", action="store_true", help="force the default box")
-    for opt in ("r-max", "s-min", "s-max", "eps-max", "x-min", "x-max"):
-        p.add_argument(f"--{opt}", type=int, default=None)
-
-    p = sub.add_parser("triples", help="enumerate exceptional triples of the determinant condition")
-    p.add_argument("--a-max", type=int, required=True)
-
-    p = sub.add_parser("reduce-fixed", help="absorb declared irreducible summands into parts")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--data", required=True, help="JSON file with 'parts' and 'delta'")
-
-    p = sub.add_parser("profile-check", help="test filtration-profile feasibility")
-    p.add_argument("--profile", required=True, help="profile JSON file with 'entries'")
-
+    for command, (command_help, options) in _GRAMMAR.items():
+        p = sub.add_parser(command, help=command_help)
+        for opt, kind, default, choices, opt_help in options:
+            kwargs = {"action": "store_true"} if kind is bool else {"type": int} if kind is int else {}
+            if default is _REQUIRED:
+                kwargs["required"] = True
+            elif kind is not bool:
+                kwargs["default"] = default
+            if choices:
+                kwargs["choices"] = choices
+            if opt_help:
+                kwargs["help"] = opt_help
+            p.add_argument(opt, **kwargs)
     return parser
 
 
-# The parser `main` uses, built on the first call and reused by every later
-# call in the process (parsing keeps its state in locals and a new Namespace).
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for a plainly well-formed line, or None.
+
+    A plainly well-formed line is an optional leading ``--human`` and a
+    command, then exact option names of that command, each at most once:
+    flags bare, every other option followed by one value.  No value starts
+    with "-" except "-" itself and "-" followed by ASCII digits, which
+    argparse also reads as values, since no option looks like a negative
+    number.  Ints go through ``int()`` as argparse converts them, choices
+    are checked, and every required option must be present.  Any other line
+    returns None and is left to argparse.
+    """
+    human = argv[:1] == ["--human"]
+    options = _OPTIONS.get(argv[human] if len(argv) > human else None)
+    if options is None:
+        return None
+    values = {dest: default for dest, _, default, _, _ in options.values()}
+    seen = set()
+    tokens = iter(argv[human + 1 :])
+    for opt in tokens:
+        if opt not in options or opt in seen:
+            return None
+        seen.add(opt)
+        dest, kind, _, choices, _ = options[opt]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value[:1] == "-" and value != "-" and not (value[1:].isascii() and value[1:].isdigit())):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if choices and value not in choices:
+                return None
+        values[dest] = value
+    if any(v is _REQUIRED for v in values.values()):
+        return None
+    return SimpleNamespace(human=human, command=argv[human], **values)
+
+
+# The parser `main` uses, built for the first line that `_parse_plain` leaves
+# to argparse and reused by every later one in the process (parsing keeps its
+# state in locals and a new Namespace).
 # `build_parser()` still returns a fresh parser that callers may change freely.
 _parser = functools.cache(build_parser)
 
@@ -564,7 +649,7 @@ def _write(text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_plain(argv) or _parser().parse_args(argv)
         report, status = run(args)
     except (InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
         warnings = exc.violations if isinstance(exc, InputError) else [str(exc)]

@@ -812,12 +812,16 @@ def _classified_profiles(draw):
 @settings(max_examples=300, deadline=None)
 @given(_classified_profiles())
 def test_classify_matches_the_sorted_mask_loop(profile):
+    if profile.genus < 2:  # H^2 <= 0: not a quasi-polarization, refused before any match
+        with pytest.raises(PreconditionError, match=f"^genus {profile.genus} < 2: "):
+            classify_multi_decomposition(profile, [True] * profile.n)
+        return
     assert classify_multi_decomposition(profile, [True] * profile.n) == _reference_classify(profile)
 
 
 def test_classify_without_a_certificate_matches_the_sorted_mask_loop():
-    # every split has both floors 1 and the genus is 1: the search runs through all 15
-    p = DecompositionProfile.from_upper((-4,) * 5, (1,) * 10)
+    # every split has both floors 1 and the genus is 2: the search runs through all 15
+    p = DecompositionProfile.from_upper((-4,) * 5, (2,) + (1,) * 9)
     out = classify_multi_decomposition(p, [True] * 5)
     assert out == _reference_classify(p) and out.certificate is None and out.note
 

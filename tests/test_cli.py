@@ -262,6 +262,21 @@ def test_classify_exceptional(tmp_path):
     assert "exceptional" in rep["verdict"]
 
 
+@pytest.mark.parametrize(
+    "sq, warning",
+    [
+        ([-2] * 5, "genus -4 < 2: the parts sum to H with H^2 = -10 <= 0, not a quasi-polarization"),
+        ([0] * 3, "genus 1 < 2: the parts sum to H with H^2 = 0 <= 0, not a quasi-polarization"),
+    ],
+    ids=["five (-2)-parts", "three isotropic parts"],
+)
+def test_classify_refuses_profiles_of_genus_below_two(tmp_path, sq, warning):
+    n = len(sq)
+    path = write(tmp_path, "p.json", {"sq": sq, "x": [[0] * n for _ in range(n)]})
+    code, rep = run_cli(["classify", "--profile", path])
+    assert (code, rep["verdict"], rep["warnings"]) == (EXIT_INPUT_ERROR, "input error", [warning])
+
+
 def test_verify_cases_small_box():
     code, rep = run_cli(
         [
@@ -483,6 +498,105 @@ def test_help_still_exits_zero(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the grammar table against argparse
+
+# values that argparse reads in ways a hand-written reader could get wrong
+_ODD_VALUES = ["-", "-3", "-0", "-1.5", "-.5", "+5", " 4", "1_0", "\u0663", "", "x", "-1a", "-\u0663", "-\u00b2", "-x", "7"]
+
+
+def _assert_reads_as_argparse(argv, parser, well_formed=False):
+    """`_parse_plain` returns argparse's namespace for ``argv`` or None, and None
+    whenever argparse refuses the line (or prints help); a well-formed line
+    must be read."""
+    plain = cli._parse_plain(argv)
+    try:
+        with redirect_stdout(io.StringIO()):
+            expected = vars(parser.parse_args(argv))
+    except (SpecValidationError, SystemExit):
+        assert plain is None, argv
+        return
+    if well_formed:
+        assert plain is not None, argv
+    if plain is not None:
+        assert vars(plain) == expected, argv
+
+
+def _mutate(draw, argv, command):
+    """``argv`` with one token added, changed or removed, most often into a line argparse refuses."""
+    options = cli._OPTIONS[command]
+    start = argv.index(command) + 1
+    named = [i for i in range(start, len(argv)) if argv[i] in options]
+    valued = [i for i in named if options[argv[i]][1] is not bool and i + 1 < len(argv)]
+    at = draw(st.integers(start, len(argv)))
+    kind = draw(st.sampled_from(["abbreviate", "insert", "join", "repeat", "omit", "drop", "n", "value"]))
+    if kind == "abbreviate" and named:
+        i = draw(st.sampled_from(named))
+        argv[i] = argv[i][: draw(st.integers(3, max(3, len(argv[i]) - 1)))]
+    elif kind == "insert":
+        argv.insert(at, draw(st.sampled_from(["--workers", "--surfaces", "-h", "--help", "--", "--human"])))
+    elif kind == "join" and valued:
+        i = draw(st.sampled_from(valued))
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif kind == "repeat" and named:
+        i = draw(st.sampled_from(named))
+        argv[at:at] = argv[i : i + (1 if options[argv[i]][1] is bool else 2)]
+    elif kind == "omit" and named:
+        i = draw(st.sampled_from(named))
+        del argv[i : i + (1 if options[argv[i]][1] is bool else 2)]
+    elif kind == "drop" and valued:
+        del argv[draw(st.sampled_from(valued)) + 1]
+    elif kind == "n" and "--n" in argv[start:-1]:
+        argv[argv.index("--n", start) + 1] = draw(st.sampled_from(["0", "1", "5", "7", "-2"]))
+    elif kind == "value" and valued:
+        argv[draw(st.sampled_from(valued)) + 1] = draw(st.sampled_from(_ODD_VALUES))
+    return argv
+
+
+@st.composite
+def _command_lines(draw):
+    """A well-formed line of any command, and the same line after zero to two mutations."""
+    command = draw(st.sampled_from(list(cli._GRAMMAR)))
+    argv = ["--human"] * draw(st.integers(0, 1)) + [command]
+    options = [spec for spec in cli._GRAMMAR[command][1] if spec[2] is cli._REQUIRED or draw(st.booleans())]
+    for opt, kind, _, choices, _ in draw(st.permutations(options)):
+        argv.append(opt)
+        if choices:
+            argv.append(str(draw(st.sampled_from(choices))))
+        elif kind is int:
+            argv.append(str(draw(st.integers(-20, 20))))
+        elif kind is str:
+            argv.append(draw(st.sampled_from(["u.json", "-", "-7", "", "a b", "x=1", "bn-check", "-5"])))
+    mutated = list(argv)
+    for _ in range(draw(st.integers(0, 2))):
+        mutated = _mutate(draw, mutated, command)
+    return argv, mutated
+
+
+@settings(max_examples=500, deadline=None)
+@given(_command_lines())
+def test_plain_lines_read_as_argparse_reads_them(lines):
+    well_formed, argv = lines
+    _assert_reads_as_argparse(argv, build_parser(), argv == well_formed)
+
+
+def test_odd_values_read_as_argparse_reads_them():
+    # every odd value in place of every option's value, on each command's shortest
+    # line, and that line without each of its required options
+    parser = build_parser()
+    for command, (_, options) in cli._GRAMMAR.items():
+        required = [(opt, "2") for opt, _, default, _, _ in options if default is cli._REQUIRED]
+        for k in range(len(required) + 1):
+            line = required[:k] + required[k + 1 :]
+            _assert_reads_as_argparse([command, *(t for pair in line for t in pair)], parser, k == len(required))
+        for opt, kind, _, _, _ in options:
+            if kind is bool:
+                continue
+            for value in _ODD_VALUES:
+                line = dict(required, **{opt: value})
+                _assert_reads_as_argparse([command, *(t for pair in line.items() for t in pair)], parser)
+
+
+# ---------------------------------------------------------------------------
 # one parser per process
 
 
@@ -521,9 +635,16 @@ def _assert_reuse_matches_fresh(monkeypatch, argvs):
 def test_main_reuses_one_parser():
     assert cli._parser() is cli._parser()
     assert build_parser() is not build_parser()
-    hits = cli._parser.cache_info().hits
+    # a well-formed line is read from the grammar table and never asks for the parser
+    info = cli._parser.cache_info()
     run_cli(["triples", "--a-max", "3"])
-    assert cli._parser.cache_info().hits == hits + 1
+    assert cli._parser.cache_info() == info
+    # the first usage error builds the parser, the next one reuses it
+    cli._parser.cache_clear()
+    run_cli(["verify-cases", "--n", "7"])
+    assert cli._parser.cache_info()[:2] == (0, 1)
+    run_cli(["triples", "--a-max", "x"])
+    assert cli._parser.cache_info()[:2] == (1, 1)
 
 
 def test_reused_parser_human_then_json(tmp_path, monkeypatch):
@@ -556,8 +677,40 @@ def test_reused_parser_after_usage_error_and_help(monkeypatch):
     assert triples["results"]["triples"] == [[1, 1, 1], [2, 1, 1], [2, 2, 1], [3, 1, 1], [3, 2, 1]]
 
 
+def test_well_formed_commands_leave_argparse_out(tmp_path):
+    # each well-formed line is read from the grammar table; argparse, and the
+    # gettext it loads, come in only for a usage error, whose text stays argparse's
+    surface = write(tmp_path, "u.json", U_DOC)
+    rooted = write(tmp_path, "s.json", {"gram": [[0, 1, 0], [1, 0, 1], [0, 1, -2]], "H": [1, 1, 1]})
+    lines = [
+        ["bn-check", "--surface", surface, "--degree-bound", "2"],
+        ["--human", "decompose", "--degree-bound", "2", "--surface", surface],
+        ["classify", "--profile", write(tmp_path, "p.json", {"sq": [8, 2, 0], "x": [[0, 3, 3], [3, 0, 3], [3, 3, 0]]})],
+        ["verify-cases", "--n", "2", "--default-box"],
+        ["triples", "--a-max", "3"],
+        ["reduce-fixed", "--surface", rooted, "--data", write(tmp_path, "d.json", {"parts": [[1, 0, 0], [0, 1, 0]], "delta": [[0, 0, 1]]})],
+        ["profile-check", "--profile", write(tmp_path, "f.json", {"entries": [[1, 1, 0], [1, 1, 0]]})],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import k3bn.cli as c\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = c.main(argv)\n"
+        "    return code, out.getvalue(), sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "runs = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([[code for code, _, _ in runs], runs[-1][2], run(['verify-cases', '--n', '7'])]))\n"
+    )
+    out = _python("-c", script, json.dumps(lines))
+    codes, loaded, (code, report, after_error) = json.loads(out.stdout)
+    assert codes == [EXIT_VIOLATION, EXIT_VIOLATION, EXIT_VIOLATION, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert loaded == []
+    assert code == EXIT_INPUT_ERROR and after_error == ["argparse", "gettext"]
+    assert json.loads(report)["warnings"] == ["k3bn verify-cases: argument --n: invalid choice: 7 (choose from 2, 3, 4)"]
+
+
 def test_cli_import_builds_no_parser():
-    # the parser is built on the first `main` call, so importing stays cheap
+    # the parser is built on the first `main` call that needs it, so importing stays cheap
     out = _python("-c", "import k3bn.cli as c; print(c._parser.cache_info().currsize)")
     assert out.stdout.strip() == "0"
 
@@ -873,4 +1026,7 @@ def test_arbitrary_documents_get_an_exit_code_and_a_json_report(tmp_path_factory
     with redirect_stdout(buf):
         code = main([a.format(*paths) for a in argv])
     assert code in (EXIT_OK, EXIT_INPUT_ERROR, EXIT_VIOLATION, EXIT_EXCEPTIONAL)
-    json.loads(buf.getvalue())
+    rep = json.loads(buf.getvalue())
+    if command == "classify" and code != EXIT_INPUT_ERROR:
+        # a verdict only for a quasi-polarization, H^2 > 0 (genus >= 2); the rest are refused
+        assert sum(rep["inputs_echo"]["sq"]) + sum(map(sum, rep["inputs_echo"]["x"])) > 0
