@@ -10,8 +10,8 @@ The statement verified by :func:`exhaustive_case_check`, for n parts:
 
 Feasibility of the filtration data means: r_i >= 1, r_i s_i <= eps_i + 1,
 r_i <= r_{i+1} + ... + r_n for i < n, and s_n >= 1.  The h^0 floor of a
-group is ``bn.DecompositionProfile.group_h0_floor``, max(chi, 1) with chi
-computed from the profile.
+group is ``profiles.DecompositionProfile.group_h0_floor``, max(chi, 1)
+with chi computed from the profile.
 
 A raw sweep of the default four-part box has ~10^13 instances, so the
 checker decides the same quantified statement exactly in three layers, the
@@ -43,10 +43,12 @@ cheapest first:
     class.
 3.  Genera that survive both get an exhaustive slice enumeration (all
     x-matrices with the matching coordinate sum), each profile decided by
-    the split search of ``classify`` (``bn._first_partition_certificate``);
-    any failing profile is paired with the (r, s) that attains the layer-2
-    maximum, which beats every genus left, and recorded as a
-    counterexample.
+    the split search of ``classify``
+    (``profiles._first_partition_certificate``); any failing profile is
+    paired with the (r, s) that attains the layer-2 maximum, which beats
+    every genus left, and recorded as a counterexample.  ``profiles`` is
+    loaded at the first slice, so a box that layers 1 and 2 close, as every
+    default box is, never compiles it.
 
 Layer 1 keeps a superset of the genera the exact maximum would keep, so the
 order changes no count and no counterexample.  ``BoxReport.stats`` counts
@@ -64,7 +66,6 @@ from functools import lru_cache, reduce
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from . import bn
 from .errors import Frozen, InputError, check_search_size, is_int
 
 _MAGNITUDE_CAP = 10**6  # box entries beyond this are rejected as bound overflow
@@ -158,6 +159,8 @@ def enumerate_exceptional_triples(a_max: int) -> list[tuple[int, int, int]]:
     (a1 - 1)(a2 - 1) - 4, negative for a2 = 1 and, with a2 >= 2, only at
     (2, 2, 1), (3, 2, 1) and (4, 2, 1).
     """
+    if not is_int(a_max):
+        raise InputError("a_max must be an integer")
     if a_max < 1:
         raise InputError("a_max must be at least 1")
     check_search_size(a_max, "values of a1", "lower a_max")
@@ -175,6 +178,8 @@ def dynkin_label(a1: int, a2: int, a3: int) -> str:
     (a, 1, 1) are the legs of D_{a+3}; (a, 2, 1) with a in {2, 3, 4} the legs
     of E_{a+4}.
     """
+    if not (is_int(a1) and is_int(a2) and is_int(a3)):
+        raise InputError(*(f"a{i} must be an integer" for i, a in enumerate((a1, a2, a3), 1) if not is_int(a)))
     if not (a1 >= a2 >= a3 >= 1):
         raise InputError("triple must be sorted descending with positive entries")
     if a1 * a2 * a3 - a1 - a2 - a3 - 2 >= 0:
@@ -512,8 +517,10 @@ def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
     a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
     a, b <= -2.
     """
-    profile = bn.DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
-    return bn._first_partition_certificate(profile) is None
+    from .profiles import DecompositionProfile, _first_partition_certificate
+
+    profile = DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
+    return _first_partition_certificate(profile) is None
 
 
 def _check_eps_class(
@@ -599,11 +606,11 @@ def exhaustive_case_check(
     """Run the box verification for n in {2, 3, 4}.
 
     Longer decompositions reduce to these lengths through the case analysis
-    in :mod:`k3bn.bn` and are deliberately not enumerated here.  A two- or
-    three-part box with more eps-classes, rank vectors or (at n = 2)
-    cross-check tuples than the search ceiling is refused as bound overflow
-    before any work starts; a four-part box never is, since the row-sum test
-    closes its classes without visiting any.
+    of ``bn.classify_multi_decomposition`` and are deliberately not
+    enumerated here.  A two- or three-part box with more eps-classes, rank
+    vectors or (at n = 2) cross-check tuples than the search ceiling is
+    refused as bound overflow before any work starts; a four-part box never
+    is, since the row-sum test closes its classes without visiting any.
     """
     if n not in (2, 3, 4):
         raise InputError("exhaustive checks cover n = 2, 3, 4")

@@ -19,13 +19,11 @@ import os
 import sys
 import time
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import cases
 from .bn import (
-    DecompositionProfile,
     DecompositionScan,
-    ExceptionalProfile,
-    NotBNGeneral,
     ViolationCertificate,
     classify_multi_decomposition,
     scan_decompositions,
@@ -40,6 +38,9 @@ from .lattice import (
     QuasiPolarization,
     hyperbolic_plane_warnings,
 )
+
+if TYPE_CHECKING:
+    from .profiles import DecompositionProfile
 
 EXIT_OK = 0
 EXIT_VIOLATION = 10
@@ -207,6 +208,8 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
 
 
 def _parse_decomposition_profile(text: str) -> tuple[DecompositionProfile, list[bool]]:
+    from .profiles import DecompositionProfile
+
     data = _read_document(text, "profile", ("sq", "x"), {"h0_at_least_2": None})
     profile = DecompositionProfile(tuple(data["sq"]), tuple(map(tuple, data["x"])))
     flags = data["h0_at_least_2"]
@@ -331,6 +334,8 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
 
 
 def _cmd_classify(args) -> tuple[RunReport, int]:
+    from .profiles import ExceptionalProfile, NotBNGeneral
+
     profile, flags = _parse_decomposition_profile(_read(args.profile))
     report = RunReport(
         command="classify",

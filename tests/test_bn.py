@@ -35,7 +35,6 @@ from k3bn import (
 from k3bn import bn
 from k3bn.bn import (
     SCAN_VERDICT_KEYS,
-    CertificateSketch,
     _certificate_scan,
     _degree_window,
     _window_scan,
@@ -46,6 +45,7 @@ from k3bn.bn import (
 )
 from k3bn.divisors import DEFAULT_COEFF_BOUND, _peel, h0_floor
 from k3bn.lattice import hyperbolic_plane_warnings
+from k3bn.profiles import CertificateSketch
 from conftest import rank_one
 
 even = st.integers(-500, 500).map(lambda v: 2 * v)

@@ -84,6 +84,13 @@ def test_triples_rejects_bad_bound():
         enumerate_exceptional_triples(SEARCH_CEILING + 1)
 
 
+@pytest.mark.parametrize("a_max", [True, False, 3.0, 2.5, "5", None])
+def test_triples_reject_a_bound_that_is_not_an_int(a_max):
+    # a bool is not an integer input, and a float or a str would reach range() or "<"
+    with pytest.raises(InputError, match="^a_max must be an integer$"):
+        enumerate_exceptional_triples(a_max)
+
+
 def brute_force_triples(a_max):
     return [
         (a1, a2, a3)
@@ -112,6 +119,24 @@ def test_dynkin_rejects_non_exceptional():
         dynkin_label(5, 2, 1)
     with pytest.raises(InputError):
         dynkin_label(1, 2, 1)  # not sorted
+
+
+@pytest.mark.parametrize(
+    "triple, bad",
+    [
+        ((2.5, 1, 1), ["a1"]),
+        ((True, 1, 1), ["a1"]),
+        ((1, True, True), ["a2", "a3"]),
+        ((3.0, 1, 1), ["a1"]),
+        (("5", "1", 1), ["a1", "a2"]),
+        ((4, 2, 1.0), ["a3"]),
+    ],
+)
+def test_dynkin_rejects_entries_that_are_not_ints(triple, bad):
+    # once 'D5.5' for (2.5, 1, 1) and 'D4' for (True, 1, 1); every bad entry is listed
+    with pytest.raises(InputError) as exc:
+        dynkin_label(*triple)
+    assert exc.value.violations == [f"{a} must be an integer" for a in bad]
 
 
 # ---------------------------------------------------------------------------

@@ -490,6 +490,47 @@ def test_cli_import_leaves_dataclasses_out():
     assert out.stdout.strip() == "[]"
 
 
+def _loaded_k3bn_modules(*statements):
+    """The k3bn modules a fresh interpreter holds after running ``statements``."""
+    script = "\n".join(("import json, sys", *statements, "print(json.dumps(sorted(m for m in sys.modules if m.startswith('k3bn'))))"))
+    out = _python("-c", script)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_cli_import_loads_neither_profiles_nor_mukai():
+    # every command compiles what the import loads; the profile case analysis
+    # and the Mukai pairings wait for the commands that use them
+    assert _loaded_k3bn_modules("import k3bn.cli") == [
+        "k3bn", "k3bn.bn", "k3bn.cases", "k3bn.cli", "k3bn.divisors", "k3bn.errors", "k3bn.lattice",
+    ]
+
+
+def test_cases_import_leaves_bn_out():
+    assert _loaded_k3bn_modules("import k3bn.cases") == ["k3bn", "k3bn.cases", "k3bn.errors"]
+
+
+@pytest.mark.parametrize(
+    "argv, profiles",
+    [
+        (["verify-cases", "--n", "2", "--default-box"], False),
+        (["bn-check", "--surface", "{surface}", "--degree-bound", "3"], False),
+        (["decompose", "--surface", "{surface}", "--degree-bound", "3"], False),
+        (["classify", "--profile", "{profile}"], True),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_only_classify_loads_profiles(tmp_path, argv, profiles):
+    surface = write(tmp_path, "ua1.json", {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -2]], "H": [1, 2, 0]})
+    profile = write(tmp_path, "p.json", {"sq": [8, 2, 0], "x": [[0, 3, 3], [3, 0, 3], [3, 3, 0]]})
+    argv = [a.format(surface=surface, profile=profile) for a in argv]
+    loaded = _loaded_k3bn_modules(
+        "import contextlib, io, k3bn.cli",
+        f"with contextlib.redirect_stdout(io.StringIO()): k3bn.cli.main({argv!r})",
+    )
+    assert ("k3bn.profiles" in loaded) == profiles
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bn-check", "--help"])

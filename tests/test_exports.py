@@ -1,0 +1,122 @@
+"""The package exports its public names on first use, each from the module that defines it."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import k3bn
+
+# every public name and its home module
+HOMES = {
+    "Box": "cases",
+    "BoxCounterexample": "cases",
+    "BoxReport": "cases",
+    "CertificateSketch": "profiles",
+    "DecompositionProfile": "profiles",
+    "DivClass": "lattice",
+    "Effectivity": "divisors",
+    "EffectivityVerdict": "divisors",
+    "ExceptionalProfile": "profiles",
+    "FiltrationProfile": "cases",
+    "GramLattice": "lattice",
+    "IncompatiblePair": "divisors",
+    "InconsistentGeometryError": "errors",
+    "InputError": "errors",
+    "MukaiVector": "mukai",
+    "NotBNGeneral": "profiles",
+    "PreconditionError": "errors",
+    "QuasiPolarization": "lattice",
+    "RootSet": "divisors",
+    "SameEllipticPencil": "divisors",
+    "SumSquareAtLeastFour": "divisors",
+    "ViolationCertificate": "bn",
+    "am_gm": "cases",
+    "check_pair": "bn",
+    "chi_product_identity_gap": "profiles",
+    "classify_multi_decomposition": "bn",
+    "default_box": "cases",
+    "dynkin_label": "cases",
+    "effectivity_status": "divisors",
+    "elliptic_multiple": "profiles",
+    "enumerate_exceptional_triples": "cases",
+    "exhaustive_case_check": "cases",
+    "find_violation": "bn",
+    "h0_lower_bound": "divisors",
+    "hyperbolic_plane": "lattice",
+    "hyperbolic_plane_warnings": "lattice",
+    "mukai_pairing": "mukai",
+    "n4_low_intersections": "profiles",
+    "no_negative_intersections": "profiles",
+    "profile_feasible": "cases",
+    "reduce_fixed_components": "divisors",
+    "scan_decompositions": "bn",
+    "simple_bound_holds": "mukai",
+    "two_divisor_classification": "divisors",
+    "verify_counterexample": "cases",
+}
+
+
+def test_all_is_pinned():
+    assert len(HOMES) == 45
+    assert k3bn.__all__ == list(HOMES)
+
+
+@pytest.mark.parametrize("name", list(HOMES))
+def test_each_name_is_its_home_module_object(name):
+    assert getattr(k3bn, name) is getattr(importlib.import_module(f"k3bn.{HOMES[name]}"), name)
+
+
+def test_dir_covers_all():
+    assert set(k3bn.__all__) <= set(dir(k3bn))
+    assert "__version__" in dir(k3bn)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from k3bn import *", namespace)
+    assert {name: namespace[name] for name in HOMES} == {name: getattr(k3bn, name) for name in HOMES}
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="module 'k3bn' has no attribute 'nope'"):
+        k3bn.nope
+    with pytest.raises(ImportError):
+        exec("from k3bn import nope", {})
+
+
+def test_submodules_still_import_by_name():
+    from k3bn import bn, profiles
+
+    assert bn.classify_multi_decomposition is k3bn.classify_multi_decomposition
+    assert profiles.DecompositionProfile is k3bn.DecompositionProfile
+
+
+def _fresh(script):
+    src = os.path.dirname(os.path.dirname(k3bn.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_package_import_loads_no_submodule():
+    loaded = _fresh("import json, sys, k3bn; print(json.dumps(sorted(m for m in sys.modules if 'k3bn' in m)))")
+    assert loaded == ["k3bn"]
+
+
+def test_a_name_loads_only_its_home_module_and_what_that_imports():
+    script = (
+        "import json, sys, k3bn\n"
+        "k3bn.MukaiVector\n"
+        "print(json.dumps(sorted(m for m in sys.modules if 'k3bn' in m)))"
+    )
+    assert _fresh(script) == ["k3bn", "k3bn.errors", "k3bn.lattice", "k3bn.mukai"]

@@ -14,15 +14,7 @@ from collections import Counter
 
 import pytest
 
-from k3bn.bn import (
-    CertificateSketch,
-    DecompositionProfile,
-    DecompositionScan,
-    ExceptionalProfile,
-    NotBNGeneral,
-    PairRecord,
-    ViolationCertificate,
-)
+from k3bn.bn import DecompositionScan, PairRecord, ViolationCertificate
 from k3bn.cases import Box, BoxCounterexample, BoxReport, FiltrationProfile
 from k3bn.cli import RunReport, SurfaceSpec
 from k3bn.divisors import (
@@ -36,6 +28,7 @@ from k3bn.divisors import (
 from k3bn.errors import Frozen
 from k3bn.lattice import DivClass, GramLattice, QuasiPolarization
 from k3bn.mukai import MukaiVector
+from k3bn.profiles import CertificateSketch, DecompositionProfile, ExceptionalProfile, NotBNGeneral
 
 MISSING = dataclasses.MISSING
 DERIVED = {"init": False, "compare": False, "repr": False}
