@@ -581,7 +581,8 @@ def classify_multi_decomposition(
     (n >= 21) is refused as bound overflow before any work, and a profile
     of genus < 2 (H^2 <= 0, so not a quasi-polarization) is refused too.
     """
-    from .profiles import (
+    # absolute: a relative import looks the package up on every call
+    from k3bn.profiles import (
         LABEL_N3_ISOTROPIC_PAIR,
         LABEL_N3_LOW,
         LABEL_N4_ISOTROPIC,

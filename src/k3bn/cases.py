@@ -37,10 +37,11 @@ cheapest first:
     -  n = 2: c > 0 always and f is nondecreasing, so the survivors form an
        interval; the same band, under 2 min(a_i) genera wide, finds its
        start.
-2.  For classes with a surviving genus, the exact maximum P of
-    (sum r)(sum s) over feasible filtration data in the box.  Genera >= P
-    admit no violating filtration data; an empty feasible set closes the
-    class.
+2.  For classes with a surviving genus, whether some feasible filtration
+    data in the box has (sum r)(sum s) above the smallest surviving genus
+    g0; the exact maximum P, with its witness, is computed only when it
+    beats g0.  Genera >= P admit no violating filtration data; no product
+    above g0, an empty feasible set included, closes the class.
 3.  Genera that survive both get an exhaustive slice enumeration (all
     x-matrices with the matching coordinate sum), each profile decided by
     the split search of ``classify``
@@ -62,9 +63,11 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
 from functools import lru_cache, reduce
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from operator import getitem
+from typing import Iterable, Iterator
 
 from .errors import Frozen, InputError, check_search_size, is_int
 
@@ -411,40 +414,44 @@ def _chain_r_vectors(n: int, r_max: int, last: int) -> tuple[tuple[int, tuple[in
     return tuple(sorted(vectors, reverse=True))
 
 
-def _caps(eps: Sequence[int], r: Sequence[int], box: Box) -> tuple[int, ...] | None:
-    """Per-index maxima for s given r, or None when some range is empty."""
-    caps = []
-    for e, ri in zip(eps, r):
-        cap = min(box.s_max, (e + 1) // ri)
-        if cap < box.s_min:
-            return None
-        caps.append(cap)
-    return tuple(caps)
+_NO_CAP = -(10**9)  # below s_min: drives any sum of caps within the box negative
+
+
+@lru_cache(maxsize=None)
+def _cap_row(e: int, r_max: int, s_min: int, s_max: int) -> tuple[int, ...]:
+    """Caps min(s_max, (e + 1) // r) of s indexed by r <= r_max; _NO_CAP below s_min.
+
+    Keyed by ints: hashing a ``Box`` runs Python code.
+    """
+    caps = (min(s_max, (e + 1) // r) for r in range(1, r_max + 1))
+    return (_NO_CAP, *(c if c >= s_min else _NO_CAP for c in caps))
 
 
 def _max_fp_product(
-    n: int, eps: tuple[int, ...], box: Box
+    n: int, eps: tuple[int, ...], box: Box, floor: int = -1
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """Exact max of (sum r)(sum s) over feasible filtration data, with a witness.
+    """Exact max of (sum r)(sum s) over feasible filtration data, if above floor.
 
     Returns (max, r, s) for the first feasible (r, s) in scan order that
-    attains the maximum, or None when the feasible set is empty.  For fixed
-    ranks the product is maximized by pushing every s to its cap, so only
-    rank vectors are enumerated.
+    attains the maximum, or None when no feasible product exceeds floor.
+    For fixed ranks the product is maximized by pushing every s to its cap,
+    so only rank vectors are enumerated.  Caps are >= 0 and the last >= 1,
+    so None at the default floor means an empty feasible set.  A bucket is
+    left once its rank sum times s_room, a bound on sum s at its last rank,
+    cannot beat the best product so far.
     """
-    best: int | None = None
-    s_room = n * box.s_max
+    rows = [_cap_row(e, box.r_max, box.s_min, box.s_max) for e in eps]
+    head_room = sum(min(box.s_max, e + 1) for e in eps[:-1])
+    best, r = floor, None
     for last in range(1, min(box.r_max, eps[-1] + 1) + 1):
+        s_room = head_room + rows[-1][last]
         for rsum, vec in _chain_r_vectors(n, box.r_max, last):
-            if best is not None and rsum * s_room <= best:
+            if rsum * s_room <= best:
                 break
-            caps = _caps(eps, vec, box)
-            if caps is None:
-                continue
-            p = rsum * sum(caps)
-            if best is None or p > best:
-                best, r, s = p, vec, caps
-    return None if best is None else (best, r, s)
+            p = rsum * sum(map(getitem, rows, vec))
+            if p > best:
+                best, r = p, vec
+    return None if r is None else (best, r, tuple(map(getitem, rows, r)))
 
 
 def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list[int]:
@@ -457,15 +464,16 @@ def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list
     n_pairs = n * (n - 1) // 2
     lo = max(1, total_eps + n_pairs * box.x_min + 1)
     hi = min(pmax - 1, total_eps + n_pairs * box.x_max + 1)
-    den = prod(e + 2 for e in eps)
-    num = sum(den // (e + 2) for e in eps) + (2 - n) * den
+    a = [e + 2 for e in eps]
+    den = prod(a)
+    num = sum(den // ai for ai in a) + (2 - n) * den
     if num <= 0:
         return []
     band_lo = max(lo, -(-(total_eps + 2 + n) * den // num))
     band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 2 + 2 * n) * den // num)))
     band = [
         g for g in range(band_lo, band_hi)
-        if (2 - n) * g - total_eps - 2 - n + sum(g // (e + 2) for e in eps) >= 0
+        if sum(map(g.__floordiv__, a)) >= (n - 2) * g + total_eps + 2 + n
     ]
     return band + list(range(band_hi, hi + 1))
 
@@ -517,7 +525,8 @@ def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
     a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
     a, b <= -2.
     """
-    from .profiles import DecompositionProfile, _first_partition_certificate
+    # absolute: a relative import looks the package up on every call
+    from k3bn.profiles import DecompositionProfile, _first_partition_certificate
 
     profile = DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
     return _first_partition_certificate(profile) is None
@@ -530,9 +539,9 @@ def _check_eps_class(
     genera = _surviving_genera(n, eps, box, n * box.r_max * n * box.s_max)
     if not genera:
         return "closed_row_sum", 0, []
-    # no feasible data: no product beats a genus, every genus being >= 1
-    pmax, r, s = _max_fp_product(n, eps, box) or (0, (), ())
-    genera = [g for g in genera if g < pmax]
+    # no product above the smallest genus: none survives (every genus is >= 1)
+    pmax, r, s = _max_fp_product(n, eps, box, genera[0]) or (0, (), ())
+    genera = genera[: bisect_left(genera, pmax)]  # genera ascend: keep those below pmax
     if not genera:
         return "closed_product_max", 0, []
     total_eps = sum(eps)

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import cases
 from .bn import (
@@ -38,9 +37,6 @@ from .lattice import (
     QuasiPolarization,
     hyperbolic_plane_warnings,
 )
-
-if TYPE_CHECKING:
-    from .profiles import DecompositionProfile
 
 EXIT_OK = 0
 EXIT_VIOLATION = 10
@@ -207,15 +203,6 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
     )
 
 
-def _parse_decomposition_profile(text: str) -> tuple[DecompositionProfile, list[bool]]:
-    from .profiles import DecompositionProfile
-
-    data = _read_document(text, "profile", ("sq", "x"), {"h0_at_least_2": None})
-    profile = DecompositionProfile(tuple(data["sq"]), tuple(map(tuple, data["x"])))
-    flags = data["h0_at_least_2"]
-    return profile, [True] * profile.n if flags is None else flags
-
-
 def _parse_filtration_profile(text: str) -> FiltrationProfile:
     data = _read_document(text, "profile", ("entries",), {})
     return FiltrationProfile(tuple(map(tuple, data["entries"])))
@@ -334,9 +321,14 @@ def _cmd_decompose(args) -> tuple[RunReport, int]:
 
 
 def _cmd_classify(args) -> tuple[RunReport, int]:
-    from .profiles import ExceptionalProfile, NotBNGeneral
+    # absolute: a relative import looks the package up on every call
+    from k3bn.profiles import DecompositionProfile, ExceptionalProfile, NotBNGeneral
 
-    profile, flags = _parse_decomposition_profile(_read(args.profile))
+    data = _read_document(_read(args.profile), "profile", ("sq", "x"), {"h0_at_least_2": None})
+    profile = DecompositionProfile(tuple(data["sq"]), tuple(map(tuple, data["x"])))
+    flags = data["h0_at_least_2"]
+    if flags is None:
+        flags = [True] * profile.n
     report = RunReport(
         command="classify",
         inputs_echo={"sq": list(profile.sq), "x": [list(r) for r in profile.x], "h0_at_least_2": flags},
@@ -388,8 +380,9 @@ def _cmd_verify_cases(args) -> tuple[RunReport, int]:
 
 def _cmd_triples(args) -> tuple[RunReport, int]:
     triples = cases.enumerate_exceptional_triples(args.a_max)
+    # by construction (a, 1, 1) is D_{a+3} and (a, 2, 1) is E_{a+4}, as dynkin_label labels them
     labeled = [
-        {"triple": list(t), "dynkin": cases.dynkin_label(*t)} for t in triples
+        {"triple": list(t), "dynkin": f"D{t[0] + 3}" if t[1] == 1 else f"E{t[0] + 4}"} for t in triples
     ]
     report = RunReport(
         command="triples",

@@ -349,7 +349,7 @@ def test_forced_false_alarm_is_detectable(monkeypatch):
     # force the slice sweep by pretending richer filtration data exists: the
     # failing profiles are real, but the fake witness's product 9 does not
     # beat their genus 10, so re-verification rejects every report
-    monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box: (12, (1, 1, 1), (1, 1, 1)))
+    monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box, floor=-1: (12, (1, 1, 1), (1, 1, 1)))
     layer, enumerated, cexs = cases._check_eps_class(3, default_box(3), (0, 0, 0), 50)
     assert layer == "swept"
     assert enumerated > 0
@@ -467,16 +467,57 @@ def small_boxes(draw):
     )
 
 
+def _caps(eps, r, box):
+    """Per-index maxima for s given r, or None when some range is empty: the cap rows' reference."""
+    caps = []
+    for e, ri in zip(eps, r):
+        cap = min(box.s_max, (e + 1) // ri)
+        if cap < box.s_min:
+            return None
+        caps.append(cap)
+    return tuple(caps)
+
+
+def _brute_max_fp_product(n, eps, box):
+    """The maximum over every rank vector with each s at its cap, and the first (r, s) attaining it.
+
+    First in the scan's order: by last rank, then by decreasing (sum r, r).  None if nothing is feasible.
+    """
+    best = None
+    ranks = itertools.product(range(1, box.r_max + 1), repeat=n)
+    for r in sorted(ranks, key=lambda r: (r[-1], -sum(r), [-v for v in r])):
+        caps = _caps(eps, r, box)
+        if caps is None or not profile_feasible(FiltrationProfile(tuple(zip(r, caps, eps)))):
+            continue
+        if best is None or sum(r) * sum(caps) > best[0]:
+            best = (sum(r) * sum(caps), r, caps)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from((2, 3, 4)), box=small_boxes(), data=st.data())
+def test_floored_max_fp_product_matches_brute_force(n, box, data):
+    # above the floor: the unfloored result, witness included; at or below it: None
+    eps = tuple(data.draw(st.lists(st.integers(0, box.eps_max), min_size=n, max_size=n)))
+    best = _brute_max_fp_product(n, eps, box)
+    assert cases._max_fp_product(n, eps, box) == best
+    for floor in range(-1, 3 * n * box.s_max + 1):
+        got = cases._max_fp_product(n, eps, box, floor)
+        assert got == (None if best is None or best[0] <= floor else best), floor
+
+
 def _forcing_patches(mp, forced):
     # replace the exact maximum by another upper bound that depends on eps,
     # with the all-ones (r, s) as its witness, so genera reach the slice
     # sweep and the counterexample cap; real small boxes close before the
-    # sweep
+    # sweep.  Like the real one it answers None at or below the floor, so
+    # the floor the caller passes is checked against the seed procedure's
     if forced is not None:
         mp.setattr(
             cases, "_max_fp_product",
-            lambda n, eps, box: (
-                min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps)), (1,) * n, (1,) * n
+            lambda n, eps, box, floor=-1: (
+                None if (pmax := min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps))) <= floor
+                else (pmax, (1,) * n, (1,) * n)
             ),
         )
 
@@ -511,7 +552,7 @@ def _loop_all_isotropic_caps(n, box):
     full_s = 0
     capped = 0
     for rsum, vec in cases._chain_r_vectors(n, box.r_max, 1):
-        caps = cases._caps(eps, vec, box)
+        caps = _caps(eps, vec, box)
         if caps is None:
             continue
         if sum(caps) >= n:

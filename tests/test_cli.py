@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import k3bn
 from k3bn import cli, lattice
 from k3bn.bn import SCAN_VERDICT_KEYS
-from k3bn.cases import default_box
+from k3bn.cases import default_box, dynkin_label, enumerate_exceptional_triples
 from k3bn.cli import (
     EXIT_EXCEPTIONAL,
     EXIT_INPUT_ERROR,
@@ -306,6 +307,15 @@ def test_triples_command():
     assert rep["bounds"] == {"a_max": 10}
     labels = {tuple(t["triple"]): t["dynkin"] for t in rep["results"]["labeled"]}
     assert labels[(4, 2, 1)] == "E8"
+
+
+def test_triples_labels_match_dynkin_label():
+    # the handler labels by construction; dynkin_label checks each triple and labels it
+    for a_max in range(1, 201):
+        report, _ = cli._cmd_triples(SimpleNamespace(a_max=a_max))
+        assert report.results["labeled"] == [
+            {"triple": list(t), "dynkin": dynkin_label(*t)} for t in enumerate_exceptional_triples(a_max)
+        ], a_max
 
 
 def test_reduce_fixed_command(tmp_path):
