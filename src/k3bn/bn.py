@@ -35,29 +35,7 @@ class ViolationCertificate(Frozen):
     __slots__ = ("d1", "d2", "lb1", "lb2", "genus")
 
     def __init__(self, d1: DivClass, d2: DivClass, lb1: int, lb2: int, genus: int) -> None:
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "lb1", lb1)
-        object.__setattr__(self, "lb2", lb2)
-        object.__setattr__(self, "genus", genus)
-        self.__post_init__()
-
-    def _fields(self) -> tuple:
-        return (self.d1, self.d2, self.lb1, self.lb2, self.genus)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"ViolationCertificate(d1={self.d1!r}, d2={self.d2!r}, lb1={self.lb1!r}, "
-            f"lb2={self.lb2!r}, genus={self.genus!r})"
-        )
+        self._init(d1, d2, lb1, lb2, genus)
 
     def __post_init__(self) -> None:
         if self.lb1 * self.lb2 <= self.genus:
@@ -105,28 +83,7 @@ class PairRecord(Frozen):
     __slots__ = ("d1", "d2", "lb1", "lb2", "violates")
 
     def __init__(self, d1: DivClass, d2: DivClass, lb1: int, lb2: int, violates: bool) -> None:
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "lb1", lb1)
-        object.__setattr__(self, "lb2", lb2)
-        object.__setattr__(self, "violates", violates)
-
-    def _fields(self) -> tuple:
-        return (self.d1, self.d2, self.lb1, self.lb2, self.violates)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"PairRecord(d1={self.d1!r}, d2={self.d2!r}, lb1={self.lb1!r}, "
-            f"lb2={self.lb2!r}, violates={self.violates!r})"
-        )
+        self._init(d1, d2, lb1, lb2, violates)
 
     def to_dict(self) -> dict:
         return {

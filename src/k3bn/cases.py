@@ -87,17 +87,6 @@ class FiltrationProfile(Frozen):
         object.__setattr__(self, "entries", entries)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"FiltrationProfile(entries={self.entries!r})"
-
     def __post_init__(self) -> None:
         entries = tuple(tuple(e) for e in self.entries)
         bad = ["a filtration profile needs at least two entries"] if len(entries) < 2 else []
@@ -218,33 +207,10 @@ class Box(Frozen):
     __slots__ = ("r_max", "s_min", "s_max", "eps_max", "x_min", "x_max")
 
     def __init__(self, r_max: int, s_min: int, s_max: int, eps_max: int, x_min: int, x_max: int) -> None:
-        object.__setattr__(self, "r_max", r_max)
-        object.__setattr__(self, "s_min", s_min)
-        object.__setattr__(self, "s_max", s_max)
-        object.__setattr__(self, "eps_max", eps_max)
-        object.__setattr__(self, "x_min", x_min)
-        object.__setattr__(self, "x_max", x_max)
-        self.__post_init__()
-
-    def _fields(self) -> tuple:
-        return (self.r_max, self.s_min, self.s_max, self.eps_max, self.x_min, self.x_max)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Box(r_max={self.r_max!r}, s_min={self.s_min!r}, s_max={self.s_max!r}, "
-            f"eps_max={self.eps_max!r}, x_min={self.x_min!r}, x_max={self.x_max!r})"
-        )
+        self._init(r_max, s_min, s_max, eps_max, x_min, x_max)
 
     def __post_init__(self) -> None:
-        vals = self._fields()
+        vals = self._values()
         if not all(map(is_int, vals)):
             raise InputError("box bounds must be integers")
         if any(abs(v) > _MAGNITUDE_CAP for v in vals):
@@ -298,29 +264,7 @@ class BoxCounterexample(Frozen):
         genus: int,
         note: str = "",
     ) -> None:
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "upper_x", upper_x)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "note", note)
-
-    def _fields(self) -> tuple:
-        return (self.eps, self.upper_x, self.r, self.s, self.genus, self.note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"BoxCounterexample(eps={self.eps!r}, upper_x={self.upper_x!r}, r={self.r!r}, "
-            f"s={self.s!r}, genus={self.genus!r}, note={self.note!r})"
-        )
+        self._init(eps, upper_x, r, s, genus, note)
 
     def to_dict(self) -> dict:
         return {

@@ -70,22 +70,10 @@ class RootSet(Frozen):
     """
 
     __slots__ = ("pol", "roots", "covectors", "degrees", "products", "contracted")
+    _compared = ("roots",)
 
     def __init__(self, pol: QuasiPolarization, roots: tuple[DivClass, ...] = ()) -> None:
-        object.__setattr__(self, "pol", pol)
-        object.__setattr__(self, "roots", roots)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.roots == other.roots
-
-    def __hash__(self) -> int:
-        return hash((self.roots,))
-
-    def __repr__(self) -> str:
-        return f"RootSet(roots={self.roots!r})"
+        self._init(pol, roots)
 
     def __post_init__(self) -> None:
         roots = tuple(self.roots)
@@ -145,28 +133,7 @@ class EffectivityVerdict(Frozen):
     def __init__(
         self, status: Effectivity, witness: str, combination: tuple[int, ...] | None = None, rule: str = ""
     ) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "combination", combination)
-        object.__setattr__(self, "rule", rule)
-        self.__post_init__()
-
-    def _fields(self) -> tuple:
-        return (self.status, self.witness, self.combination, self.rule)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"EffectivityVerdict(status={self.status!r}, witness={self.witness!r}, "
-            f"combination={self.combination!r}, rule={self.rule!r})"
-        )
+        self._init(status, witness, combination, rule)
 
     def __post_init__(self) -> None:
         if self.status in (Effectivity.EFFECTIVE, Effectivity.NOT_EFFECTIVE) and not self.witness:
@@ -463,19 +430,7 @@ class SameEllipticPencil(Frozen):
     __slots__ = ("n1", "n2")
 
     def __init__(self, n1: int, n2: int) -> None:
-        object.__setattr__(self, "n1", n1)
-        object.__setattr__(self, "n2", n2)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n1, self.n2) == (other.n1, other.n2)
-
-    def __hash__(self) -> int:
-        return hash((self.n1, self.n2))
-
-    def __repr__(self) -> str:
-        return f"SameEllipticPencil(n1={self.n1!r}, n2={self.n2!r})"
+        self._init(n1, n2)
 
 
 class SumSquareAtLeastFour(Frozen):
@@ -483,17 +438,6 @@ class SumSquareAtLeastFour(Frozen):
 
     def __init__(self, total_square: int) -> None:
         object.__setattr__(self, "total_square", total_square)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.total_square == other.total_square
-
-    def __hash__(self) -> int:
-        return hash((self.total_square,))
-
-    def __repr__(self) -> str:
-        return f"SumSquareAtLeastFour(total_square={self.total_square!r})"
 
 
 class IncompatiblePair(Frozen):
@@ -503,17 +447,6 @@ class IncompatiblePair(Frozen):
 
     def __init__(self, reason: str) -> None:
         object.__setattr__(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.reason == other.reason
-
-    def __hash__(self) -> int:
-        return hash((self.reason,))
-
-    def __repr__(self) -> str:
-        return f"IncompatiblePair(reason={self.reason!r})"
 
 
 def two_divisor_classification(

@@ -1,4 +1,6 @@
-"""Exceptions, the search-size ceiling, the integer test and the frozen base class shared across the package."""
+"""Exceptions, the search-size ceiling, the integer test and the base of the value classes shared across the package."""
+
+import operator
 
 
 def is_int(v) -> bool:
@@ -7,9 +9,49 @@ def is_int(v) -> bool:
 
 
 class Frozen:
-    """Base of the immutable value classes: ``__init__`` sets each field once, through ``object.__setattr__``."""
+    """Base of the immutable value classes.
+
+    A subclass lists its fields in ``__slots__``, and ``__init__`` sets each
+    once: through ``_init``, or ``object.__setattr__`` for a single field.
+    Equality, hashing and repr read the compared fields, which default to
+    ``__slots__``; a class that compares only some of its slots names those
+    in ``_compared``.  Equality holds between instances of one class only,
+    the hash is that of the tuple of compared values, and repr is
+    ``Name(field=value, ...)``.  Instances pickle at every protocol.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        names = cls._compared = vars(cls).get("_compared", cls.__slots__)
+        cls._key = staticmethod(operator.attrgetter(*names))
+
+    def _init(self, *values):
+        """Set the leading slots to ``values`` in order, then run ``__post_init__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalise the fields once ``__init__`` has set them; nothing by default."""
+
+    def _values(self) -> tuple:
+        """The compared values; ``_key`` of one name returns the bare value."""
+        return self._key(self) if len(self._compared) > 1 else (self._key(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._compared, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -17,8 +59,14 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __getstate__(self):
+        # (__dict__ or None, slot values), the pair object.__getstate__ gives protocols 2 and up;
+        # written out so that protocols 0 and 1 pickle too
+        slots = {name: getattr(self, name) for name in self.__slots__ if name != "__dict__"}
+        return getattr(self, "__dict__", None) or None, slots
+
     def __setstate__(self, state):
-        # pickle and copy restore the fields past __setattr__; state is (__dict__ or None, slot values)
+        # pickle and copy restore the fields past __setattr__
         attrs, slots = state
         for name, value in slots.items():
             object.__setattr__(self, name, value)

@@ -26,14 +26,6 @@ class DivClass(Frozen):
         object.__setattr__(self, "coords", coords)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
-
     def __post_init__(self) -> None:
         coords = tuple(self.coords)
         for c in coords:
@@ -101,17 +93,6 @@ class GramLattice(Frozen):
     def __init__(self, gram: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "gram", gram)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash((self.gram,))
-
-    def __repr__(self) -> str:
-        return f"GramLattice(gram={self.gram!r})"
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.gram)
@@ -209,22 +190,10 @@ class QuasiPolarization(Frozen):
 
     # h_covector is H^T (gram), computed once: the degree of a class is a dot product with it
     __slots__ = ("lattice", "h", "h_covector", "__dict__")
+    _compared = ("lattice", "h")
 
     def __init__(self, lattice: GramLattice, h: DivClass) -> None:
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "h", h)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lattice, self.h) == (other.lattice, other.h)
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.h))
-
-    def __repr__(self) -> str:
-        return f"QuasiPolarization(lattice={self.lattice!r}, h={self.h!r})"
+        self._init(lattice, h)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "h_covector", self.lattice.covector(self.h))

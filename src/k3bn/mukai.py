@@ -16,21 +16,7 @@ class MukaiVector(Frozen):
     __slots__ = ("r", "c1", "s")
 
     def __init__(self, r: int, c1: DivClass, s: int) -> None:
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "s", s)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.r, self.c1, self.s) == (other.r, other.c1, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.c1, self.s))
-
-    def __repr__(self) -> str:
-        return f"MukaiVector(r={self.r!r}, c1={self.c1!r}, s={self.s!r})"
+        self._init(r, c1, s)
 
     def __post_init__(self) -> None:
         for name in ("r", "s"):

@@ -32,20 +32,7 @@ class DecompositionProfile(Frozen):
     __slots__ = ("sq", "x")
 
     def __init__(self, sq: tuple[int, ...], x: tuple[tuple[int, ...], ...]) -> None:
-        object.__setattr__(self, "sq", sq)
-        object.__setattr__(self, "x", x)
-        self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sq, self.x) == (other.sq, other.x)
-
-    def __hash__(self) -> int:
-        return hash((self.sq, self.x))
-
-    def __repr__(self) -> str:
-        return f"DecompositionProfile(sq={self.sq!r}, x={self.x!r})"
+        self._init(sq, x)
 
     def __post_init__(self) -> None:
         sq = tuple(self.sq)
@@ -151,32 +138,7 @@ class CertificateSketch(Frozen):
         complement: tuple[int, ...] | None = None,
         detail: str = "",
     ) -> None:
-        object.__setattr__(self, "lb1", lb1)
-        object.__setattr__(self, "lb2", lb2)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "complement", complement)
-        object.__setattr__(self, "detail", detail)
-        self.__post_init__()
-
-    def _fields(self) -> tuple:
-        return (self.lb1, self.lb2, self.genus, self.split, self.group, self.complement, self.detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"CertificateSketch(lb1={self.lb1!r}, lb2={self.lb2!r}, genus={self.genus!r}, "
-            f"split={self.split!r}, group={self.group!r}, complement={self.complement!r}, "
-            f"detail={self.detail!r})"
-        )
+        self._init(lb1, lb2, genus, split, group, complement, detail)
 
     def __post_init__(self) -> None:
         if self.lb1 * self.lb2 <= self.genus:
@@ -369,20 +331,7 @@ class NotBNGeneral(Frozen):
     __slots__ = ("case_id", "certificate", "note")
 
     def __init__(self, case_id: str, certificate: CertificateSketch | None, note: str | None = None) -> None:
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "note", note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.case_id, self.certificate, self.note) == (other.case_id, other.certificate, other.note)
-
-    def __hash__(self) -> int:
-        return hash((self.case_id, self.certificate, self.note))
-
-    def __repr__(self) -> str:
-        return f"NotBNGeneral(case_id={self.case_id!r}, certificate={self.certificate!r}, note={self.note!r})"
+        self._init(case_id, certificate, note)
 
 
 class ExceptionalProfile(Frozen):
@@ -392,17 +341,6 @@ class ExceptionalProfile(Frozen):
 
     def __init__(self, label: str) -> None:
         object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label
-
-    def __hash__(self) -> int:
-        return hash((self.label,))
-
-    def __repr__(self) -> str:
-        return f"ExceptionalProfile(label={self.label!r})"
 
 
 LABEL_N3_ISOTROPIC_PAIR = "n=3: D2^2 = D3^2 = 0"

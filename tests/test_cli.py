@@ -500,6 +500,16 @@ def test_cli_import_leaves_dataclasses_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_value_classes_take_equality_hash_and_repr_from_their_base():
+    # errors.Frozen defines them once for every value class; DivClass keeps its short repr
+    import k3bn.mukai, k3bn.profiles  # noqa: F401  (every Frozen subclass is defined)
+    from k3bn.errors import Frozen
+
+    methods = {"__eq__", "__hash__", "__repr__", "_fields"}
+    own = {cls.__name__: sorted(methods & set(vars(cls))) for cls in Frozen.__subclasses__()}
+    assert {name: found for name, found in own.items() if found} == {"DivClass": ["__repr__"]}
+
+
 def _loaded_k3bn_modules(*statements):
     """The k3bn modules a fresh interpreter holds after running ``statements``."""
     script = "\n".join(("import json, sys", *statements, "print(json.dumps(sorted(m for m in sys.modules if m.startswith('k3bn'))))"))

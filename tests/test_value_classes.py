@@ -274,7 +274,8 @@ def test_value_classes_print_as_the_dataclass_did(cls):
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_instances_survive_pickle_and_copy(cls):
     obj = _build(cls)
-    for back in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+    pickled = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in (*pickled, copy.copy(obj), copy.deepcopy(obj)):
         assert type(back) is cls and back == obj
         assert {n: getattr(back, n) for n, _ in _fields(cls)} == {n: getattr(obj, n) for n, _ in _fields(cls)}
 
