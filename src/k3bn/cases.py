@@ -34,14 +34,24 @@ cheapest first:
        only those and counts every other class without a loop.  In a
        survivor every g from the root of c g = E + 8 up survives and only
        the band above the root of c g = E + 5 is tested genus by genus.
-    -  n = 2: c > 0 always and f is nondecreasing, so the survivors form an
-       interval; the same band, under 2 min(a_i) genera wide, finds its
-       start.
-2.  For classes with a surviving genus, whether some feasible filtration
-    data in the box has (sum r)(sum s) above the smallest surviving genus
-    g0; the exact maximum P, with its witness, is computed only when it
-    beats g0.  Genera >= P admit no violating filtration data; no product
-    above g0, an empty feasible set included, closes the class.
+    -  n = 2: the test reads g // a1 + g // a2 >= a1 + a2, nondecreasing
+       in g; its left side is (a2 - 1) + (a1 - 1) at g = a1 a2 - 1 and
+       a2 + a1 at g = a1 a2, so the survivors are exactly g >= a1 a2.  A
+       class has one exactly when max(E + x_min + 1, a1 a2) <=
+       min(4 r_max s_max - 1, E + x_max + 1) (a1 a2 >= 4 covers g >= 1),
+       and the smallest, g0, is >= a1 a2.  No feasible product beats g0:
+       take r_i s_i <= eps_i + 1, r1 <= r2 and s2 >= 1.  If s1 >= 1, the
+       identity (r1 + r2)(s1 + s2) = (r1 s1 + 1)(r2 s2 + 1)
+       - (r1 s2 - 1)(r2 s1 - 1) bounds the product by a1 a2; if s1 <= 0,
+       it is at most max(0, 2 r2 s2) <= 2 (eps2 + 1) < a1 a2.  So every
+       class with a survivor closes in layer 2, and the driver counts both
+       kinds in one loop of integer comparisons, with no call per class.
+2.  For classes with a surviving genus (n = 3 only: the lemma above closes
+    every two-part class), whether some feasible filtration data in the
+    box has (sum r)(sum s) above the smallest surviving genus g0; the exact
+    maximum P, with its witness, is computed only when it beats g0.  Genera
+    >= P admit no violating filtration data; no product above g0, an empty
+    feasible set included, closes the class.
 3.  Genera that survive both get an exhaustive slice enumeration (all
     x-matrices with the matching coordinate sum), each profile decided by
     the split search of ``classify``
@@ -423,15 +433,14 @@ def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list
 
 
 def _row_sum_open_classes(n: int, box: Box) -> Iterable[tuple[int, ...]]:
-    """The eps-classes with c > 0, the only ones the row-sum test can leave open.
+    """The eps-classes the driver visits one by one, in product order.
 
-    In product order: at n = 2 every class, at n = 3 the classes whose legs
-    eps_i + 1 permute an exceptional triple, from n = 4 on none (module
-    docstring).
+    At n = 3 the classes with c > 0, the only ones the row-sum test can
+    leave open: those whose legs eps_i + 1 permute an exceptional triple.
+    None at n = 2, where the driver counts the classes by the two-part
+    lemma, nor from n = 4 on, where c <= 0 (module docstring).
     """
-    if n == 2:
-        return itertools.product(range(box.eps_max + 1), repeat=2)
-    if n > 3:
+    if n != 3:
         return ()
     return sorted({
         eps
@@ -582,6 +591,12 @@ def exhaustive_case_check(
     counterexamples: list[BoxCounterexample] = []
     enumerated = 0
     reached = eps_classes  # classes up to the one the cap stopped at
+    if n == 2:  # the two-part lemma: a class with a survivor closes by the product layer
+        top, lo, hi = 4 * box.r_max * box.s_max - 1, box.x_min + 1, box.x_max + 1
+        stats["closed_product_max"] = sum(
+            1 for e1 in range(box.eps_max + 1) for e2 in range(box.eps_max + 1)
+            if (a := (e1 + 2) * (e2 + 2)) <= top and a <= e1 + e2 + hi and e1 + e2 + lo <= top
+        )
     for eps in _row_sum_open_classes(n, box):
         layer, count, cexs = _check_eps_class(
             n, box, eps, max_counterexamples - len(counterexamples)

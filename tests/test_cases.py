@@ -631,10 +631,13 @@ def _loop_exhaustive_case_check(n, box, max_cex):
 @given(
     n=st.sampled_from((2, 3, 4)),
     box=small_boxes(),
-    forced=st.none() | st.integers(0, 40),
+    data=st.data(),
     max_cex=st.integers(1, 6),
 )
-def test_report_matches_the_loop_driver(n, box, forced, max_cex):
+def test_report_matches_the_loop_driver(n, box, data, max_cex):
+    # no n = 2 product beats the smallest genus (the two-part lemma), so the
+    # driver never asks there, and a forced product reaches no sweep
+    forced = data.draw(st.none() | st.integers(0, 40), label="forced") if n > 2 else None
     with pytest.MonkeyPatch.context() as mp:
         _forcing_patches(mp, forced)
         report = exhaustive_case_check(n, box, max_counterexamples=max_cex).to_dict()
@@ -671,6 +674,85 @@ def test_four_part_box_never_reaches_the_later_layers(monkeypatch):
     report = exhaustive_case_check(4)
     assert report.eps_classes == 9**4
     assert report.eps_classes_closed_form == 9**4
+
+
+@st.composite
+def two_part_boxes(draw):
+    """n = 2 boxes wider than ``small_boxes``: genus ranges far off either side of a1 a2."""
+    s_max = draw(st.integers(1, 30))
+    x_min = draw(st.integers(-50, 200))
+    return Box(
+        r_max=draw(st.integers(1, 30)),
+        s_min=draw(st.integers(-30, s_max)),
+        s_max=s_max,
+        eps_max=draw(st.integers(0, 12)),
+        x_min=x_min,
+        x_max=x_min + draw(st.integers(0, 300)),
+    )
+
+
+def _two_part_lemma_layer(box, eps):
+    """The layer the two-part lemma names: the product layer exactly when a genus >= a1 a2 survives."""
+    a = (eps[0] + 2) * (eps[1] + 2)
+    lo = max(1, sum(eps) + box.x_min + 1, a)
+    hi = min(4 * box.r_max * box.s_max - 1, sum(eps) + box.x_max + 1)
+    return "closed_product_max" if lo <= hi else "closed_row_sum"
+
+
+@settings(max_examples=80, deadline=None)
+@given(box=small_boxes() | two_part_boxes())
+@example(box=Box(2, -2, 2, 0, 0, 3))  # the one genus is a1 a2 = E + x_max + 1
+@example(box=Box(1, -1, 1, 0, 0, 8))  # a1 a2 = 4 r_max s_max, the analytic bound
+@example(box=Box(1, -2, 2, 1, 10, 20))  # x_min alone puts every genus at or above the bound
+def test_two_part_lemma_matches_the_layered_procedure(box):
+    classes = list(itertools.product(range(box.eps_max + 1), repeat=2))
+    decided = [cases._check_eps_class(2, box, eps, 5) for eps in classes]
+    assert [d[1:] for d in decided] == [(0, [])] * len(classes)
+    layers = [d[0] for d in decided]
+    assert layers == [_two_part_lemma_layer(box, eps) for eps in classes]
+    report = exhaustive_case_check(2, box)
+    assert report.stats == {
+        "closed_row_sum": layers.count("closed_row_sum"),
+        "closed_product_max": layers.count("closed_product_max"),
+        "swept": 0,
+    }
+    assert report.profiles_enumerated == 0
+    assert report.counterexamples == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    r_max=st.integers(1, 5),
+    s_min=st.integers(-5, 1),
+    s_max=st.integers(1, 7),
+    eps=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    wide=two_part_boxes(),
+)
+def test_two_part_lemma_by_brute_force(r_max, s_min, s_max, eps, wide):
+    # every feasible (r, s), each s over its whole range: no product above a1 a2
+    a = (eps[0] + 2) * (eps[1] + 2)
+    ranks, ss = range(1, r_max + 1), range(s_min, s_max + 1)
+    products = [
+        (r1 + r2) * (s1 + s2)
+        for r1, r2, s1, s2 in itertools.product(ranks, ranks, ss, ss)
+        if profile_feasible(FiltrationProfile(((r1, s1, eps[0]), (r2, s2, eps[1]))))
+    ]
+    assert max(products, default=0) <= a
+    # the row-sum survivors are the interval [max(lo, a1 a2), hi]
+    for pmax in (1, a, a + 1, 4 * wide.r_max * wide.s_max):
+        lo = max(1, sum(eps) + wide.x_min + 1, a)
+        hi = min(pmax - 1, sum(eps) + wide.x_max + 1)
+        assert cases._surviving_genera(2, eps, wide, pmax) == list(range(lo, hi + 1)), pmax
+
+
+def test_two_part_box_never_reaches_the_later_layers(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the two-part lemma settles every class")
+
+    for name in ("_check_eps_class", "_max_fp_product", "_surviving_genera", "_iter_fixed_sum"):
+        monkeypatch.setattr(cases, name, unreachable)
+    report = exhaustive_case_check(2)
+    assert report.stats == {"closed_row_sum": 85, "closed_product_max": 84, "swept": 0}
 
 
 def test_three_part_open_classes_are_the_row_sum_survivors():
