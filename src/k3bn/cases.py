@@ -14,8 +14,10 @@ group is ``profiles.DecompositionProfile.group_h0_floor``, max(chi, 1)
 with chi computed from the profile.
 
 A raw sweep of the default four-part box has ~10^13 instances, so the
-checker decides the same quantified statement exactly in three layers, the
-cheapest first:
+statement is decided exactly in three layers, the cheapest first.  Layer 1
+and the two- and three-part lemmas below settle every class at every n, so
+no class reaches a later layer and the checker searches nothing; layers 2
+and 3 are stated because the lemmas are proved against them.
 
 1.  The row-sum test.  Every one-part split of a failing profile of genus g
     forces row_i >= g + 1 - eps_i - g // a_i with a_i = eps_i + 2; the rows
@@ -32,8 +34,37 @@ cheapest first:
        l1 l2 l3 - l1 - l2 - l3 - 2 < 0, so the survivors are the classes
        whose legs permute an exceptional (ADE) triple; the driver visits
        only those and counts every other class without a loop.  In a
-       survivor every g from the root of c g = E + 8 up survives and only
-       the band above the root of c g = E + 5 is tested genus by genus.
+       survivor every g from the root of c g = E + 8 up survives and none
+       below the root of c g = E + 5, so whether a genus of the box
+       survives is decided on the band between them, up to the first genus
+       that passes.
+       The three-part lemma: no feasible product reaches g*, the smallest
+       g >= 1 that passes the test, in any box.  A box only shrinks the
+       feasible set and every surviving genus is >= g*, so it suffices to
+       bound P*, the maximum over all feasible (r, s).  s3 >= 1 forces
+       r3 <= l3, then r2 <= r3 and r1 <= r2 + r3; each s_i <= l_i // r_i,
+       and a negative s_i only lowers sum s.
+       -  D type, eps a permutation of (e, 0, 0), L = e + 1: the test reads
+          g // (e + 2) >= e + 5 + (g mod 2), so g* = (e + 2)(e + 5), and odd
+          g pass only from (e + 2)(e + 6) on: the survivors are no ray.  A
+          leg of 1 caps s_i at 1 if r_i = 1 and at 0 otherwise.  Long leg
+          last: t = r3 <= L and q = L // t give t q <= L and t + q <= L + 1;
+          if r1 = r2 = 1, P <= (t + 2)(q + 2) <= 3L + 6; if one of them is
+          1, sum r <= 2t + 2 and P <= 2(t + 1)(q + 1) <= 4L + 4; if
+          neither, P <= 4 t q <= 4L.  Long leg first or second: r3 = r2 = 1
+          and r1 <= 2, so P <= max(3(L + 2), 4(L + 1)).  Hence
+          P* <= 4e + 9 < (e + 2)(e + 5) = g*.
+       -  E type, the 15 permutations of eps = (1, 1, 0), (2, 1, 0) and
+          (3, 1, 0): sum r <= 4 r3 <= 4 max l and sum s <= sum l, so
+          P* <= 40, 72, 112 against g* = 42, 96, 270 (E6, E7, E8).  The
+          exact values, checked by brute force in ``tests/test_cases.py``:
+              eps        P*   g*      eps        P*   g*      eps        P*   g*
+              (0, 1, 1)  18   42      (0, 1, 2)  24   96      (0, 1, 3)  30  270
+              (1, 0, 1)  16   42      (0, 2, 1)  24   96      (0, 3, 1)  30  270
+              (1, 1, 0)  16   42      (1, 0, 2)  21   96      (1, 0, 3)  27  270
+                                      (1, 2, 0)  20   96      (1, 3, 0)  24  270
+                                      (2, 0, 1)  20   96      (3, 0, 1)  25  270
+                                      (2, 1, 0)  18   96      (3, 1, 0)  21  270
     -  n = 2: the test reads g // a1 + g // a2 >= a1 + a2, nondecreasing
        in g; its left side is (a2 - 1) + (a1 - 1) at g = a1 a2 - 1 and
        a2 + a1 at g = a1 a2, so the survivors are exactly g >= a1 a2.  A
@@ -46,38 +77,31 @@ cheapest first:
        it is at most max(0, 2 r2 s2) <= 2 (eps2 + 1) < a1 a2.  So every
        class with a survivor closes in layer 2, and the driver counts both
        kinds in one loop of integer comparisons, with no call per class.
-2.  For classes with a surviving genus (n = 3 only: the lemma above closes
-    every two-part class), whether some feasible filtration data in the
-    box has (sum r)(sum s) above the smallest surviving genus g0; the exact
-    maximum P, with its witness, is computed only when it beats g0.  Genera
-    >= P admit no violating filtration data; no product above g0, an empty
-    feasible set included, closes the class.
-3.  Genera that survive both get an exhaustive slice enumeration (all
+2.  For classes with a surviving genus, whether some feasible filtration
+    data in the box has (sum r)(sum s) above the smallest surviving genus
+    g0.  Genera >= the maximum P admit no violating filtration data, so no
+    product above g0, an empty feasible set included, closes the class.  By
+    the two lemmas no class at any n has one: the driver counts a class
+    with a surviving genus as closed here and computes no product.
+3.  Genera that survive both would get an exhaustive slice enumeration (all
     x-matrices with the matching coordinate sum), each profile decided by
-    the split search of ``classify``
-    (``profiles._first_partition_certificate``); any failing profile is
-    paired with the (r, s) that attains the layer-2 maximum, which beats
-    every genus left, and recorded as a counterexample.  ``profiles`` is
-    loaded at the first slice, so a box that layers 1 and 2 close, as every
-    default box is, never compiles it.
+    the split search of ``classify``; a failing profile, paired with the
+    (r, s) that attains P, would be a counterexample.  No class at any n
+    reaches this layer.  The product maximum and the sweep live on in
+    ``tests/box_reference.py`` as the reference of the differential tests,
+    and ``verify-cases`` never loads ``profiles``.
 
-Layer 1 keeps a superset of the genera the exact maximum would keep, so the
-order changes no count and no counterexample.  ``BoxReport.stats`` counts
-the eps-classes each layer settled.
-
-Counterexamples re-verify from scratch via :func:`verify_counterexample`;
-an empty list is the expected outcome.
+``BoxReport.stats`` counts the eps-classes each layer settled; ``swept``,
+``profiles_enumerated`` and the counterexample list keep their place in the
+report, always 0 and empty.  :func:`verify_counterexample` re-checks a
+reported counterexample from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_left
-from functools import lru_cache, reduce
 from math import prod
-from operator import getitem
-from typing import Iterable, Iterator
 
 from .errors import Frozen, InputError, check_search_size, is_int
 
@@ -289,15 +313,15 @@ class BoxCounterexample(Frozen):
 
 
 class BoxReport:
-    """Outcome of one box run; counterexamples are expected to be empty.
+    """Outcome of one box run.
 
     instances_checked counts the decomposition profiles in the box, every
     one of which the layered procedure decides; eps_classes_closed_form is
     how many eps-classes were settled purely arithmetically, and
     profiles_enumerated how many profiles needed the explicit slice sweep.
     stats splits eps_classes by deciding layer (closed_row_sum,
-    closed_product_max, swept); the counts fall short of eps_classes only
-    when the counterexample cap stopped the run.
+    closed_product_max, swept).  Every class closes in closed form (module
+    docstring), so counterexamples is empty and the sweep counts are 0.
     """
 
     def __init__(
@@ -348,178 +372,38 @@ class BoxReport:
 # the decision procedure
 
 
-@lru_cache(maxsize=None)
-def _chain_r_vectors(n: int, r_max: int, last: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Chain-feasible rank vectors ending in `last`, one bucket per call.
+def _row_sum_open_classes(box: Box) -> set[tuple[int, int, int]]:
+    """The three-part eps-classes the row-sum test can leave open (c > 0).
 
-    The bucket lists (sum, vector) sorted by decreasing sum, which lets the
-    maximization below cut off early.
+    Those whose legs eps_i + 1 permute an exceptional triple (module
+    docstring); every other class of every n closes without a visit.
     """
-    vectors: list[tuple[int, tuple[int, ...]]] = []
-
-    def grow(suffix: tuple[int, ...]) -> None:
-        if len(suffix) == n:
-            vectors.append((sum(suffix), suffix))
-            return
-        for v in range(1, min(r_max, sum(suffix)) + 1):
-            grow((v, *suffix))
-
-    grow((last,))
-    return tuple(sorted(vectors, reverse=True))
-
-
-_NO_CAP = -(10**9)  # below s_min: drives any sum of caps within the box negative
-
-
-@lru_cache(maxsize=None)
-def _cap_row(e: int, r_max: int, s_min: int, s_max: int) -> tuple[int, ...]:
-    """Caps min(s_max, (e + 1) // r) of s indexed by r <= r_max; _NO_CAP below s_min.
-
-    Keyed by ints: hashing a ``Box`` runs Python code.
-    """
-    caps = (min(s_max, (e + 1) // r) for r in range(1, r_max + 1))
-    return (_NO_CAP, *(c if c >= s_min else _NO_CAP for c in caps))
-
-
-def _max_fp_product(
-    n: int, eps: tuple[int, ...], box: Box, floor: int = -1
-) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """Exact max of (sum r)(sum s) over feasible filtration data, if above floor.
-
-    Returns (max, r, s) for the first feasible (r, s) in scan order that
-    attains the maximum, or None when no feasible product exceeds floor.
-    For fixed ranks the product is maximized by pushing every s to its cap,
-    so only rank vectors are enumerated.  Caps are >= 0 and the last >= 1,
-    so None at the default floor means an empty feasible set.  A bucket is
-    left once its rank sum times s_room, a bound on sum s at its last rank,
-    cannot beat the best product so far.
-    """
-    rows = [_cap_row(e, box.r_max, box.s_min, box.s_max) for e in eps]
-    head_room = sum(min(box.s_max, e + 1) for e in eps[:-1])
-    best, r = floor, None
-    for last in range(1, min(box.r_max, eps[-1] + 1) + 1):
-        s_room = head_room + rows[-1][last]
-        for rsum, vec in _chain_r_vectors(n, box.r_max, last):
-            if rsum * s_room <= best:
-                break
-            p = rsum * sum(map(getitem, rows, vec))
-            if p > best:
-                best, r = p, vec
-    return None if r is None else (best, r, tuple(map(getitem, rows, r)))
-
-
-def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list[int]:
-    """Genera below pmax that a failing profile could have: the row-sum test.
-
-    Closed form of the module docstring: the genus loop runs only over the
-    band where c g - E - 2 - 2n < 0 <= c g - E - 2 - n, c = num / den.
-    """
-    total_eps = sum(eps)
-    n_pairs = n * (n - 1) // 2
-    lo = max(1, total_eps + n_pairs * box.x_min + 1)
-    hi = min(pmax - 1, total_eps + n_pairs * box.x_max + 1)
-    a = [e + 2 for e in eps]
-    den = prod(a)
-    num = sum(den // ai for ai in a) + (2 - n) * den
-    if num <= 0:
-        return []
-    band_lo = max(lo, -(-(total_eps + 2 + n) * den // num))
-    band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 2 + 2 * n) * den // num)))
-    band = [
-        g for g in range(band_lo, band_hi)
-        if sum(map(g.__floordiv__, a)) >= (n - 2) * g + total_eps + 2 + n
-    ]
-    return band + list(range(band_hi, hi + 1))
-
-
-def _row_sum_open_classes(n: int, box: Box) -> Iterable[tuple[int, ...]]:
-    """The eps-classes the driver visits one by one, in product order.
-
-    At n = 3 the classes with c > 0, the only ones the row-sum test can
-    leave open: those whose legs eps_i + 1 permute an exceptional triple.
-    None at n = 2, where the driver counts the classes by the two-part
-    lemma, nor from n = 4 on, where c <= 0 (module docstring).
-    """
-    if n != 3:
-        return ()
-    return sorted({
+    return {
         eps
         for triple in enumerate_exceptional_triples(box.eps_max + 1)
         for eps in itertools.permutations(tuple(leg - 1 for leg in triple))
-    })
+    }
 
 
-def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Tuples in [lo, hi]^length with the given coordinate sum."""
-    cur = [0] * length
+def _has_survivor(eps: tuple[int, int, int], box: Box) -> bool:
+    """Whether some genus in [lo, hi] passes the three-part row-sum test.
 
-    def rec(k: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if k == length - 1:
-            if lo <= rem <= hi:
-                cur[k] = rem
-                yield tuple(cur)
-            return
-        left = length - k - 1
-        for v in range(max(lo, rem - left * hi), min(hi, rem - left * lo) + 1):
-            cur[k] = v
-            yield from rec(k + 1, rem - v)
-
-    yield from rec(0, total)
-
-
-def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
-    """2-connected with no certifying split: ``classify``'s split search finds none.
-
-    The search alone decides both: a profile that is not 2-connected has a
-    split (L, R) with crossing c <= 1, and such a split certifies itself.
-    With a = L^2/2 and b = R^2/2 the genus is a + b + c + 1 and the floors
-    are max(a + 2, 1) and max(b + 2, 1), so their product minus the genus is
-    (a + 1)(b + 1) + 2 - c >= 1 when a, b >= -1; 1 - a - c >= 2 when
-    a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
-    a, b <= -2.
+    hi stays below the analytic bound 9 r_max s_max on P.  Every genus from
+    the root of c g = E + 8 up passes and none below the root of
+    c g = E + 5 (module docstring), so only the band between the roots is
+    tested genus by genus, and only up to the first genus that passes.
     """
-    # absolute: a relative import looks the package up on every call
-    from k3bn.profiles import DecompositionProfile, _first_partition_certificate
-
-    profile = DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
-    return _first_partition_certificate(profile) is None
-
-
-def _check_eps_class(
-    n: int, box: Box, eps: tuple[int, ...], max_cex: int
-) -> tuple[str, int, list[BoxCounterexample]]:
-    """Decide one eps-class: (deciding layer, profiles_enumerated, counterexamples)."""
-    genera = _surviving_genera(n, eps, box, n * box.r_max * n * box.s_max)
-    if not genera:
-        return "closed_row_sum", 0, []
-    # no product above the smallest genus: none survives (every genus is >= 1)
-    pmax, r, s = _max_fp_product(n, eps, box, genera[0]) or (0, (), ())
-    genera = genera[: bisect_left(genera, pmax)]  # genera ascend: keep those below pmax
-    if not genera:
-        return "closed_product_max", 0, []
     total_eps = sum(eps)
-    n_pairs = n * (n - 1) // 2
-    enumerated = 0
-    cexs: list[BoxCounterexample] = []
-    for g in genera:
-        coord_sum = g - total_eps - 1
-        for upper_x in _iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
-            enumerated += 1
-            if not _is_failing(eps, upper_x):
-                continue
-            cexs.append(
-                BoxCounterexample(
-                    eps=eps,
-                    upper_x=upper_x,
-                    r=r,
-                    s=s,
-                    genus=g,
-                    note=f"(sum r)(sum s) = {sum(r) * sum(s)} > genus with no certifying split",
-                )
-            )
-            if len(cexs) >= max_cex:
-                return "swept", enumerated, cexs
-    return "swept", enumerated, cexs
+    lo = max(1, total_eps + 3 * box.x_min + 1)
+    hi = min(9 * box.r_max * box.s_max - 1, total_eps + 3 * box.x_max + 1)
+    a = [e + 2 for e in eps]
+    den = prod(a)
+    num = sum(den // ai for ai in a) - den  # c = num / den > 0 on an open class
+    band_lo = max(lo, -(-(total_eps + 5) * den // num))
+    band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 8) * den // num)))
+    return band_hi <= hi or any(
+        sum(map(g.__floordiv__, a)) >= g + total_eps + 5 for g in range(band_lo, band_hi)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +443,7 @@ def _all_isotropic_caps(box: Box) -> list[str]:
 # driver
 
 
-def exhaustive_case_check(
-    n: int,
-    box: Box | None = None,
-    *,
-    max_counterexamples: int = 50,
-) -> BoxReport:
+def exhaustive_case_check(n: int, box: Box | None = None) -> BoxReport:
     """Run the box verification for n in {2, 3, 4}.
 
     Longer decompositions reduce to these lengths through the case analysis
@@ -587,27 +466,17 @@ def exhaustive_case_check(
         )
     started = time.perf_counter()
 
+    # the two- and three-part lemmas: a class with a survivor closes by the product layer
     stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
-    counterexamples: list[BoxCounterexample] = []
-    enumerated = 0
-    reached = eps_classes  # classes up to the one the cap stopped at
-    if n == 2:  # the two-part lemma: a class with a survivor closes by the product layer
+    if n == 2:
         top, lo, hi = 4 * box.r_max * box.s_max - 1, box.x_min + 1, box.x_max + 1
         stats["closed_product_max"] = sum(
             1 for e1 in range(box.eps_max + 1) for e2 in range(box.eps_max + 1)
             if (a := (e1 + 2) * (e2 + 2)) <= top and a <= e1 + e2 + hi and e1 + e2 + lo <= top
         )
-    for eps in _row_sum_open_classes(n, box):
-        layer, count, cexs = _check_eps_class(
-            n, box, eps, max_counterexamples - len(counterexamples)
-        )
-        stats[layer] += 1
-        enumerated += count
-        counterexamples.extend(cexs)
-        if len(counterexamples) >= max_counterexamples:
-            reached = reduce(lambda rank, e: rank * (box.eps_max + 1) + e, eps, 0) + 1
-            break
-    stats["closed_row_sum"] += reached - sum(stats.values())  # the classes not visited
+    if n == 3:
+        stats["closed_product_max"] = sum(_has_survivor(eps, box) for eps in _row_sum_open_classes(box))
+    stats["closed_row_sum"] = eps_classes - stats["closed_product_max"]
 
     cross_checks: list[str] = []
     if n == 2:
@@ -624,14 +493,36 @@ def exhaustive_case_check(
         n=n,
         box=box,
         instances_checked=instances,
-        counterexamples=counterexamples,
+        counterexamples=[],
         elapsed_ms=elapsed_ms,
         eps_classes=eps_classes,
-        eps_classes_closed_form=stats["closed_row_sum"] + stats["closed_product_max"],
-        profiles_enumerated=enumerated,
+        eps_classes_closed_form=eps_classes,
+        profiles_enumerated=0,
         cross_checks=cross_checks,
         stats=stats,
     )
+
+
+# ---------------------------------------------------------------------------
+# re-verification
+
+
+def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
+    """2-connected with no certifying split: ``classify``'s split search finds none.
+
+    The search alone decides both: a profile that is not 2-connected has a
+    split (L, R) with crossing c <= 1, and such a split certifies itself.
+    With a = L^2/2 and b = R^2/2 the genus is a + b + c + 1 and the floors
+    are max(a + 2, 1) and max(b + 2, 1), so their product minus the genus is
+    (a + 1)(b + 1) + 2 - c >= 1 when a, b >= -1; 1 - a - c >= 2 when
+    a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
+    a, b <= -2.
+    """
+    # absolute: a relative import looks the package up on every call
+    from k3bn.profiles import DecompositionProfile, _first_partition_certificate
+
+    profile = DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
+    return _first_partition_certificate(profile) is None
 
 
 def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:

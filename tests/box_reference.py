@@ -1,0 +1,154 @@
+"""The box check's product layer and slice sweep, kept as a test reference.
+
+``k3bn.cases`` settles every eps-class in closed form (the two- and
+three-part lemmas of its module docstring), so it no longer computes a
+product maximum, lists surviving genera or sweeps a slice.  These are the
+functions it used to, unchanged, so that the differential tests can check
+the closed forms against the layered procedure they replace.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from functools import lru_cache
+from math import prod
+from operator import getitem
+from typing import Iterator
+
+from k3bn.cases import Box, BoxCounterexample, _is_failing
+
+
+@lru_cache(maxsize=None)
+def _chain_r_vectors(n: int, r_max: int, last: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Chain-feasible rank vectors ending in `last`, one bucket per call.
+
+    The bucket lists (sum, vector) sorted by decreasing sum, which lets the
+    maximization below cut off early.
+    """
+    vectors: list[tuple[int, tuple[int, ...]]] = []
+
+    def grow(suffix: tuple[int, ...]) -> None:
+        if len(suffix) == n:
+            vectors.append((sum(suffix), suffix))
+            return
+        for v in range(1, min(r_max, sum(suffix)) + 1):
+            grow((v, *suffix))
+
+    grow((last,))
+    return tuple(sorted(vectors, reverse=True))
+
+
+_NO_CAP = -(10**9)  # below s_min: drives any sum of caps within the box negative
+
+
+@lru_cache(maxsize=None)
+def _cap_row(e: int, r_max: int, s_min: int, s_max: int) -> tuple[int, ...]:
+    """Caps min(s_max, (e + 1) // r) of s indexed by r <= r_max; _NO_CAP below s_min."""
+    caps = (min(s_max, (e + 1) // r) for r in range(1, r_max + 1))
+    return (_NO_CAP, *(c if c >= s_min else _NO_CAP for c in caps))
+
+
+def _max_fp_product(
+    n: int, eps: tuple[int, ...], box: Box, floor: int = -1
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """Exact max of (sum r)(sum s) over feasible filtration data, if above floor.
+
+    Returns (max, r, s) for the first feasible (r, s) in scan order that
+    attains the maximum, or None when no feasible product exceeds floor.
+    For fixed ranks the product is maximized by pushing every s to its cap,
+    so only rank vectors are enumerated.  Caps are >= 0 and the last >= 1,
+    so None at the default floor means an empty feasible set.  A bucket is
+    left once its rank sum times s_room, a bound on sum s at its last rank,
+    cannot beat the best product so far.
+    """
+    rows = [_cap_row(e, box.r_max, box.s_min, box.s_max) for e in eps]
+    head_room = sum(min(box.s_max, e + 1) for e in eps[:-1])
+    best, r = floor, None
+    for last in range(1, min(box.r_max, eps[-1] + 1) + 1):
+        s_room = head_room + rows[-1][last]
+        for rsum, vec in _chain_r_vectors(n, box.r_max, last):
+            if rsum * s_room <= best:
+                break
+            p = rsum * sum(map(getitem, rows, vec))
+            if p > best:
+                best, r = p, vec
+    return None if r is None else (best, r, tuple(map(getitem, rows, r)))
+
+
+def _surviving_genera(n: int, eps: tuple[int, ...], box: Box, pmax: int) -> list[int]:
+    """Genera below pmax that a failing profile could have: the row-sum test.
+
+    Closed form of the ``k3bn.cases`` docstring: the genus loop runs only
+    over the band where c g - E - 2 - 2n < 0 <= c g - E - 2 - n, c = num / den.
+    """
+    total_eps = sum(eps)
+    n_pairs = n * (n - 1) // 2
+    lo = max(1, total_eps + n_pairs * box.x_min + 1)
+    hi = min(pmax - 1, total_eps + n_pairs * box.x_max + 1)
+    a = [e + 2 for e in eps]
+    den = prod(a)
+    num = sum(den // ai for ai in a) + (2 - n) * den
+    if num <= 0:
+        return []
+    band_lo = max(lo, -(-(total_eps + 2 + n) * den // num))
+    band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 2 + 2 * n) * den // num)))
+    band = [
+        g for g in range(band_lo, band_hi)
+        if sum(map(g.__floordiv__, a)) >= (n - 2) * g + total_eps + 2 + n
+    ]
+    return band + list(range(band_hi, hi + 1))
+
+
+def _iter_fixed_sum(length: int, lo: int, hi: int, total: int) -> Iterator[tuple[int, ...]]:
+    """Tuples in [lo, hi]^length with the given coordinate sum."""
+    cur = [0] * length
+
+    def rec(k: int, rem: int) -> Iterator[tuple[int, ...]]:
+        if k == length - 1:
+            if lo <= rem <= hi:
+                cur[k] = rem
+                yield tuple(cur)
+            return
+        left = length - k - 1
+        for v in range(max(lo, rem - left * hi), min(hi, rem - left * lo) + 1):
+            cur[k] = v
+            yield from rec(k + 1, rem - v)
+
+    yield from rec(0, total)
+
+
+def _check_eps_class(
+    n: int, box: Box, eps: tuple[int, ...], max_cex: int
+) -> tuple[str, int, list[BoxCounterexample]]:
+    """Decide one eps-class: (deciding layer, profiles_enumerated, counterexamples)."""
+    genera = _surviving_genera(n, eps, box, n * box.r_max * n * box.s_max)
+    if not genera:
+        return "closed_row_sum", 0, []
+    # no product above the smallest genus: none survives (every genus is >= 1)
+    pmax, r, s = _max_fp_product(n, eps, box, genera[0]) or (0, (), ())
+    genera = genera[: bisect_left(genera, pmax)]  # genera ascend: keep those below pmax
+    if not genera:
+        return "closed_product_max", 0, []
+    total_eps = sum(eps)
+    n_pairs = n * (n - 1) // 2
+    enumerated = 0
+    cexs: list[BoxCounterexample] = []
+    for g in genera:
+        coord_sum = g - total_eps - 1
+        for upper_x in _iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
+            enumerated += 1
+            if not _is_failing(eps, upper_x):
+                continue
+            cexs.append(
+                BoxCounterexample(
+                    eps=eps,
+                    upper_x=upper_x,
+                    r=r,
+                    s=s,
+                    genus=g,
+                    note=f"(sum r)(sum s) = {sum(r) * sum(s)} > genus with no certifying split",
+                )
+            )
+            if len(cexs) >= max_cex:
+                return "swept", enumerated, cexs
+    return "swept", enumerated, cexs

@@ -1,10 +1,13 @@
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import box_reference as ref
 import k3bn.cases as cases
 from k3bn import (
     Box,
@@ -190,7 +193,7 @@ def test_default_boxes():
 
 
 # ---------------------------------------------------------------------------
-# internals of the decision procedure
+# the reference: the product layer and the sweep the closed forms replace
 
 
 def test_max_fp_product_matches_brute_force():
@@ -210,7 +213,7 @@ def test_max_fp_product_matches_brute_force():
                     p = fp.sum_r * fp.sum_s
                     if best is None or p > best:
                         best = p
-            got = cases._max_fp_product(n, eps, box)
+            got = ref._max_fp_product(n, eps, box)
             if best is None:
                 assert got is None, eps
                 continue
@@ -230,11 +233,11 @@ def test_chain_r_vector_buckets_match_brute_force():
                      if r[-1] == last and all(r[i] <= sum(r[i + 1 :]) for i in range(n - 1))),
                     reverse=True,
                 )
-                assert list(cases._chain_r_vectors(n, r_max, last)) == expected
+                assert list(ref._chain_r_vectors(n, r_max, last)) == expected
 
 
 def test_iter_fixed_sum():
-    got = sorted(cases._iter_fixed_sum(3, -1, 2, 2))
+    got = sorted(ref._iter_fixed_sum(3, -1, 2, 2))
     expected = sorted(
         t
         for t in itertools.product(range(-1, 3), repeat=3)
@@ -333,24 +336,24 @@ def test_surviving_genera_closed_form_matches_the_loop(n, data, x):
     hi = sum(eps) + n * (n - 1) // 2 * box.x_max + 1
     # pmax past the interval, or anywhere in it, cutting the tail or the band
     pmax = data.draw(st.just(hi + 2) | st.integers(-1, max(hi, 0) + 1))
-    assert cases._surviving_genera(n, eps, box, pmax) == _loop_surviving_genera(n, eps, box, pmax)
+    assert ref._surviving_genera(n, eps, box, pmax) == _loop_surviving_genera(n, eps, box, pmax)
 
 
 def test_surviving_genera_tight_for_all_isotropic():
     box = default_box(3)
     # the necessary row-sum condition first admits genus 10 when eps = 0 ...
-    assert cases._surviving_genera(3, (0, 0, 0), box, pmax=12) == [10]
+    assert ref._surviving_genera(3, (0, 0, 0), box, pmax=12) == [10]
     # ... which the exact product maximum 9 rules out
-    assert cases._max_fp_product(3, (0, 0, 0), box)[0] == 9
-    assert cases._surviving_genera(3, (0, 0, 0), box, pmax=9) == []
+    assert ref._max_fp_product(3, (0, 0, 0), box)[0] == 9
+    assert ref._surviving_genera(3, (0, 0, 0), box, pmax=9) == []
 
 
 def test_forced_false_alarm_is_detectable(monkeypatch):
-    # force the slice sweep by pretending richer filtration data exists: the
-    # failing profiles are real, but the fake witness's product 9 does not
-    # beat their genus 10, so re-verification rejects every report
-    monkeypatch.setattr(cases, "_max_fp_product", lambda n, eps, box, floor=-1: (12, (1, 1, 1), (1, 1, 1)))
-    layer, enumerated, cexs = cases._check_eps_class(3, default_box(3), (0, 0, 0), 50)
+    # force the reference's slice sweep by pretending richer filtration data
+    # exists: the failing profiles are real, but the fake witness's product 9
+    # does not beat their genus 10, so re-verification rejects every report
+    monkeypatch.setattr(ref, "_max_fp_product", lambda n, eps, box, floor=-1: (12, (1, 1, 1), (1, 1, 1)))
+    layer, enumerated, cexs = ref._check_eps_class(3, default_box(3), (0, 0, 0), 50)
     assert layer == "swept"
     assert enumerated > 0
     assert cexs
@@ -426,7 +429,7 @@ def _seed_check_eps_class(n, box, eps, max_cex):
     Profiles are decided by the table split test, so the sweep's use of
     ``classify``'s split search is checked against it too.
     """
-    best = cases._max_fp_product(n, eps, box)
+    best = ref._max_fp_product(n, eps, box)
     if best is None:
         return True, 0, []
     pmax, r, s = best
@@ -438,7 +441,7 @@ def _seed_check_eps_class(n, box, eps, max_cex):
     cexs = []
     for g in genera:
         coord_sum = g - sum(eps) - 1
-        for upper_x in cases._iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
+        for upper_x in ref._iter_fixed_sum(n_pairs, box.x_min, box.x_max, coord_sum):
             enumerated += 1
             if not _table_is_failing(n, eps, upper_x, g):
                 continue
@@ -500,21 +503,22 @@ def test_floored_max_fp_product_matches_brute_force(n, box, data):
     # above the floor: the unfloored result, witness included; at or below it: None
     eps = tuple(data.draw(st.lists(st.integers(0, box.eps_max), min_size=n, max_size=n)))
     best = _brute_max_fp_product(n, eps, box)
-    assert cases._max_fp_product(n, eps, box) == best
+    assert ref._max_fp_product(n, eps, box) == best
     for floor in range(-1, 3 * n * box.s_max + 1):
-        got = cases._max_fp_product(n, eps, box, floor)
+        got = ref._max_fp_product(n, eps, box, floor)
         assert got == (None if best is None or best[0] <= floor else best), floor
 
 
 def _forcing_patches(mp, forced):
-    # replace the exact maximum by another upper bound that depends on eps,
-    # with the all-ones (r, s) as its witness, so genera reach the slice
-    # sweep and the counterexample cap; real small boxes close before the
-    # sweep.  Like the real one it answers None at or below the floor, so
-    # the floor the caller passes is checked against the seed procedure's
+    # replace the reference's exact maximum by another upper bound that
+    # depends on eps, with the all-ones (r, s) as its witness, so genera
+    # reach the slice sweep and the counterexample cap; real boxes close
+    # before the sweep.  Like the real one it answers None at or below the
+    # floor, so the floor the caller passes is checked against the seed
+    # procedure's
     if forced is not None:
         mp.setattr(
-            cases, "_max_fp_product",
+            ref, "_max_fp_product",
             lambda n, eps, box, floor=-1: (
                 None if (pmax := min(n * box.r_max * n * box.s_max, forced + 3 * eps[0] + sum(eps))) <= floor
                 else (pmax, (1,) * n, (1,) * n)
@@ -525,10 +529,11 @@ def _forcing_patches(mp, forced):
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from((2, 3, 4)), box=small_boxes(), forced=st.none() | st.integers(0, 40))
 def test_row_sum_first_matches_seed_procedure(n, box, forced):
+    # the layered reference, row sums first, against the seed order
     with pytest.MonkeyPatch.context() as mp:
         _forcing_patches(mp, forced)
         for eps in itertools.product(range(box.eps_max + 1), repeat=n):
-            layer, count, cexs = cases._check_eps_class(n, box, eps, 5)
+            layer, count, cexs = ref._check_eps_class(n, box, eps, 5)
             assert (layer != "swept", count, cexs) == _seed_check_eps_class(n, box, eps, 5)
 
 
@@ -551,7 +556,7 @@ def _loop_all_isotropic_caps(n, box):
     bad = []
     full_s = 0
     capped = 0
-    for rsum, vec in cases._chain_r_vectors(n, box.r_max, 1):
+    for rsum, vec in ref._chain_r_vectors(n, box.r_max, 1):
         caps = _caps(eps, vec, box)
         if caps is None:
             continue
@@ -584,13 +589,12 @@ def test_all_isotropic_caps_closed_form_matches_the_loop(box):
     assert bad == []
 
 
-def _loop_exhaustive_case_check(n, box, max_cex):
-    """The driver before the closed form: every eps tuple through the reference procedure.
+def _loop_exhaustive_case_check(n, box, max_cex=50):
+    """The driver before the closed forms: every eps tuple through the seed procedure.
 
     A class with no surviving genus at the analytic bound n r_max n s_max is
     closed by the row sums alone; the product maximum never exceeds that
-    bound (nor does ``_forcing_patches``), so the seed procedure would close
-    it too, and it is skipped.
+    bound, so the seed procedure would close it too, and it is skipped.
     """
     stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
     enumerated = 0
@@ -628,22 +632,11 @@ def _loop_exhaustive_case_check(n, box, max_cex):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    n=st.sampled_from((2, 3, 4)),
-    box=small_boxes(),
-    data=st.data(),
-    max_cex=st.integers(1, 6),
-)
-def test_report_matches_the_loop_driver(n, box, data, max_cex):
-    # no n = 2 product beats the smallest genus (the two-part lemma), so the
-    # driver never asks there, and a forced product reaches no sweep
-    forced = data.draw(st.none() | st.integers(0, 40), label="forced") if n > 2 else None
-    with pytest.MonkeyPatch.context() as mp:
-        _forcing_patches(mp, forced)
-        report = exhaustive_case_check(n, box, max_counterexamples=max_cex).to_dict()
-        expected = _loop_exhaustive_case_check(n, box, max_cex)
+@given(n=st.sampled_from((2, 3, 4)), box=small_boxes())
+def test_report_matches_the_loop_driver(n, box):
+    report = exhaustive_case_check(n, box).to_dict()
     del report["elapsed_ms"]
-    assert report == expected
+    assert report == _loop_exhaustive_case_check(n, box)
 
 
 @settings(max_examples=200, deadline=None)
@@ -662,15 +655,17 @@ def test_row_sum_test_closes_every_class_from_four_parts(data, n):
     eps = tuple(data.draw(st.lists(st.integers(0, box.eps_max), min_size=n, max_size=n)))
     pmax = n * box.r_max * n * box.s_max
     assert _loop_surviving_genera(n, eps, box, pmax) == []
-    assert cases._surviving_genera(n, eps, box, pmax) == []
+    assert ref._surviving_genera(n, eps, box, pmax) == []
+
+
+def _unreachable(*args):
+    raise AssertionError("the box check settles every class in closed form")
 
 
 def test_four_part_box_never_reaches_the_later_layers(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the row-sum test closes every four-part class")
-
-    monkeypatch.setattr(cases, "_max_fp_product", unreachable)
-    monkeypatch.setattr(cases, "_iter_fixed_sum", unreachable)
+    # the row-sum test closes every four-part class
+    for name in ("_row_sum_open_classes", "_has_survivor", "_is_failing"):
+        monkeypatch.setattr(cases, name, _unreachable)
     report = exhaustive_case_check(4)
     assert report.eps_classes == 9**4
     assert report.eps_classes_closed_form == 9**4
@@ -706,7 +701,7 @@ def _two_part_lemma_layer(box, eps):
 @example(box=Box(1, -2, 2, 1, 10, 20))  # x_min alone puts every genus at or above the bound
 def test_two_part_lemma_matches_the_layered_procedure(box):
     classes = list(itertools.product(range(box.eps_max + 1), repeat=2))
-    decided = [cases._check_eps_class(2, box, eps, 5) for eps in classes]
+    decided = [ref._check_eps_class(2, box, eps, 5) for eps in classes]
     assert [d[1:] for d in decided] == [(0, [])] * len(classes)
     layers = [d[0] for d in decided]
     assert layers == [_two_part_lemma_layer(box, eps) for eps in classes]
@@ -742,15 +737,13 @@ def test_two_part_lemma_by_brute_force(r_max, s_min, s_max, eps, wide):
     for pmax in (1, a, a + 1, 4 * wide.r_max * wide.s_max):
         lo = max(1, sum(eps) + wide.x_min + 1, a)
         hi = min(pmax - 1, sum(eps) + wide.x_max + 1)
-        assert cases._surviving_genera(2, eps, wide, pmax) == list(range(lo, hi + 1)), pmax
+        assert ref._surviving_genera(2, eps, wide, pmax) == list(range(lo, hi + 1)), pmax
 
 
 def test_two_part_box_never_reaches_the_later_layers(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("the two-part lemma settles every class")
-
-    for name in ("_check_eps_class", "_max_fp_product", "_surviving_genera", "_iter_fixed_sum"):
-        monkeypatch.setattr(cases, name, unreachable)
+    # the two-part lemma settles every class
+    for name in ("_row_sum_open_classes", "_has_survivor", "_is_failing"):
+        monkeypatch.setattr(cases, name, _unreachable)
     report = exhaustive_case_check(2)
     assert report.stats == {"closed_row_sum": 85, "closed_product_max": 84, "swept": 0}
 
@@ -764,43 +757,29 @@ def test_three_part_open_classes_are_the_row_sum_survivors():
     for eps_max in range(41):
         box = Box(r_max=8, s_min=-8, s_max=8, eps_max=eps_max, x_min=-8, x_max=24)
         expected = [eps for eps in survivors if max(eps) <= eps_max]
-        assert list(cases._row_sum_open_classes(3, box)) == expected, f"eps_max = {eps_max}"
+        assert sorted(cases._row_sum_open_classes(box)) == expected, f"eps_max = {eps_max}"
 
 
 def test_three_part_box_visits_only_the_open_classes(monkeypatch):
-    check = cases._check_eps_class
+    has_survivor = cases._has_survivor
     visited = []
 
-    def open_classes_only(n, box, eps, max_cex):
+    def open_classes_only(eps, box):
         assert sum(Fraction(1, e + 2) for e in eps) > 1, f"{eps} closes by row sum"
         visited.append(eps)
-        return check(n, box, eps, max_cex)
+        return has_survivor(eps, box)
 
-    monkeypatch.setattr(cases, "_check_eps_class", open_classes_only)
+    monkeypatch.setattr(cases, "_has_survivor", open_classes_only)
     report = exhaustive_case_check(3)
     assert len(visited) == 40
     assert report.stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
-
-
-@pytest.mark.parametrize("max_cex", (1, 2, 3, 6))
-@pytest.mark.parametrize("box", [Box(2, -2, 2, 3, -2, 6), Box(3, -3, 3, 4, -3, 6)], ids=str)
-def test_capped_three_part_report_matches_the_loop_driver(box, max_cex):
-    # the cap stops the run inside the box: closed_row_sum then counts only
-    # the classes before the last visited one in product order
-    for forced in range(41):
-        with pytest.MonkeyPatch.context() as mp:
-            _forcing_patches(mp, forced)
-            report = exhaustive_case_check(3, box, max_counterexamples=max_cex).to_dict()
-            expected = _loop_exhaustive_case_check(3, box, max_cex)
-        del report["elapsed_ms"]
-        assert report == expected, f"forced = {forced}"
 
 
 @pytest.mark.parametrize("box", BENCHMARK_BOXES, ids=str)
 def test_benchmark_box_report_matches_the_loop_driver(box):
     report = exhaustive_case_check(3, box).to_dict()
     del report["elapsed_ms"]
-    assert report == _loop_exhaustive_case_check(3, box, 50)
+    assert report == _loop_exhaustive_case_check(3, box)
     # no benchmark box reaches the slice sweep, so the split test's speed is off every workload
     assert report["stats"]["swept"] == 0
     assert report["profiles_enumerated"] == 0
@@ -811,6 +790,107 @@ def test_three_part_box_at_eps_max_60():
     report = exhaustive_case_check(3, box)
     assert report.stats == {"closed_row_sum": 226_962, "closed_product_max": 19, "swept": 0}
     assert report.counterexamples == []
+
+
+def _unbounded_product_max(eps):
+    """P*, the max of (sum r)(sum s) over every feasible (r, s), by brute force over the ranks.
+
+    s3 >= 1 needs r3 <= l3, so r3 and r2 <= r3 stay within the longest leg
+    and r1 <= r2 + r3 within twice it; for fixed ranks every s_i at its cap
+    l_i // r_i gives the largest sum s, and any s_i below it is feasible.
+    """
+    legs = [e + 1 for e in eps]
+    top = max(legs)
+    r1 = np.arange(1, 2 * top + 1)[:, None]
+    r2 = np.arange(1, top + 1)[None, :]
+    best = 0
+    for r3 in range(1, legs[2] + 1):
+        feasible = (r2 <= r3) & (r1 <= r2 + r3)
+        products = (r1 + r2 + r3) * (legs[0] // r1 + legs[1] // r2 + legs[2] // r3)
+        best = max(best, int(products[feasible].max()))
+    return best
+
+
+def _smallest_survivor(eps, pmax):
+    """g*, the smallest genus >= 1 that passes the row-sum test, and every survivor below pmax."""
+    box = Box(r_max=1, s_min=0, s_max=1, eps_max=max(eps), x_min=-(10**5), x_max=10**5)
+    survivors = ref._surviving_genera(3, eps, box, pmax)
+    return survivors[0], survivors
+
+
+def _lemma_table():
+    """The E-type rows (eps, P*, g*) of the ``cases`` docstring."""
+    rows = re.findall(r"\((\d), (\d), (\d)\)\s+(\d+)\s+(\d+)", cases.__doc__)
+    return {tuple(map(int, row[:3])): (int(row[3]), int(row[4])) for row in rows}
+
+
+def test_three_part_lemma_by_brute_force():
+    # D type: P* <= 4e + 9 < g* = (e + 2)(e + 5), and odd genera survive
+    # only from (e + 2)(e + 6) on
+    for e in range(101):
+        for eps in set(itertools.permutations((e, 0, 0))):
+            p_star = _unbounded_product_max(eps)
+            g_star = (e + 2) * (e + 5)
+            assert p_star <= 4 * e + 9 < g_star, eps
+            pmax = (e + 2) * (e + 6) + 3
+            assert _smallest_survivor(eps, pmax) == (g_star, [
+                g for g in range(g_star, pmax) if g % 2 == 0 or g >= (e + 2) * (e + 6)
+            ]), eps
+    # E type: the docstring's table, all 15 classes
+    table = _lemma_table()
+    assert sorted(table) == sorted(
+        eps for base in ((1, 1, 0), (2, 1, 0), (3, 1, 0)) for eps in set(itertools.permutations(base))
+    )
+    for eps, (p_star, g_star) in table.items():
+        assert _unbounded_product_max(eps) == p_star < g_star == _smallest_survivor(eps, g_star + 1)[0], eps
+    # the brute force agrees with the reference maximum on a box that holds
+    # every feasible (r, s): ranks to twice the longest leg, s to the leg
+    for eps in [*table, *(eps for e in range(13) for eps in set(itertools.permutations((e, 0, 0))))]:
+        top = max(eps) + 1
+        box = Box(r_max=2 * top, s_min=-top, s_max=top, eps_max=max(eps), x_min=0, x_max=0)
+        assert ref._max_fp_product(3, eps, box)[0] == _unbounded_product_max(eps), eps
+
+
+@st.composite
+def three_part_boxes(draw):
+    """n = 3 boxes wider than ``small_boxes``: long D-type legs, genus ranges across every band."""
+    s_max = draw(st.integers(1, 30))
+    x_min = draw(st.integers(-50, 400))
+    return Box(
+        r_max=draw(st.integers(1, 30)),
+        s_min=draw(st.integers(-30, s_max)),
+        s_max=s_max,
+        eps_max=draw(st.integers(0, 40)),
+        x_min=x_min,
+        x_max=x_min + draw(st.integers(0, 300)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(box=small_boxes() | three_part_boxes())
+@example(box=Box(5, 0, 1, 3, 13, 13))  # lo = hi = 43, odd, between g* = 40 and 45 at eps = (3, 0, 0)
+@example(box=Box(4, 0, 1, 0, -3, 3))  # hi = 10 = g* at eps = (0, 0, 0)
+@example(box=Box(4, 0, 1, 1, -3, 5))  # hi = 17 = g* - 1 at eps = (1, 0, 0), from x_max
+@example(box=Box(2, 0, 1, 1, 0, 100))  # hi = 17 = g* - 1 at eps = (1, 0, 0), from 9 r_max s_max
+@example(box=Box(1, 0, 2, 0, 5, 5))  # lo = hi = 16, the root of c g = E + 8 at eps = (0, 0, 0)
+@example(box=Box(4, 0, 1, 2, 11, 20))  # x_min puts every genus of eps = (2, 0, 0) at or above 9 r_max s_max
+def test_existence_test_matches_the_reference_genus_list(box):
+    for eps in cases._row_sum_open_classes(box):
+        expected = bool(ref._surviving_genera(3, eps, box, 9 * box.r_max * box.s_max))
+        assert cases._has_survivor(eps, box) == expected, eps
+
+
+def test_three_part_box_never_reaches_the_later_layers(monkeypatch):
+    # the three-part lemma settles every class: the product layer and the
+    # sweep left k3bn.cases for the reference, and the split test is not asked
+    moved = ("_chain_r_vectors", "_cap_row", "_max_fp_product", "_surviving_genera", "_iter_fixed_sum", "_check_eps_class")
+    for name in moved:
+        assert not hasattr(cases, name), name
+        monkeypatch.setattr(ref, name, _unreachable)
+    monkeypatch.setattr(cases, "_is_failing", _unreachable)
+    assert exhaustive_case_check(3).stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
+    box = Box(r_max=8, s_min=-8, s_max=8, eps_max=60, x_min=-8, x_max=24)
+    assert exhaustive_case_check(3, box).stats == {"closed_row_sum": 226_962, "closed_product_max": 19, "swept": 0}
 
 
 def test_stats_split_the_eps_classes_by_deciding_layer():

@@ -551,6 +551,18 @@ def test_only_classify_loads_profiles(tmp_path, argv, profiles):
     assert ("k3bn.profiles" in loaded) == profiles
 
 
+def test_verify_cases_never_loads_profiles():
+    # every box class is settled in closed form, so no split search is compiled;
+    # one interpreter for the boxes test_only_classify_loads_profiles leaves out
+    argvs = [["verify-cases", "--n", str(n), "--default-box"] for n in (3, 4)]
+    argvs.append(["verify-cases", "--n", "3", "--eps-max", "60"])
+    loaded = _loaded_k3bn_modules(
+        "import contextlib, io, k3bn.cli",
+        f"with contextlib.redirect_stdout(io.StringIO()): [k3bn.cli.main(a) for a in {argvs!r}]",
+    )
+    assert "k3bn.profiles" not in loaded
+
+
 def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bn-check", "--help"])
