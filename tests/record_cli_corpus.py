@@ -126,8 +126,9 @@ def box_entries():
     yield from (["verify-cases", "--n", str(n), "--default-box"] for n in (2, 3, 4))
     yield from (_box_argv(3, box) for box in SEEDED_BOXES)
     yield ["verify-cases", "--n", "3", "--eps-max", "60"]
-    yield ["verify-cases", "--n", "2", "--eps-max", "400"]
-    yield ["verify-cases", "--n", "2", "--eps-max", "2000"]
+    for eps_max in (400, 2000):
+        yield _box_argv(2, (100, -100, 100, eps_max, -100, 3000))
+    yield _box_argv(2, (3000, -3, 3, 300, -3, 3000))
     yield ["verify-cases", "--n", "3", "--r-max", "400", "--s-max", "3", "--eps-max", "300", "--x-max", "30000"]
     yield ["verify-cases", "--n", "2", "--r-max", "100", "--s-max", "101", "--s-min", "-5"]  # refused
     yield ["verify-cases", "--n", "4", "--eps-max", "1000000", "--r-max", "1000000"]  # never refused

@@ -9,7 +9,7 @@ with open(corpus.FIXTURE, encoding="utf-8") as _fh:
     CORPUS = json.load(_fh)
 
 GROUPS = {
-    "boxes": 17,
+    "boxes": 18,
     "golden": 50,
     "refusals": 42,
     "workload:box-verify": 4,
