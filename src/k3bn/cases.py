@@ -32,32 +32,47 @@ and 3 are stated because the lemmas are proved against them.
     -  n = 3: c <= 0 (sum 1/a_i <= 1) closes the class.  With legs
        l_i = eps_i + 1 = a_i - 1, clearing denominators turns c > 0 into
        l1 l2 l3 - l1 - l2 - l3 - 2 < 0, so the survivors are the classes
-       whose legs permute an exceptional (ADE) triple; the driver visits
-       only those and counts every other class without a loop.  In a
-       survivor every g from the root of c g = E + 8 up survives and none
-       below the root of c g = E + 5, so whether a genus of the box
-       survives is decided on the band between them, up to the first genus
-       that passes.
+       whose legs permute an exceptional (ADE) triple, of the two types
+       below.  The surviving genera of each type are known in closed form,
+       so the driver counts the classes with a genus of [lo, hi] among them
+       in one loop over e and three table rows, with no call per class, and
+       every other class without a loop.
        The three-part lemma: no feasible product reaches g*, the smallest
        g >= 1 that passes the test, in any box.  A box only shrinks the
        feasible set and every surviving genus is >= g*, so it suffices to
        bound P*, the maximum over all feasible (r, s).  s3 >= 1 forces
        r3 <= l3, then r2 <= r3 and r1 <= r2 + r3; each s_i <= l_i // r_i,
        and a negative s_i only lowers sum s.
-       -  D type, eps a permutation of (e, 0, 0), L = e + 1: the test reads
-          g // (e + 2) >= e + 5 + (g mod 2), so g* = (e + 2)(e + 5), and odd
-          g pass only from (e + 2)(e + 6) on: the survivors are no ray.  A
-          leg of 1 caps s_i at 1 if r_i = 1 and at 0 otherwise.  Long leg
-          last: t = r3 <= L and q = L // t give t q <= L and t + q <= L + 1;
-          if r1 = r2 = 1, P <= (t + 2)(q + 2) <= 3L + 6; if one of them is
-          1, sum r <= 2t + 2 and P <= 2(t + 1)(q + 1) <= 4L + 4; if
-          neither, P <= 4 t q <= 4L.  Long leg first or second: r3 = r2 = 1
-          and r1 <= 2, so P <= max(3(L + 2), 4(L + 1)).  Hence
+       -  D type, eps a permutation of (e, 0, 0), L = e + 1: one class at
+          e = 0 and three otherwise.  With 2 (g // 2) = g - (g mod 2) the
+          test reads g // (e + 2) >= e + 5 + (g mod 2), so the survivors are
+          the even g >= g* = (e + 2)(e + 5) and the odd g >= (e + 2)(e + 6):
+          no ray.  g* is even, so [lo, hi] holds one exactly when
+          g = max(lo, g*) < hi (g or g + 1 is even) or g = hi is even or at
+          least (e + 2)(e + 6).  A leg of 1 caps s_i at 1 if r_i = 1 and at
+          0 otherwise.  Long leg last: t = r3 <= L and q = L // t give
+          t q <= L and t + q <= L + 1; if r1 = r2 = 1,
+          P <= (t + 2)(q + 2) <= 3L + 6; if one of them is 1,
+          sum r <= 2t + 2 and P <= 2(t + 1)(q + 1) <= 4L + 4; if neither,
+          P <= 4 t q <= 4L.  Long leg first or second: r3 = r2 = 1 and
+          r1 <= 2, so P <= max(3(L + 2), 4(L + 1)).  Hence
           P* <= 4e + 9 < (e + 2)(e + 5) = g*.
-       -  E type, the 15 permutations of eps = (1, 1, 0), (2, 1, 0) and
-          (3, 1, 0): sum r <= 4 r3 <= 4 max l and sum s <= sum l, so
-          P* <= 40, 72, 112 against g* = 42, 96, 270 (E6, E7, E8).  The
-          exact values, checked by brute force in ``tests/test_cases.py``:
+       -  E type, the 3, 6 and 6 permutations of eps = (1, 1, 0), (2, 1, 0)
+          and (3, 1, 0) (E6, E7, E8), in the box from eps_max = 1, 2 and 3
+          on.  Their a = (3, 3, 2), (4, 3, 2) and (5, 3, 2) have
+          m = lcm a_i = 6, 12 and 30 with m c = 1, so at g = m q + r,
+          0 <= r < m, f(g) = q - E - 5 - d(r) with d(r) = r - sum_i r // a_i.
+          Each a_i divides m, so r + (r + 1) / m - 2 <= sum_i r // a_i
+          <= r + r / m: d(r) is 0 or 1, and d(m - 1) = 1.  The survivors are
+          the m (E + 5) + r with d(r) = 0 and every g >= m (E + 6), and
+          m (E + 6) - 1 fails:
+              E6, E = 2:  42, 45, 46; every g >= 48
+              E7, E = 3:  96, 100, 102, 104, 105, 106; every g >= 108
+              E8, E = 4:  270, 276, 280, 282, 285, 286, 288, 290, 291, 292,
+                          294, 295, 296, 297, 298; every g >= 300
+          sum r <= 4 r3 <= 4 max l and sum s <= sum l, so P* <= 40, 72, 112
+          against g* = 42, 96, 270.  The exact values, checked by brute
+          force in ``tests/test_cases.py``:
               eps        P*   g*      eps        P*   g*      eps        P*   g*
               (0, 1, 1)  18   42      (0, 1, 2)  24   96      (0, 1, 3)  30  270
               (1, 0, 1)  16   42      (0, 2, 1)  24   96      (0, 3, 1)  30  270
@@ -87,9 +102,10 @@ and 3 are stated because the lemmas are proved against them.
     x-matrices with the matching coordinate sum), each profile decided by
     the split search of ``classify``; a failing profile, paired with the
     (r, s) that attains P, would be a counterexample.  No class at any n
-    reaches this layer.  The product maximum and the sweep live on in
-    ``tests/box_reference.py`` as the reference of the differential tests,
-    and ``verify-cases`` never loads ``profiles``.
+    reaches this layer.  The product maximum, the sweep and the per-class
+    three-part existence test live on in ``tests/box_reference.py`` as the
+    reference of the differential tests, and ``verify-cases`` never loads
+    ``profiles``.
 
 ``BoxReport.stats`` counts the eps-classes each layer settled; ``swept``,
 ``profiles_enumerated`` and the counterexample list keep their place in the
@@ -99,9 +115,7 @@ reported counterexample from scratch.
 
 from __future__ import annotations
 
-import itertools
 import time
-from math import prod
 
 from .errors import Frozen, InputError, check_search_size, is_int
 
@@ -372,38 +386,13 @@ class BoxReport:
 # the decision procedure
 
 
-def _row_sum_open_classes(box: Box) -> set[tuple[int, int, int]]:
-    """The three-part eps-classes the row-sum test can leave open (c > 0).
-
-    Those whose legs eps_i + 1 permute an exceptional triple (module
-    docstring); every other class of every n closes without a visit.
-    """
-    return {
-        eps
-        for triple in enumerate_exceptional_triples(box.eps_max + 1)
-        for eps in itertools.permutations(tuple(leg - 1 for leg in triple))
-    }
-
-
-def _has_survivor(eps: tuple[int, int, int], box: Box) -> bool:
-    """Whether some genus in [lo, hi] passes the three-part row-sum test.
-
-    hi stays below the analytic bound 9 r_max s_max on P.  Every genus from
-    the root of c g = E + 8 up passes and none below the root of
-    c g = E + 5 (module docstring), so only the band between the roots is
-    tested genus by genus, and only up to the first genus that passes.
-    """
-    total_eps = sum(eps)
-    lo = max(1, total_eps + 3 * box.x_min + 1)
-    hi = min(9 * box.r_max * box.s_max - 1, total_eps + 3 * box.x_max + 1)
-    a = [e + 2 for e in eps]
-    den = prod(a)
-    num = sum(den // ai for ai in a) - den  # c = num / den > 0 on an open class
-    band_lo = max(lo, -(-(total_eps + 5) * den // num))
-    band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 8) * den // num)))
-    return band_hi <= hi or any(
-        sum(map(g.__floordiv__, a)) >= g + total_eps + 5 for g in range(band_lo, band_hi)
-    )
+# the E-type rows of the three-part bullet: (eps_max at which the row enters,
+# classes, E, the survivors below the ray, the ray start)
+_E_ROWS = (
+    (1, 3, 2, (42, 45, 46), 48),
+    (2, 6, 3, (96, 100, 102, 104, 105, 106), 108),
+    (3, 6, 4, (270, 276, 280, 282, 285, 286, 288, 290, 291, 292, 294, 295, 296, 297, 298), 300),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +464,15 @@ def exhaustive_case_check(n: int, box: Box | None = None) -> BoxReport:
             if (a := (e1 + 2) * (e2 + 2)) <= top and a <= e1 + e2 + hi and e1 + e2 + lo <= top
         )
     if n == 3:
-        stats["closed_product_max"] = sum(_has_survivor(eps, box) for eps in _row_sum_open_classes(box))
+        top, lo, hi = 9 * box.r_max * box.s_max - 1, 3 * box.x_min + 1, 3 * box.x_max + 1
+        for e in range(box.eps_max + 1):  # D type: the even g >= (e + 2)(e + 5), the odd g >= (e + 2)(e + 6)
+            g, h = max(e + lo, (e + 2) * (e + 5)), min(top, e + hi)
+            if g < h or g == h and (g % 2 == 0 or g >= (e + 2) * (e + 6)):
+                stats["closed_product_max"] += 1 if e == 0 else 3
+        for enters, classes, total, listed, ray in _E_ROWS:
+            h = min(top, total + hi)
+            if box.eps_max >= enters and any(total + lo <= g <= h for g in (*listed, max(total + lo, ray))):
+                stats["closed_product_max"] += classes
     stats["closed_row_sum"] = eps_classes - stats["closed_product_max"]
 
     cross_checks: list[str] = []

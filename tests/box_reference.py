@@ -2,20 +2,22 @@
 
 ``k3bn.cases`` settles every eps-class in closed form (the two- and
 three-part lemmas of its module docstring), so it no longer computes a
-product maximum, lists surviving genera or sweeps a slice.  These are the
-functions it used to, unchanged, so that the differential tests can check
-the closed forms against the layered procedure they replace.
+product maximum, lists surviving genera, visits the three-part classes the
+row-sum test leaves open or sweeps a slice.  These are the functions it used
+to, unchanged, so that the differential tests can check the closed forms
+against the layered procedure they replace.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from functools import lru_cache
 from math import prod
 from operator import getitem
 from typing import Iterator
 
-from k3bn.cases import Box, BoxCounterexample, _is_failing
+from k3bn.cases import Box, BoxCounterexample, _is_failing, enumerate_exceptional_triples
 
 
 @lru_cache(maxsize=None)
@@ -152,3 +154,37 @@ def _check_eps_class(
             if len(cexs) >= max_cex:
                 return "swept", enumerated, cexs
     return "swept", enumerated, cexs
+
+
+def _row_sum_open_classes(box: Box) -> set[tuple[int, int, int]]:
+    """The three-part eps-classes the row-sum test can leave open (c > 0).
+
+    Those whose legs eps_i + 1 permute an exceptional triple (module
+    docstring); every other class of every n closes without a visit.
+    """
+    return {
+        eps
+        for triple in enumerate_exceptional_triples(box.eps_max + 1)
+        for eps in itertools.permutations(tuple(leg - 1 for leg in triple))
+    }
+
+
+def _has_survivor(eps: tuple[int, int, int], box: Box) -> bool:
+    """Whether some genus in [lo, hi] passes the three-part row-sum test.
+
+    hi stays below the analytic bound 9 r_max s_max on P.  Every genus from
+    the root of c g = E + 8 up passes and none below the root of
+    c g = E + 5 (module docstring), so only the band between the roots is
+    tested genus by genus, and only up to the first genus that passes.
+    """
+    total_eps = sum(eps)
+    lo = max(1, total_eps + 3 * box.x_min + 1)
+    hi = min(9 * box.r_max * box.s_max - 1, total_eps + 3 * box.x_max + 1)
+    a = [e + 2 for e in eps]
+    den = prod(a)
+    num = sum(den // ai for ai in a) - den  # c = num / den > 0 on an open class
+    band_lo = max(lo, -(-(total_eps + 5) * den // num))
+    band_hi = max(band_lo, min(hi + 1, -(-(total_eps + 8) * den // num)))
+    return band_hi <= hi or any(
+        sum(map(g.__floordiv__, a)) >= g + total_eps + 5 for g in range(band_lo, band_hi)
+    )

@@ -664,8 +664,7 @@ def _unreachable(*args):
 
 def test_four_part_box_never_reaches_the_later_layers(monkeypatch):
     # the row-sum test closes every four-part class
-    for name in ("_row_sum_open_classes", "_has_survivor", "_is_failing"):
-        monkeypatch.setattr(cases, name, _unreachable)
+    monkeypatch.setattr(cases, "_is_failing", _unreachable)
     report = exhaustive_case_check(4)
     assert report.eps_classes == 9**4
     assert report.eps_classes_closed_form == 9**4
@@ -742,8 +741,7 @@ def test_two_part_lemma_by_brute_force(r_max, s_min, s_max, eps, wide):
 
 def test_two_part_box_never_reaches_the_later_layers(monkeypatch):
     # the two-part lemma settles every class
-    for name in ("_row_sum_open_classes", "_has_survivor", "_is_failing"):
-        monkeypatch.setattr(cases, name, _unreachable)
+    monkeypatch.setattr(cases, "_is_failing", _unreachable)
     report = exhaustive_case_check(2)
     assert report.stats == {"closed_row_sum": 85, "closed_product_max": 84, "swept": 0}
 
@@ -757,22 +755,7 @@ def test_three_part_open_classes_are_the_row_sum_survivors():
     for eps_max in range(41):
         box = Box(r_max=8, s_min=-8, s_max=8, eps_max=eps_max, x_min=-8, x_max=24)
         expected = [eps for eps in survivors if max(eps) <= eps_max]
-        assert sorted(cases._row_sum_open_classes(box)) == expected, f"eps_max = {eps_max}"
-
-
-def test_three_part_box_visits_only_the_open_classes(monkeypatch):
-    has_survivor = cases._has_survivor
-    visited = []
-
-    def open_classes_only(eps, box):
-        assert sum(Fraction(1, e + 2) for e in eps) > 1, f"{eps} closes by row sum"
-        visited.append(eps)
-        return has_survivor(eps, box)
-
-    monkeypatch.setattr(cases, "_has_survivor", open_classes_only)
-    report = exhaustive_case_check(3)
-    assert len(visited) == 40
-    assert report.stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
+        assert sorted(ref._row_sum_open_classes(box)) == expected, f"eps_max = {eps_max}"
 
 
 @pytest.mark.parametrize("box", BENCHMARK_BOXES, ids=str)
@@ -875,15 +858,76 @@ def three_part_boxes(draw):
 @example(box=Box(1, 0, 2, 0, 5, 5))  # lo = hi = 16, the root of c g = E + 8 at eps = (0, 0, 0)
 @example(box=Box(4, 0, 1, 2, 11, 20))  # x_min puts every genus of eps = (2, 0, 0) at or above 9 r_max s_max
 def test_existence_test_matches_the_reference_genus_list(box):
-    for eps in cases._row_sum_open_classes(box):
+    for eps in ref._row_sum_open_classes(box):
         expected = bool(ref._surviving_genera(3, eps, box, 9 * box.r_max * box.s_max))
-        assert cases._has_survivor(eps, box) == expected, eps
+        assert ref._has_survivor(eps, box) == expected, eps
+
+
+# A class's genera run over [lo, hi] with lo = E + 3 x_min + 1 and hi = E + 3 x_max + 1
+# or 9 r_max s_max - 1, so lo = E + 1 (mod 3) and hi = E + 1 (mod 3) or hi = 8 (mod 9):
+# no box puts lo = hi on 96, 108 (E7, E = 3), 270, 300 (E8, E = 4) or on the gap genera
+# 47 and 107, and the examples below bracket those instead.
+@settings(max_examples=150, deadline=None)
+@given(box=small_boxes() | three_part_boxes())
+@example(box=Box(5, 0, 1, 3, 13, 13))  # lo = hi = 43, odd, between g* = 40 and 45 at eps = (3, 0, 0)
+@example(box=Box(4, 0, 1, 0, -3, 3))  # hi = 10 = g* at eps = (0, 0, 0)
+@example(box=Box(4, 0, 1, 1, -3, 5))  # hi = 17 = g* - 1 at eps = (1, 0, 0), from x_max
+@example(box=Box(2, 0, 1, 1, 0, 100))  # hi = 17 = g* - 1 at eps = (1, 0, 0), from 9 r_max s_max
+@example(box=Box(1, 0, 2, 0, 5, 5))  # lo = hi = 16, the root of c g = E + 8 at eps = (0, 0, 0)
+@example(box=Box(4, 0, 1, 2, 11, 20))  # x_min puts every genus of eps = (2, 0, 0) at or above 9 r_max s_max
+@example(box=Box(7, 0, 1, 4, 18, 18))  # lo = hi = 59 = (e + 2)(e + 6) - 1, odd, at eps = (4, 0, 0)
+@example(box=Box(5, 0, 1, 1, 13, 13))  # lo = hi = 42, g* of E6
+@example(box=Box(6, 0, 1, 1, 14, 14))  # lo = hi = 45, a listed E6 survivor
+@example(box=Box(6, 0, 1, 1, 15, 15))  # lo = hi = 48, the E6 ray start
+@example(box=Box(11, 0, 1, 2, 30, 31))  # [94, 97] holds g* = 96 of E7 and no other E7 survivor
+@example(box=Box(12, 0, 1, 2, 32, 32))  # lo = hi = 100, a listed E7 survivor
+@example(box=Box(12, 0, 1, 2, 33, 33))  # lo = hi = 103, an E7 gap genus
+@example(box=Box(12, 0, 1, 2, 34, 40))  # [106, 107]: 107 = 9 r_max s_max - 1 on the E7 gap before the ray
+@example(box=Box(30, 0, 1, 3, 0, 100))  # hi = 269 = 9 r_max s_max - 1, just below g* = 270 of E8
+@example(box=Box(34, 0, 1, 3, 88, 89))  # [269, 272] holds g* = 270 of E8 and no other E8 survivor
+@example(box=Box(34, 0, 1, 3, 95, 95))  # lo = hi = 290, a listed E8 survivor
+@example(box=Box(34, 0, 1, 3, 98, 98))  # lo = hi = 299, the E8 gap genus before the ray
+@example(box=Box(8, -4, 4, 0, 0, 100))  # every E row's genera in range: none enters at eps_max = 0
+@example(box=Box(8, -4, 4, 1, 0, 100))  # E6 enters
+@example(box=Box(8, -4, 4, 2, 0, 100))  # E7 enters
+@example(box=Box(8, -4, 4, 3, 0, 100))  # E8 enters
+def test_three_part_count_matches_the_reference_open_classes(box):
+    # the closed-form count against a visit to every open class of the reference
+    report = exhaustive_case_check(3, box)
+    open_with_survivor = sum(ref._has_survivor(eps, box) for eps in ref._row_sum_open_classes(box))
+    assert report.stats == {
+        "closed_row_sum": (box.eps_max + 1) ** 3 - open_with_survivor,
+        "closed_product_max": open_with_survivor,
+        "swept": 0,
+    }
+
+
+def test_three_part_survivor_sets_by_brute_force():
+    # the row-sum inequality sum_i g // a_i >= g + E + 5 alone, genus by genus.
+    # D type, a = (e + 2, 2, 2): the evens from (e + 2)(e + 5), the odds from (e + 2)(e + 6)
+    for e in range(201):
+        g = np.arange(1, (e + 2) * (e + 7) + 1)
+        passes = g // (e + 2) + 2 * (g // 2) >= g + e + 5
+        assert (passes == np.where(g % 2 == 0, g >= (e + 2) * (e + 5), g >= (e + 2) * (e + 6))).all(), e
+    # E type: each row of the table, past the root of c g = E + 8 where every genus passes
+    for base, row in zip(((1, 1, 0), (2, 1, 0), (3, 1, 0)), cases._E_ROWS, strict=True):
+        a = [e + 2 for e in base]
+        total = sum(base)
+        root = -(-(total + 8) // (sum(Fraction(1, ai) for ai in a) - 1))
+        survivors = [g for g in range(1, 2 * root) if sum(g // ai for ai in a) >= g + total + 5]
+        ray = max(g for g in range(1, 2 * root) if g not in survivors) + 1
+        listed = tuple(g for g in survivors if g < ray)
+        assert row == (max(base), len(set(itertools.permutations(base))), total, listed, ray), base
 
 
 def test_three_part_box_never_reaches_the_later_layers(monkeypatch):
-    # the three-part lemma settles every class: the product layer and the
-    # sweep left k3bn.cases for the reference, and the split test is not asked
-    moved = ("_chain_r_vectors", "_cap_row", "_max_fp_product", "_surviving_genera", "_iter_fixed_sum", "_check_eps_class")
+    # the three-part lemma settles every class: the product layer, the sweep
+    # and the per-class existence test left k3bn.cases for the reference, and
+    # the split test is not asked
+    moved = (
+        "_chain_r_vectors", "_cap_row", "_max_fp_product", "_surviving_genera", "_iter_fixed_sum",
+        "_check_eps_class", "_row_sum_open_classes", "_has_survivor",
+    )
     for name in moved:
         assert not hasattr(cases, name), name
         monkeypatch.setattr(ref, name, _unreachable)
@@ -891,6 +935,9 @@ def test_three_part_box_never_reaches_the_later_layers(monkeypatch):
     assert exhaustive_case_check(3).stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
     box = Box(r_max=8, s_min=-8, s_max=8, eps_max=60, x_min=-8, x_max=24)
     assert exhaustive_case_check(3, box).stats == {"closed_row_sum": 226_962, "closed_product_max": 19, "swept": 0}
+    # the largest eps_max below the eps-class ceiling: 464^3 classes, the same 19 open ones
+    box = Box(r_max=8, s_min=-8, s_max=8, eps_max=463, x_min=-8, x_max=24)
+    assert exhaustive_case_check(3, box).stats == {"closed_row_sum": 464**3 - 19, "closed_product_max": 19, "swept": 0}
 
 
 def test_stats_split_the_eps_classes_by_deciding_layer():
