@@ -758,6 +758,20 @@ def test_three_part_open_classes_are_the_row_sum_survivors():
         assert sorted(ref._row_sum_open_classes(box)) == expected, f"eps_max = {eps_max}"
 
 
+def test_three_part_box_visits_only_the_open_classes():
+    # the reference visits the 40 row-sum-open classes of the default box; the
+    # closed-form count keeps exactly the 19 of them with a surviving genus
+    box = default_box(3)
+    visited = sorted(ref._row_sum_open_classes(box))
+    for eps in visited:
+        assert sum(Fraction(1, e + 2) for e in eps) > 1, f"{eps} closes by row sum"
+    assert len(visited) == 40
+    kept = sum(ref._has_survivor(eps, box) for eps in visited)
+    report = exhaustive_case_check(3)
+    assert report.stats == {"closed_row_sum": 9**3 - kept, "closed_product_max": kept, "swept": 0}
+    assert report.stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
+
+
 @pytest.mark.parametrize("box", BENCHMARK_BOXES, ids=str)
 def test_benchmark_box_report_matches_the_loop_driver(box):
     report = exhaustive_case_check(3, box).to_dict()
