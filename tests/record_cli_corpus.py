@@ -17,7 +17,9 @@ give ``stdin_hex``, the bytes read for ``--surface -``.
 
 The hand-written groups are built below: the benchmark boxes and other
 ``verify-cases`` boxes, the 25 golden ``decompose`` documents (also through
-``bn-check``), and the refusals and input errors of ``tests/test_cli.py``.
+``bn-check``), the refusals and input errors of ``tests/test_cli.py``, and
+the paths no other group reaches: the window scan on a degenerate form and
+one ``--human`` report of each command.
 The ``workload:*`` groups hold the CLI commands of one seed-1 pass of each
 benchmark workload, copied in once.  Without ``--spec`` they are kept as the
 fixture has them; each ``--spec`` (a spec file as ``perfbench/run.py``
@@ -210,6 +212,24 @@ def refusal_entries(docs):
         yield {"argv": ["bn-check", "--surface", "-"], "stdin_hex": stdin.hex()}
 
 
+def reach_entries(docs):
+    """Lines that enter code no other group does: the window scan, and ``--human`` for every command."""
+    degenerate = docs.json({"gram": [[0, 1, 0], [1, 0, 0], [0, 0, 0]], "H": [1, 2, 0]})
+    for command in ("bn-check", "decompose"):
+        yield [command, "--surface", degenerate, "--degree-bound", "4"]
+    rooted = docs.json({"gram": [[0, 1, 0], [1, 0, 1], [0, 1, -2]], "H": [1, 1, 1]})
+    yield ["--human", "bn-check", "--surface", degenerate, "--degree-bound", "4"]
+    yield ["--human", "decompose", "--surface", rooted, "--degree-bound", "3"]
+    yield ["--human", "classify", "--profile", docs.json({"sq": [8, 2, 0], "x": [[0, 3, 3], [3, 0, 3], [3, 3, 0]]})]
+    yield ["--human", "classify", "--profile", docs.json({"sq": [0, 0, 0], "x": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})]
+    yield ["--human", "verify-cases", "--n", "3"]
+    yield ["--human", "triples", "--a-max", "4"]
+    yield ["--human", "reduce-fixed", "--surface", rooted, "--data", docs.json(
+        {"parts": [[1, 0, 0], [0, 1, 0]], "delta": [[0, 0, 1]]}
+    )]
+    yield ["--human", "profile-check", "--profile", docs.json({"entries": [[1, 1, 0], [1, 1, 0]]})]
+
+
 # ---------------------------------------------------------------------------
 # the workload groups
 
@@ -240,6 +260,7 @@ def build(specs: list[str]) -> dict:
         "boxes": [{"argv": argv} for argv in box_entries()],
         "golden": [{"argv": argv} for argv in golden_entries(docs)],
         "refusals": list(refusal_entries(docs)),
+        "reach": [{"argv": argv} for argv in reach_entries(docs)],
     }
     old = {"documents": {}, "commands": []}
     if os.path.exists(FIXTURE):

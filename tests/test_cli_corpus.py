@@ -12,6 +12,7 @@ GROUPS = {
     "boxes": 18,
     "golden": 50,
     "refusals": 42,
+    "reach": 10,
     "workload:box-verify": 4,
     "workload:lattice-scan": 9,
     "workload:profile-stream": 2625,
