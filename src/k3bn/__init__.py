@@ -11,17 +11,15 @@ __version__ = "0.1.0"
 _HOMES = {
     name: module
     for module, names in (
-        ("bn", "ViolationCertificate check_pair classify_multi_decomposition find_violation scan_decompositions"),
-        ("cases", "Box BoxCounterexample BoxReport FiltrationProfile am_gm default_box dynkin_label"),
-        ("cases", "enumerate_exceptional_triples exhaustive_case_check profile_feasible verify_counterexample"),
-        ("divisors", "Effectivity EffectivityVerdict IncompatiblePair RootSet SameEllipticPencil"),
-        ("divisors", "SumSquareAtLeastFour effectivity_status h0_lower_bound reduce_fixed_components"),
-        ("divisors", "two_divisor_classification"),
+        ("bn", "ViolationCertificate classify_multi_decomposition scan_decompositions"),
+        ("cases", "Box BoxReport FiltrationProfile default_box enumerate_exceptional_triples"),
+        ("cases", "exhaustive_case_check profile_feasible"),
+        ("divisors", "Effectivity EffectivityVerdict RootSet effectivity_status h0_lower_bound"),
+        ("divisors", "reduce_fixed_components"),
         ("errors", "InconsistentGeometryError InputError PreconditionError"),
         ("lattice", "DivClass GramLattice QuasiPolarization hyperbolic_plane hyperbolic_plane_warnings"),
         ("mukai", "MukaiVector mukai_pairing simple_bound_holds"),
         ("profiles", "CertificateSketch DecompositionProfile ExceptionalProfile NotBNGeneral"),
-        ("profiles", "chi_product_identity_gap elliptic_multiple n4_low_intersections no_negative_intersections"),
     )
     for name in names.split()
 }

@@ -53,26 +53,6 @@ class ViolationCertificate(Frozen):
         }
 
 
-def check_pair(
-    pol: QuasiPolarization,
-    d1: DivClass,
-    d2: DivClass,
-    roots: RootSet | None = None,
-) -> ViolationCertificate | None:
-    """Test one decomposition H = D1 + D2 against the genus bound.
-
-    None means no violation at the lower-bound level, which is not a proof
-    that the pair is harmless: the bounds are one-sided.
-    """
-    if d1 + d2 != pol.h:
-        raise PreconditionError("d1 + d2 must equal the polarization class")
-    for name, d in (("d1", d1), ("d2", d2)):
-        v = effectivity_status(pol, d, roots)
-        if v.status is not Effectivity.EFFECTIVE:
-            raise PreconditionError(f"{name} is not certified effective: {v.witness}")
-    return _pair_floors(pol, d1, d2)[2]
-
-
 def _pair_floors(pol: QuasiPolarization, d1: DivClass, d2: DivClass) -> tuple[int, int, ViolationCertificate | None]:
     """The h^0 floors of D1 and D2 = H - D1, both Effective, and the violation they make, if any."""
     lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
@@ -505,20 +485,6 @@ def violation_scan(
                 break
     out.window_classes = degree_window_size(pol.h_covector, degree_bound, pol.degree(pol.h))
     return out
-
-
-def find_violation(
-    pol: QuasiPolarization,
-    roots: RootSet | None = None,
-    degree_bound: int = 10,
-) -> ViolationCertificate | None:
-    """First violation certificate in scan order (``violation_scan``), or None.
-
-    None means no violation was found within the bounds -- never that the
-    polarization is Brill-Noether general.
-    """
-    scan = violation_scan(pol, roots, degree_bound)
-    return scan.violations[0] if scan.violations else None
 
 
 def classify_multi_decomposition(

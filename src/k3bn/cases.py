@@ -99,18 +99,19 @@ and 3 are stated because the lemmas are proved against them.
     the two lemmas no class at any n has one: the driver counts a class
     with a surviving genus as closed here and computes no product.
 3.  Genera that survive both would get an exhaustive slice enumeration (all
-    x-matrices with the matching coordinate sum), each profile decided by
-    the split search of ``classify``; a failing profile, paired with the
-    (r, s) that attains P, would be a counterexample.  No class at any n
-    reaches this layer.  The product maximum, the sweep and the per-class
-    three-part existence test live on in ``tests/box_reference.py`` as the
-    reference of the differential tests, and ``verify-cases`` never loads
-    ``profiles``.
+    x-matrices with the matching coordinate sum), each profile decided by a
+    search for a split whose h^0 floors beat the genus; a failing profile,
+    paired with the (r, s) that attains P, would be a counterexample.  No
+    class at any n reaches this layer, so the box check searches no split
+    and imports nothing from ``profiles``.  The product maximum, the sweep
+    (deciding each profile with ``classify``'s split search), the per-class
+    three-part existence test and the re-check of a reported counterexample
+    live on in ``tests/box_reference.py`` as the reference of the
+    differential tests.
 
 ``BoxReport.stats`` counts the eps-classes each layer settled; ``swept``,
 ``profiles_enumerated`` and the counterexample list keep their place in the
-report, always 0 and empty.  :func:`verify_counterexample` re-checks a
-reported counterexample from scratch.
+report, always 0 and empty.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def profile_feasible(fp: FiltrationProfile) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the determinant condition, Dynkin labels, AM-GM
+# the determinant condition
 
 
 def enumerate_exceptional_triples(a_max: int) -> list[tuple[int, int, int]]:
@@ -210,39 +211,6 @@ def enumerate_exceptional_triples(a_max: int) -> list[tuple[int, int, int]]:
         if 2 <= a1 <= 4:
             out.append((a1, 2, 1))
     return out
-
-
-def dynkin_label(a1: int, a2: int, a3: int) -> str:
-    """Label an exceptional triple by the diagram with those leg lengths.
-
-    (a, 1, 1) are the legs of D_{a+3}; (a, 2, 1) with a in {2, 3, 4} the legs
-    of E_{a+4}.
-    """
-    if not (is_int(a1) and is_int(a2) and is_int(a3)):
-        raise InputError(*(f"a{i} must be an integer" for i, a in enumerate((a1, a2, a3), 1) if not is_int(a)))
-    if not (a1 >= a2 >= a3 >= 1):
-        raise InputError("triple must be sorted descending with positive entries")
-    if a1 * a2 * a3 - a1 - a2 - a3 - 2 >= 0:
-        raise InputError(f"({a1},{a2},{a3}) is not an exceptional triple")
-    if (a2, a3) == (1, 1):
-        return f"D{a1 + 3}"
-    if (a2, a3) == (2, 1):
-        return f"E{a1 + 4}"
-    raise InputError(f"({a1},{a2},{a3}) matches no leg pattern")  # pragma: no cover
-
-
-def am_gm(u: int, v: int, c: int) -> tuple[bool, bool]:
-    """Evaluate both branches of the product bound as implications.
-
-    basic:  u, v >= 0 and u + v <= 2c   implies  u v <= c^2
-    strict: u + v <= 2c and 0 <= v < c  implies  u v <= c^2 - 1
-    A failed hypothesis makes the branch vacuously true.  Nonnegativity is
-    part of the basic hypothesis: the inequality is applied to section
-    counts, and it is false for pairs of sufficiently negative integers.
-    """
-    basic = not (u >= 0 and v >= 0 and u + v <= 2 * c) or u * v <= c * c
-    strict = not (u + v <= 2 * c and 0 <= v < c) or u * v <= c * c - 1
-    return basic, strict
 
 
 # ---------------------------------------------------------------------------
@@ -298,34 +266,6 @@ def default_box(n: int) -> Box:
     return _DEFAULT_BOXES[n]
 
 
-class BoxCounterexample(Frozen):
-    """A failing profile with violating filtration data, re-verifiable from scratch."""
-
-    __slots__ = ("eps", "upper_x", "r", "s", "genus", "note")
-
-    def __init__(
-        self,
-        eps: tuple[int, ...],
-        upper_x: tuple[int, ...],
-        r: tuple[int, ...],
-        s: tuple[int, ...],
-        genus: int,
-        note: str = "",
-    ) -> None:
-        self._init(eps, upper_x, r, s, genus, note)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "partition",
-            "eps": list(self.eps),
-            "upper_x": list(self.upper_x),
-            "r": list(self.r),
-            "s": list(self.s),
-            "genus": self.genus,
-            "note": self.note,
-        }
-
-
 class BoxReport:
     """Outcome of one box run.
 
@@ -343,7 +283,7 @@ class BoxReport:
         n: int,
         box: Box,
         instances_checked: int,
-        counterexamples: list[BoxCounterexample],
+        counterexamples: list,
         elapsed_ms: float,
         eps_classes: int,
         eps_classes_closed_form: int,
@@ -498,44 +438,3 @@ def exhaustive_case_check(n: int, box: Box | None = None) -> BoxReport:
         cross_checks=cross_checks,
         stats=stats,
     )
-
-
-# ---------------------------------------------------------------------------
-# re-verification
-
-
-def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
-    """2-connected with no certifying split: ``classify``'s split search finds none.
-
-    The search alone decides both: a profile that is not 2-connected has a
-    split (L, R) with crossing c <= 1, and such a split certifies itself.
-    With a = L^2/2 and b = R^2/2 the genus is a + b + c + 1 and the floors
-    are max(a + 2, 1) and max(b + 2, 1), so their product minus the genus is
-    (a + 1)(b + 1) + 2 - c >= 1 when a, b >= -1; 1 - a - c >= 2 when
-    a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
-    a, b <= -2.
-    """
-    # absolute: a relative import looks the package up on every call
-    from k3bn.profiles import DecompositionProfile, _first_partition_certificate
-
-    profile = DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
-    return _first_partition_certificate(profile) is None
-
-
-def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:
-    """Recompute a reported counterexample from scratch.
-
-    Reports that fail this re-verification, malformed ones included, are
-    false alarms and must be rejected by callers.
-    """
-    shaped = len(cex.eps) == len(cex.r) == len(cex.s) == n and len(cex.upper_x) == n * (n - 1) // 2
-    if not shaped or not all(map(is_int, (*cex.upper_x, cex.genus))):
-        return False
-    try:  # ranks below 1, negative eps, non-integer entries, fewer than two parts
-        fp = FiltrationProfile(tuple(zip(cex.r, cex.s, cex.eps)))
-    except InputError:
-        return False
-    genus = sum(cex.eps) + sum(cex.upper_x) + 1
-    if genus != cex.genus or not profile_feasible(fp) or fp.sum_r * fp.sum_s <= genus:
-        return False
-    return _is_failing(cex.eps, cex.upper_x)

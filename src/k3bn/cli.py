@@ -370,7 +370,7 @@ def _cmd_verify_cases(args) -> tuple[RunReport, int]:
 
 def _cmd_triples(args) -> tuple[RunReport, int]:
     triples = cases.enumerate_exceptional_triples(args.a_max)
-    # by construction (a, 1, 1) is D_{a+3} and (a, 2, 1) is E_{a+4}, as dynkin_label labels them
+    # by construction (a, 1, 1) is D_{a+3} and (a, 2, 1) is E_{a+4}: the legs of those diagrams
     labeled = [
         {"triple": list(t), "dynkin": f"D{t[0] + 3}" if t[1] == 1 else f"E{t[0] + 4}"} for t in triples
     ]

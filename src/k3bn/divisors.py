@@ -422,69 +422,3 @@ def reduce_fixed_components(
         i, j = hit
         work[i] = work[i] + remaining.pop(j)
     return work
-
-
-class SameEllipticPencil(Frozen):
-    """Both classes are multiples (n1, n2) of one primitive isotropic class."""
-
-    __slots__ = ("n1", "n2")
-
-    def __init__(self, n1: int, n2: int) -> None:
-        self._init(n1, n2)
-
-
-class SumSquareAtLeastFour(Frozen):
-    __slots__ = ("total_square",)
-
-    def __init__(self, total_square: int) -> None:
-        object.__setattr__(self, "total_square", total_square)
-
-
-class IncompatiblePair(Frozen):
-    """The numeric data cannot come from two fixed-component-free classes."""
-
-    __slots__ = ("reason",)
-
-    def __init__(self, reason: str) -> None:
-        object.__setattr__(self, "reason", reason)
-
-
-def two_divisor_classification(
-    lat: GramLattice, m1: DivClass, m2: DivClass
-) -> SameEllipticPencil | SumSquareAtLeastFour | IncompatiblePair:
-    """Dichotomy for two effective classes without fixed components.
-
-    Zero product forces both classes onto a common elliptic pencil; positive
-    product forces (M1 + M2)^2 >= 4.  A positive product with total square
-    below 4 is reported (not raised) as an incompatible pair: the shadow is
-    unrealizable by fixed-component-free classes under a 2-connected
-    polarization.
-    """
-    sq1, sq2 = lat.square(m1), lat.square(m2)
-    if sq1 < 0 or sq2 < 0:
-        raise PreconditionError("both classes must have nonnegative square")
-    m = lat.intersect(m1, m2)
-    if m < 0:
-        raise InconsistentGeometryError(
-            f"product {m} < 0 is impossible for classes without fixed components"
-        )
-    if m == 0:
-        if sq1 != 0 or sq2 != 0:
-            raise InconsistentGeometryError(
-                "orthogonal fixed-component-free classes must both be isotropic"
-            )
-        if m1.is_zero or m2.is_zero:
-            raise PreconditionError("classes must be nonzero")
-        p1, p2 = m1.primitive(), m2.primitive()
-        if p1 != p2:
-            raise InconsistentGeometryError(
-                "orthogonal isotropic classes are not multiples of a common primitive class"
-            )
-        return SameEllipticPencil(m1.content(), m2.content())
-    total = sq1 + sq2 + 2 * m
-    if total >= 4:
-        return SumSquareAtLeastFour(total)
-    return IncompatiblePair(
-        f"positive product {m} but (M1+M2)^2 = {total} < 4; "
-        "incompatible with the two-divisor dichotomy"
-    )

@@ -45,13 +45,6 @@ class DivClass(Frozen):
         """gcd of the coordinates (0 for the zero class)."""
         return reduce(gcd, (abs(c) for c in self.coords), 0)
 
-    def primitive(self) -> "DivClass":
-        """The primitive class on the same ray; undefined for the zero class."""
-        c = self.content()
-        if c == 0:
-            raise InputError("the zero class has no primitive part")
-        return DivClass(tuple(v // c for v in self.coords))
-
     def _match(self, other: "DivClass") -> None:
         if not isinstance(other, DivClass):
             raise InputError(f"expected a divisor class, got {other!r}")

@@ -3,9 +3,10 @@
 ``k3bn.cases`` settles every eps-class in closed form (the two- and
 three-part lemmas of its module docstring), so it no longer computes a
 product maximum, lists surviving genera, visits the three-part classes the
-row-sum test leaves open or sweeps a slice.  These are the functions it used
-to, unchanged, so that the differential tests can check the closed forms
-against the layered procedure they replace.
+row-sum test leaves open, sweeps a slice or re-checks a counterexample.
+These are the functions it used to, unchanged, so that the differential
+tests can check the closed forms against the layered procedure they
+replace.  The sweep decides each profile with ``classify``'s split search.
 """
 
 from __future__ import annotations
@@ -17,7 +18,71 @@ from math import prod
 from operator import getitem
 from typing import Iterator
 
-from k3bn.cases import Box, BoxCounterexample, _is_failing, enumerate_exceptional_triples
+from k3bn.cases import Box, FiltrationProfile, enumerate_exceptional_triples, profile_feasible
+from k3bn.errors import Frozen, InputError, is_int
+from k3bn.profiles import DecompositionProfile, _first_partition_certificate
+
+
+class BoxCounterexample(Frozen):
+    """A failing profile with violating filtration data, re-verifiable from scratch."""
+
+    __slots__ = ("eps", "upper_x", "r", "s", "genus", "note")
+
+    def __init__(
+        self,
+        eps: tuple[int, ...],
+        upper_x: tuple[int, ...],
+        r: tuple[int, ...],
+        s: tuple[int, ...],
+        genus: int,
+        note: str = "",
+    ) -> None:
+        self._init(eps, upper_x, r, s, genus, note)
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "partition",
+            "eps": list(self.eps),
+            "upper_x": list(self.upper_x),
+            "r": list(self.r),
+            "s": list(self.s),
+            "genus": self.genus,
+            "note": self.note,
+        }
+
+
+def _is_failing(eps: tuple[int, ...], upper_x: tuple[int, ...]) -> bool:
+    """2-connected with no certifying split: ``classify``'s split search finds none.
+
+    The search alone decides both: a profile that is not 2-connected has a
+    split (L, R) with crossing c <= 1, and such a split certifies itself.
+    With a = L^2/2 and b = R^2/2 the genus is a + b + c + 1 and the floors
+    are max(a + 2, 1) and max(b + 2, 1), so their product minus the genus is
+    (a + 1)(b + 1) + 2 - c >= 1 when a, b >= -1; 1 - a - c >= 2 when
+    a <= -2 and b >= -1 (and symmetrically); -(a + b + c) >= 3 when
+    a, b <= -2.
+    """
+    profile = DecompositionProfile.from_upper(tuple(2 * e for e in eps), upper_x)
+    return _first_partition_certificate(profile) is None
+
+
+def verify_counterexample(n: int, cex: BoxCounterexample) -> bool:
+    """Recompute a reported counterexample from scratch.
+
+    Reports that fail this re-verification, malformed ones included, are
+    false alarms and must be rejected by callers.
+    """
+    shaped = len(cex.eps) == len(cex.r) == len(cex.s) == n and len(cex.upper_x) == n * (n - 1) // 2
+    if not shaped or not all(map(is_int, (*cex.upper_x, cex.genus))):
+        return False
+    try:  # ranks below 1, negative eps, non-integer entries, fewer than two parts
+        fp = FiltrationProfile(tuple(zip(cex.r, cex.s, cex.eps)))
+    except InputError:
+        return False
+    genus = sum(cex.eps) + sum(cex.upper_x) + 1
+    if genus != cex.genus or not profile_feasible(fp) or fp.sum_r * fp.sum_s <= genus:
+        return False
+    return _is_failing(cex.eps, cex.upper_x)
 
 
 @lru_cache(maxsize=None)

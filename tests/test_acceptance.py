@@ -19,8 +19,6 @@ from k3bn import (
     MukaiVector,
     QuasiPolarization,
     RootSet,
-    am_gm,
-    chi_product_identity_gap,
     default_box,
     effectivity_status,
     exhaustive_case_check,
@@ -30,6 +28,7 @@ from k3bn import (
 )
 from k3bn.cli import main
 from k3bn.lattice import hyperbolic_plane
+from library_reference import am_gm, chi_product_identity_gap
 
 
 def _criterion(cid: str, ok: bool, detail: str = "") -> None:

@@ -22,14 +22,8 @@ from k3bn import (
     QuasiPolarization,
     RootSet,
     ViolationCertificate,
-    check_pair,
-    chi_product_identity_gap,
     classify_multi_decomposition,
     effectivity_status,
-    elliptic_multiple,
-    find_violation,
-    n4_low_intersections,
-    no_negative_intersections,
     scan_decompositions,
 )
 from k3bn import bn
@@ -47,6 +41,16 @@ from k3bn.divisors import DEFAULT_COEFF_BOUND, _peel, h0_floor
 from k3bn.lattice import hyperbolic_plane_warnings
 from k3bn.profiles import CertificateSketch
 from conftest import rank_one
+from library_reference import (
+    check_pair,
+    chi_product_identity_gap,
+    crossing,
+    elliptic_multiple,
+    find_violation,
+    n4_low_intersections,
+    no_negative_intersections,
+    two_connected,
+)
 
 even = st.integers(-500, 500).map(lambda v: 2 * v)
 small_x = st.integers(-1000, 1000)
@@ -124,9 +128,9 @@ def test_profile_derived_quantities():
     assert p.genus == 5
     assert p.group_chi((0, 1)) == 4
     assert p.group_chi((2,)) == 2
-    assert p.crossing((0,)) == 3
-    assert p.two_connected()
-    assert not DecompositionProfile.from_upper((0, 0), (1,)).two_connected()
+    assert crossing(p, (0,)) == 3
+    assert two_connected(p)
+    assert not two_connected(DecompositionProfile.from_upper((0, 0), (1,)))
 
 
 def test_profile_splits_cover_everything():
@@ -661,7 +665,7 @@ def _three_and_four_part_profiles(draw):
         upper = draw(st.lists(st.integers(-1, 8), min_size=3, max_size=3))
         upper += draw(st.lists(st.integers(-2, 1), min_size=3, max_size=3))
     profile = DecompositionProfile.from_upper(sq, upper)
-    assume(n == 3 or profile.two_connected())
+    assume(n == 3 or two_connected(profile))
     return profile
 
 
@@ -824,6 +828,43 @@ def test_classify_without_a_certificate_matches_the_sorted_mask_loop():
     p = DecompositionProfile.from_upper((-4,) * 5, (2,) + (1,) * 9)
     out = classify_multi_decomposition(p, [True] * 5)
     assert out == _reference_classify(p) and out.certificate is None and out.note
+
+
+@st.composite
+def _criterion_certified_profiles(draw):
+    """Profiles the three- or four-part criterion certifies: squares even in
+    0..12, products in -2..8, genus >= 2; at four parts 2-connected, with the
+    last three parts' products at most 1, as that criterion requires."""
+    n = draw(st.sampled_from((3, 4)))
+    sq = tuple(2 * draw(st.integers(0, 6)) for _ in range(n))
+    upper = draw(st.lists(st.integers(-2, 8), min_size=3, max_size=3))
+    if n == 4:
+        upper += draw(st.lists(st.integers(-2, 1), min_size=3, max_size=3))
+    profile = DecompositionProfile.from_upper(sq, upper)
+    assume(profile.genus >= 2 and (n == 3 or two_connected(profile)))
+    assume((no_negative_intersections if n == 3 else n4_low_intersections)(profile) is not None)
+    return profile
+
+
+@settings(max_examples=400, deadline=None)
+@given(_criterion_certified_profiles())
+@example(DecompositionProfile.from_upper((0, 0, 0), (2, 1, 1)))
+@example(DecompositionProfile.from_upper((2, 2, 2), (1, 5, 5)))
+@example(DecompositionProfile.from_upper((0, 0, 0, 0), (2, 2, 2, 1, 0, 1)))
+@example(DecompositionProfile.from_upper((4, 0, 0, 0), (2, 2, 2, 0, 0, 0)))
+def test_classify_answers_every_profile_a_criterion_certifies(profile):
+    # the criteria left the package: classify must certify what they certify,
+    # with a split whose h0 floors re-verify, unless it labels the profile exceptional
+    out = classify_multi_decomposition(profile, [True] * profile.n)
+    if isinstance(out, ExceptionalProfile):
+        return
+    sk = out.certificate
+    assert isinstance(out, NotBNGeneral) and sk is not None and out.note is None
+    assert sorted((*sk.group, *sk.complement)) == list(range(profile.n))
+    assert (sk.lb1, sk.lb2, sk.genus) == (
+        profile.group_h0_floor(sk.group), profile.group_h0_floor(sk.complement), profile.genus
+    )
+    assert sk.lb1 * sk.lb2 > sk.genus
 
 
 def test_classify_refuses_split_searches_past_the_ceiling():

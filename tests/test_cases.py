@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 
 import box_reference as ref
 import k3bn.cases as cases
+import k3bn.profiles as profiles
+from box_reference import BoxCounterexample, verify_counterexample
 from k3bn import (
     Box,
-    BoxCounterexample,
     FiltrationProfile,
     InputError,
-    am_gm,
     default_box,
-    dynkin_label,
     enumerate_exceptional_triples,
     exhaustive_case_check,
     profile_feasible,
-    verify_counterexample,
 )
 from k3bn.errors import SEARCH_CEILING
+from library_reference import am_gm, dynkin_label, two_connected
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +248,11 @@ def test_iter_fixed_sum():
 def test_is_failing_known_profile():
     # all-isotropic three-part profile with every product 3: genus 10, every
     # split capped at exactly the genus
-    assert cases._is_failing((0, 0, 0), (3, 3, 3))
+    assert ref._is_failing((0, 0, 0), (3, 3, 3))
     # raising any product creates a certifying split
-    assert not cases._is_failing((0, 0, 0), (3, 3, 4))
+    assert not ref._is_failing((0, 0, 0), (3, 3, 4))
     # non-2-connected data is not a hypothesis instance
-    assert not cases._is_failing((0, 0, 0), (1, 0, 3))
+    assert not ref._is_failing((0, 0, 0), (1, 0, 3))
 
 
 def _table_split_tables(n):
@@ -306,7 +305,7 @@ def _split_test_profiles(draw):
 def test_is_failing_matches_the_table_split_test(profile):
     eps, upper_x = profile
     genus = sum(eps) + sum(upper_x) + 1
-    assert cases._is_failing(eps, upper_x) == _table_is_failing(len(eps), eps, upper_x, genus)
+    assert ref._is_failing(eps, upper_x) == _table_is_failing(len(eps), eps, upper_x, genus)
 
 
 def _loop_surviving_genera(n, eps, box, pmax):
@@ -386,7 +385,7 @@ def test_spec_instance_is_not_a_counterexample():
     assert profile_feasible(fp)
     genus = 0 + 2 + 1
     assert fp.sum_r * fp.sum_s == 4 > genus
-    assert not cases._is_failing((0, 0), (2,))
+    assert not ref._is_failing((0, 0), (2,))
 
 
 def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
@@ -417,7 +416,7 @@ def test_verify_counterexample_rejects_bogus_reports(monkeypatch):
     # each fault alone must still reject it
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(cases, "_is_failing", lambda eps, upper_x: True)
+            monkeypatch.setattr(ref, "_is_failing", lambda eps, upper_x: True)
             assert verify_counterexample(2, bogus)
         for n, cex in [(2, BoxCounterexample(**{**fields, **fault})) for fault in faults] + wrong_n:
             assert not verify_counterexample(n, cex), (forced, n, cex)
@@ -664,7 +663,7 @@ def _unreachable(*args):
 
 def test_four_part_box_never_reaches_the_later_layers(monkeypatch):
     # the row-sum test closes every four-part class
-    monkeypatch.setattr(cases, "_is_failing", _unreachable)
+    monkeypatch.setattr(profiles, "_first_partition_certificate", _unreachable)
     report = exhaustive_case_check(4)
     assert report.eps_classes == 9**4
     assert report.eps_classes_closed_form == 9**4
@@ -741,7 +740,7 @@ def test_two_part_lemma_by_brute_force(r_max, s_min, s_max, eps, wide):
 
 def test_two_part_box_never_reaches_the_later_layers(monkeypatch):
     # the two-part lemma settles every class
-    monkeypatch.setattr(cases, "_is_failing", _unreachable)
+    monkeypatch.setattr(profiles, "_first_partition_certificate", _unreachable)
     report = exhaustive_case_check(2)
     assert report.stats == {"closed_row_sum": 85, "closed_product_max": 84, "swept": 0}
 
@@ -935,17 +934,17 @@ def test_three_part_survivor_sets_by_brute_force():
 
 
 def test_three_part_box_never_reaches_the_later_layers(monkeypatch):
-    # the three-part lemma settles every class: the product layer, the sweep
-    # and the per-class existence test left k3bn.cases for the reference, and
-    # the split test is not asked
+    # the three-part lemma settles every class: the product layer, the sweep,
+    # the per-class existence test and the counterexample re-check left
+    # k3bn.cases for the reference, and the split test is not asked
     moved = (
         "_chain_r_vectors", "_cap_row", "_max_fp_product", "_surviving_genera", "_iter_fixed_sum",
-        "_check_eps_class", "_row_sum_open_classes", "_has_survivor",
+        "_check_eps_class", "_row_sum_open_classes", "_has_survivor", "_is_failing", "verify_counterexample",
     )
     for name in moved:
         assert not hasattr(cases, name), name
         monkeypatch.setattr(ref, name, _unreachable)
-    monkeypatch.setattr(cases, "_is_failing", _unreachable)
+    monkeypatch.setattr(profiles, "_first_partition_certificate", _unreachable)
     assert exhaustive_case_check(3).stats == {"closed_row_sum": 710, "closed_product_max": 19, "swept": 0}
     box = Box(r_max=8, s_min=-8, s_max=8, eps_max=60, x_min=-8, x_max=24)
     assert exhaustive_case_check(3, box).stats == {"closed_row_sum": 226_962, "closed_product_max": 19, "swept": 0}
@@ -984,7 +983,7 @@ def test_tiny_box_brute_force_agrees_with_decision_procedure():
     for eps in itertools.product(range(box.eps_max + 1), repeat=3):
         for xs in itertools.product(range(box.x_min, box.x_max + 1), repeat=3):
             p = DecompositionProfile.from_upper(tuple(2 * e for e in eps), xs)
-            if not p.two_connected():
+            if not two_connected(p):
                 continue
             if any(
                 p.group_h0_floor(left) * p.group_h0_floor(right) > p.genus

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import k3bn
 from k3bn import cli, lattice
 from k3bn.bn import SCAN_VERDICT_KEYS
-from k3bn.cases import default_box, dynkin_label, enumerate_exceptional_triples
+from k3bn.cases import default_box, enumerate_exceptional_triples
 from k3bn.cli import (
     EXIT_EXCEPTIONAL,
     EXIT_INPUT_ERROR,
@@ -27,6 +27,7 @@ from k3bn.cli import (
 )
 from k3bn.errors import InputError as SpecValidationError
 from k3bn.lattice import GramLattice
+from library_reference import dynkin_label
 
 U_DOC = {"gram": [[0, 1], [1, 0]], "H": [1, 1]}
 

@@ -9,22 +9,24 @@ from k3bn import (
     Effectivity,
     EffectivityVerdict,
     GramLattice,
-    IncompatiblePair,
     InconsistentGeometryError,
     InputError,
     PreconditionError,
     QuasiPolarization,
     RootSet,
-    SameEllipticPencil,
-    SumSquareAtLeastFour,
-    check_pair,
     effectivity_status,
     h0_lower_bound,
     reduce_fixed_components,
-    two_divisor_classification,
 )
 from k3bn.divisors import h0_floor
 from conftest import u_plus_root
+from library_reference import (
+    IncompatiblePair,
+    SameEllipticPencil,
+    SumSquareAtLeastFour,
+    check_pair,
+    two_divisor_classification,
+)
 
 
 def test_effectivity_examples(U, ef, u_pol):

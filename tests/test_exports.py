@@ -1,6 +1,8 @@
 """The package exports its public names on first use, each from the module that defines it."""
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +15,6 @@ import k3bn
 # every public name and its home module
 HOMES = {
     "Box": "cases",
-    "BoxCounterexample": "cases",
     "BoxReport": "cases",
     "CertificateSketch": "profiles",
     "DecompositionProfile": "profiles",
@@ -23,7 +24,6 @@ HOMES = {
     "ExceptionalProfile": "profiles",
     "FiltrationProfile": "cases",
     "GramLattice": "lattice",
-    "IncompatiblePair": "divisors",
     "InconsistentGeometryError": "errors",
     "InputError": "errors",
     "MukaiVector": "mukai",
@@ -31,43 +31,72 @@ HOMES = {
     "PreconditionError": "errors",
     "QuasiPolarization": "lattice",
     "RootSet": "divisors",
-    "SameEllipticPencil": "divisors",
-    "SumSquareAtLeastFour": "divisors",
     "ViolationCertificate": "bn",
-    "am_gm": "cases",
-    "check_pair": "bn",
-    "chi_product_identity_gap": "profiles",
     "classify_multi_decomposition": "bn",
     "default_box": "cases",
-    "dynkin_label": "cases",
     "effectivity_status": "divisors",
-    "elliptic_multiple": "profiles",
     "enumerate_exceptional_triples": "cases",
     "exhaustive_case_check": "cases",
-    "find_violation": "bn",
     "h0_lower_bound": "divisors",
     "hyperbolic_plane": "lattice",
     "hyperbolic_plane_warnings": "lattice",
     "mukai_pairing": "mukai",
-    "n4_low_intersections": "profiles",
-    "no_negative_intersections": "profiles",
     "profile_feasible": "cases",
     "reduce_fixed_components": "divisors",
     "scan_decompositions": "bn",
     "simple_bound_holds": "mukai",
-    "two_divisor_classification": "divisors",
-    "verify_counterexample": "cases",
+}
+
+
+# names the package once exported that no command calls, and the test
+# reference that keeps each of them
+REMOVED = {
+    "BoxCounterexample": "box_reference",
+    "IncompatiblePair": "library_reference",
+    "SameEllipticPencil": "library_reference",
+    "SumSquareAtLeastFour": "library_reference",
+    "am_gm": "library_reference",
+    "check_pair": "library_reference",
+    "chi_product_identity_gap": "library_reference",
+    "dynkin_label": "library_reference",
+    "elliptic_multiple": "library_reference",
+    "find_violation": "library_reference",
+    "n4_low_intersections": "library_reference",
+    "no_negative_intersections": "library_reference",
+    "two_divisor_classification": "library_reference",
+    "verify_counterexample": "box_reference",
 }
 
 
 def test_all_is_pinned():
-    assert len(HOMES) == 45
+    assert len(HOMES) == 31
     assert k3bn.__all__ == list(HOMES)
 
 
-@pytest.mark.parametrize("name", list(HOMES))
+@pytest.mark.parametrize("name", [*HOMES, *REMOVED])
 def test_each_name_is_its_home_module_object(name):
+    if name in REMOVED:
+        with pytest.raises(AttributeError, match=f"^module 'k3bn' has no attribute '{name}'$"):
+            getattr(k3bn, name)
+        assert name not in dir(k3bn)
+        assert not any(hasattr(importlib.import_module(f"k3bn.{home}"), name) for home in set(HOMES.values()))
+        assert callable(getattr(importlib.import_module(REMOVED[name]), name))
+        return
     assert getattr(k3bn, name) is getattr(importlib.import_module(f"k3bn.{HOMES[name]}"), name)
+
+
+def test_the_library_only_helpers_left_the_package():
+    from k3bn import cases, profiles
+
+    assert not hasattr(k3bn.DivClass, "primitive")
+    assert not any(hasattr(k3bn.DecompositionProfile, name) for name in ("crossing", "two_connected"))
+    assert not any(hasattr(profiles, name) for name in ("_split_sketch", "_split_label"))
+    assert not hasattr(cases, "_is_failing")
+    # the box check imports nothing from profiles, not even inside a function
+    tree = ast.parse(inspect.getsource(cases))
+    imported = [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert imported and not any("profiles" in name for name in imported)
 
 
 def test_dir_covers_all():

@@ -15,20 +15,15 @@ from collections import Counter
 import pytest
 
 from k3bn.bn import DecompositionScan, PairRecord, ViolationCertificate
-from k3bn.cases import Box, BoxCounterexample, BoxReport, FiltrationProfile
+from k3bn.cases import Box, BoxReport, FiltrationProfile
 from k3bn.cli import RunReport, SurfaceSpec
-from k3bn.divisors import (
-    Effectivity,
-    EffectivityVerdict,
-    IncompatiblePair,
-    RootSet,
-    SameEllipticPencil,
-    SumSquareAtLeastFour,
-)
+from k3bn.divisors import Effectivity, EffectivityVerdict, RootSet
 from k3bn.errors import Frozen
 from k3bn.lattice import DivClass, GramLattice, QuasiPolarization
 from k3bn.mukai import MukaiVector
 from k3bn.profiles import CertificateSketch, DecompositionProfile, ExceptionalProfile, NotBNGeneral
+from box_reference import BoxCounterexample
+from library_reference import IncompatiblePair, SameEllipticPencil, SumSquareAtLeastFour
 
 MISSING = dataclasses.MISSING
 DERIVED = {"init": False, "compare": False, "repr": False}
