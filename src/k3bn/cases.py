@@ -399,9 +399,11 @@ def exhaustive_case_check(n: int, box: Box | None = None) -> BoxReport:
     stats = dict.fromkeys(("closed_row_sum", "closed_product_max", "swept"), 0)
     if n == 2:
         top, lo, hi = 4 * box.r_max * box.s_max - 1, box.x_min + 1, box.x_max + 1
+        # a1 a2 <= top, a1 a2 <= e1 + e2 + hi and e1 + e2 + lo <= top, with a_i = e_i + 2,
+        # cap e2 at top // a1 - 2, (hi - e1 - 4) // (e1 + 1) and top - lo - e1
         stats["closed_product_max"] = sum(
-            1 for e1 in range(box.eps_max + 1) for e2 in range(box.eps_max + 1)
-            if (a := (e1 + 2) * (e2 + 2)) <= top and a <= e1 + e2 + hi and e1 + e2 + lo <= top
+            max(0, min(box.eps_max, top // (e1 + 2) - 2, (hi - e1 - 4) // (e1 + 1), top - lo - e1) + 1)
+            for e1 in range(box.eps_max + 1)
         )
     if n == 3:
         top, lo, hi = 9 * box.r_max * box.s_max - 1, 3 * box.x_min + 1, 3 * box.x_max + 1

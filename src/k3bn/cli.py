@@ -1,10 +1,11 @@
 """Command-line interface: command lines, surface-spec parsing, dispatch, JSON reports.
 
 Commands map one-to-one onto the library capabilities: bn-check, decompose,
-classify, verify-cases, triples, reduce-fixed, profile-check.  Reports are
-machine-readable JSON with the fields {command, inputs_echo, verdict,
-certificates, bounds, warnings, elapsed_ms, results}, written exactly as
-``json.dumps`` writes them with an indent of 2; --human switches to a short
+classify, verify-cases, triples, reduce-fixed, profile-check; ``_GRAMMAR``
+declares each one's handler, help line and options.  A report is a plain dict
+with the keys {command, inputs_echo, verdict, certificates, bounds, warnings,
+elapsed_ms, results} in that order, built by ``_report`` and written exactly
+as ``json.dumps`` writes it with an indent of 2; --human switches to a short
 text rendering.  Exit codes: 0 completed with no violation found, 10
 violation certificate emitted, 20 exceptional profile, 2 input error; a
 reader that closes stdout early does not change the code.
@@ -41,51 +42,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 10
 EXIT_EXCEPTIONAL = 20
 EXIT_INPUT_ERROR = 2
-
-
-class SurfaceSpec:
-    """A validated surface document with its polarization and roots, each built once.
-
-    Equality reads the document fields, not ``pol`` and ``root_set``.
-    """
-
-    def __init__(
-        self,
-        gram: list[list[int]],
-        H: list[int],
-        name: str,
-        basis_names: list[str] | None,
-        roots: list[list[int]],
-        asserts_nef: bool,
-        pol: QuasiPolarization,
-        root_set: RootSet,
-    ) -> None:
-        self.gram = gram
-        self.H = H
-        self.name = name
-        self.basis_names = basis_names
-        self.roots = roots
-        self.asserts_nef = asserts_nef
-        self.pol = pol
-        self.root_set = root_set
-
-    def _fields(self) -> tuple:
-        return (self.gram, self.H, self.name, self.basis_names, self.roots, self.asserts_nef)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "gram": [list(row) for row in self.gram],
-            "basis_names": list(self.basis_names) if self.basis_names else None,
-            "H": list(self.H),
-            "roots": [list(r) for r in self.roots],
-            "asserts_nef": self.asserts_nef,
-        }
 
 
 def _list_of(ok):
@@ -163,14 +119,16 @@ def _read_document(text: str, label: str, required: tuple[str, ...], optional: d
     return values
 
 
-def parse_surface_spec(text: str) -> SurfaceSpec:
-    """Parse a surface document and build its lattice, polarization and roots.
+def parse_surface_spec(text: str) -> tuple[dict, QuasiPolarization, RootSet]:
+    """Parse a surface document into its echo, polarization and roots.
 
     The JSON shapes and the lengths against the rank are checked here, the
     lattice rules by GramLattice, and every violation of either is collected
     into one InputError.  The polarization and the roots are built, and
     checked, once the document passes; a polarization of square <= 0 is
-    reported with the violations of the roots.
+    reported with the violations of the roots.  The echo holds every field
+    of the document in report order, absent roots as [] and absent basis
+    names as null.
     """
     optional = {"name": "surface", "basis_names": None, "roots": None, "asserts_nef": True}
     doc, bad = _read_fields(text, "surface", ("gram", "H"), optional)
@@ -190,62 +148,31 @@ def parse_surface_spec(text: str) -> SurfaceSpec:
         ]
     if bad:
         raise InputError(*bad)
-    roots = doc["roots"] or []
-    h, classes = DivClass(tuple(doc["H"])), tuple(DivClass(tuple(r)) for r in roots)
+    doc["roots"] = doc["roots"] or []
+    h, classes = DivClass(tuple(doc["H"])), tuple(DivClass(tuple(r)) for r in doc["roots"])
     try:
         pol = QuasiPolarization(lat, h)
     except InputError as exc:  # the roots are checked too: one report lists every violation
         raise InputError(*exc.violations, *RootSet.measure(lat, lat.covector(h), classes)[3]) from None
-    root_set = RootSet(pol, classes)
-    return SurfaceSpec(
-        doc["gram"], doc["H"], doc["name"], doc["basis_names"], roots, doc["asserts_nef"], pol, root_set
-    )
+    echo = {key: doc[key] for key in ("name", "gram", "basis_names", "H", "roots", "asserts_nef")}
+    return echo, pol, RootSet(pol, classes)
 
 
-def _parse_filtration_profile(text: str) -> FiltrationProfile:
-    data = _read_document(text, "profile", ("entries",), {})
-    return FiltrationProfile(tuple(map(tuple, data["entries"])))
+def _report(command: str, inputs_echo: dict, verdict: str = "", bounds=(), warnings=(), results=()) -> dict:
+    """A command's report, its keys in print order, each list and dict a fresh one.
 
-
-class RunReport:
-    """One command's report; a None list or dict argument means a fresh empty one."""
-
-    def __init__(
-        self,
-        command: str,
-        inputs_echo: dict,
-        verdict: str,
-        certificates: list[dict] | None = None,
-        bounds: dict | None = None,
-        warnings: list[str] | None = None,
-        elapsed_ms: float = 0.0,
-        results: dict | None = None,
-    ) -> None:
-        self.command = command
-        self.inputs_echo = inputs_echo
-        self.verdict = verdict
-        self.certificates = [] if certificates is None else certificates
-        self.bounds = {} if bounds is None else bounds
-        self.warnings = [] if warnings is None else warnings
-        self.elapsed_ms = elapsed_ms
-        self.results = {} if results is None else results
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs_echo": self.inputs_echo,
-            "verdict": self.verdict,
-            "certificates": self.certificates,
-            "bounds": self.bounds,
-            "warnings": self.warnings,
-            "elapsed_ms": self.elapsed_ms,
-            "results": self.results,
-        }
+    ``run`` sets ``elapsed_ms``; handlers fill in the rest as they go.
+    """
+    return {
+        "command": command,
+        "inputs_echo": inputs_echo,
+        "verdict": verdict,
+        "certificates": [],
+        "bounds": dict(bounds),
+        "warnings": list(warnings),
+        "elapsed_ms": 0.0,
+        "results": dict(results),
+    }
 
 
 def _reverify_violation(pol, roots, cert: ViolationCertificate) -> None:
@@ -258,68 +185,62 @@ def _reverify_violation(pol, roots, cert: ViolationCertificate) -> None:
         raise RuntimeError("certificate parts do not sum to the polarization")
 
 
-def _scan_report(args, command: str) -> tuple[RunReport, QuasiPolarization, RootSet]:
-    spec = parse_surface_spec(_read(args.surface))
-    report = RunReport(
-        command=command,
-        inputs_echo=spec.to_doc(),
-        verdict="",
-        bounds={"degree_bound": args.degree_bound},
-        warnings=hyperbolic_plane_warnings(spec.pol),
-    )
-    return report, spec.pol, spec.root_set
+def _scan_report(args, command: str) -> tuple[dict, QuasiPolarization, RootSet]:
+    echo, pol, roots = parse_surface_spec(_read(args.surface))
+    bounds = {"degree_bound": args.degree_bound}
+    return _report(command, echo, bounds=bounds, warnings=hyperbolic_plane_warnings(pol)), pol, roots
 
 
-def _unknown_warning(report: RunReport, scan: DecompositionScan) -> None:
+def _unknown_warning(report: dict, scan: DecompositionScan) -> None:
     if scan.unknown_candidates:
-        report.warnings.append(
+        report["warnings"].append(
             f"{scan.unknown_candidates} candidate classes had Unknown effectivity and were skipped"
         )
 
 
-def _cmd_bn_check(args) -> tuple[RunReport, int]:
+def _cmd_bn_check(args) -> tuple[dict, int]:
     report, pol, roots = _scan_report(args, "bn-check")
     scan = violation_scan(pol, roots, args.degree_bound)
     outside = scan.window_classes - scan.candidates_scanned
     if scan.x_h and outside:
-        report.warnings.append(
+        report["warnings"].append(
             f"{outside} candidate classes in the degree window lie outside X_H and were not "
             "examined; each has a side of square < -2, whose h0 floor is 0, so none can carry "
             "a violation at the lower-bound level"
         )
     _unknown_warning(report, scan)
-    report.results["stats"] = scan.stats()
+    report["results"]["stats"] = scan.stats()
     if scan.violations:
         cert = scan.violations[0]
         _reverify_violation(pol, roots, cert)
-        report.verdict = "violation"
-        report.certificates.append(cert.to_dict())
+        report["verdict"] = "violation"
+        report["certificates"].append(cert.to_dict())
         return report, EXIT_VIOLATION
-    report.verdict = "no violation found within bounds (not a proof of generality)"
+    report["verdict"] = "no violation found within bounds (not a proof of generality)"
     return report, EXIT_OK
 
 
-def _cmd_decompose(args) -> tuple[RunReport, int]:
+def _cmd_decompose(args) -> tuple[dict, int]:
     report, pol, roots = _scan_report(args, "decompose")
     scan = scan_decompositions(pol, roots, args.degree_bound)
     _unknown_warning(report, scan)
     # a pair with both sides in the box appears twice, first with D1 < D2: keep that one
     firsts = {rec.d1.coords for rec in scan.pairs}
     pairs = [rec for rec in scan.pairs if rec.d1.coords <= rec.d2.coords or rec.d2.coords not in firsts]
-    report.results["decompositions"] = [rec.to_dict() for rec in pairs]
-    report.results["count"] = len(pairs)
-    report.results["stats"] = scan.stats()
+    report["results"].update(
+        decompositions=[rec.to_dict() for rec in pairs], count=len(pairs), stats=scan.stats()
+    )
     for cert in scan.violations:
         _reverify_violation(pol, roots, cert)
-        report.certificates.append(cert.to_dict())
+        report["certificates"].append(cert.to_dict())
     if scan.violations:
-        report.verdict = f"{len(pairs)} effective decompositions, violations present"
+        report["verdict"] = f"{len(pairs)} effective decompositions, violations present"
         return report, EXIT_VIOLATION
-    report.verdict = f"{len(pairs)} effective decompositions, no violation at bound level"
+    report["verdict"] = f"{len(pairs)} effective decompositions, no violation at bound level"
     return report, EXIT_OK
 
 
-def _cmd_classify(args) -> tuple[RunReport, int]:
+def _cmd_classify(args) -> tuple[dict, int]:
     # absolute: a relative import looks the package up on every call
     from k3bn.profiles import DecompositionProfile, ExceptionalProfile, NotBNGeneral
 
@@ -328,90 +249,66 @@ def _cmd_classify(args) -> tuple[RunReport, int]:
     flags = data["h0_at_least_2"]
     if flags is None:
         flags = [True] * profile.n
-    report = RunReport(
-        command="classify",
-        inputs_echo={"sq": list(profile.sq), "x": [list(r) for r in profile.x], "h0_at_least_2": flags},
-        verdict="",
-    )
+    echo = {"sq": list(profile.sq), "x": [list(r) for r in profile.x], "h0_at_least_2": flags}
+    report = _report("classify", echo)
     outcome = classify_multi_decomposition(profile, flags)
     if isinstance(outcome, ExceptionalProfile):
-        report.verdict = f"exceptional profile: {outcome.label}"
-        report.results["label"] = outcome.label
+        report["verdict"] = f"exceptional profile: {outcome.label}"
+        report["results"]["label"] = outcome.label
         return report, EXIT_EXCEPTIONAL
     assert isinstance(outcome, NotBNGeneral)
-    report.verdict = f"not Brill-Noether general (case {outcome.case_id})"
-    report.results["case_id"] = outcome.case_id
+    report["verdict"] = f"not Brill-Noether general (case {outcome.case_id})"
+    report["results"]["case_id"] = outcome.case_id
     if outcome.certificate is not None:
         sk = outcome.certificate
         if sk.lb1 * sk.lb2 <= sk.genus:  # pragma: no cover - guarded at construction
             raise RuntimeError("sketch failed re-verification")
-        report.certificates.append(sk.to_dict())
+        report["certificates"].append(sk.to_dict())
     if outcome.note:
-        report.warnings.append(outcome.note)
+        report["warnings"].append(outcome.note)
     return report, EXIT_VIOLATION
 
 
-def _cmd_verify_cases(args) -> tuple[RunReport, int]:
+def _cmd_verify_cases(args) -> tuple[dict, int]:
     bounds = default_box(args.n).to_dict()
     if not args.default_box:
         bounds.update({k: getattr(args, k) for k in bounds if getattr(args, k) is not None})
     box = Box(**bounds)
     # the box check settles every class in closed form, so it reports no counterexample
     box_report = cases.exhaustive_case_check(args.n, box)
-    report = RunReport(
-        command="verify-cases",
-        inputs_echo={"n": args.n},
-        verdict=f"0 counterexamples across {box_report.instances_checked} decomposition profiles",
-        bounds=box.to_dict(),
-        results={"report": box_report.to_dict()},
-    )
-    return report, EXIT_OK
+    verdict = f"0 counterexamples across {box_report.instances_checked} decomposition profiles"
+    results = {"report": box_report.to_dict()}
+    return _report("verify-cases", {"n": args.n}, verdict, box.to_dict(), results=results), EXIT_OK
 
 
-def _cmd_triples(args) -> tuple[RunReport, int]:
+def _cmd_triples(args) -> tuple[dict, int]:
     triples = cases.enumerate_exceptional_triples(args.a_max)
     # by construction (a, 1, 1) is D_{a+3} and (a, 2, 1) is E_{a+4}: the legs of those diagrams
     labeled = [
         {"triple": list(t), "dynkin": f"D{t[0] + 3}" if t[1] == 1 else f"E{t[0] + 4}"} for t in triples
     ]
-    report = RunReport(
-        command="triples",
-        inputs_echo={"a_max": args.a_max},
-        verdict=f"{len(triples)} exceptional triples",
-        bounds={"a_max": args.a_max},
-        results={"triples": [list(t) for t in triples], "labeled": labeled},
-    )
-    return report, EXIT_OK
+    results = {"triples": [list(t) for t in triples], "labeled": labeled}
+    verdict = f"{len(triples)} exceptional triples"
+    return _report("triples", {"a_max": args.a_max}, verdict, {"a_max": args.a_max}, results=results), EXIT_OK
 
 
-def _cmd_reduce_fixed(args) -> tuple[RunReport, int]:
-    spec = parse_surface_spec(_read(args.surface))
+def _cmd_reduce_fixed(args) -> tuple[dict, int]:
+    echo, pol, roots = parse_surface_spec(_read(args.surface))
     data = _read_document(_read(args.data), "data", ("parts", "delta"), {})
     parts = [DivClass(tuple(v)) for v in data["parts"]]
     delta = [DivClass(tuple(v)) for v in data["delta"]]
-    reduced = reduce_fixed_components(spec.pol, parts, delta, spec.root_set)
-    report = RunReport(
-        command="reduce-fixed",
-        inputs_echo={**spec.to_doc(), "parts": data["parts"], "delta": data["delta"]},
-        verdict=f"reduced to {len(reduced)} parts",
-        results={
-            "parts": [list(p.coords) for p in reduced],
-            "squares": [spec.pol.lattice.square(p) for p in reduced],
-        },
-    )
-    return report, EXIT_OK
+    reduced = reduce_fixed_components(pol, parts, delta, roots)
+    results = {"parts": [list(p.coords) for p in reduced], "squares": [pol.lattice.square(p) for p in reduced]}
+    echo.update(data)
+    return _report("reduce-fixed", echo, f"reduced to {len(reduced)} parts", results=results), EXIT_OK
 
 
-def _cmd_profile_check(args) -> tuple[RunReport, int]:
-    fp = _parse_filtration_profile(_read(args.profile))
+def _cmd_profile_check(args) -> tuple[dict, int]:
+    data = _read_document(_read(args.profile), "profile", ("entries",), {})
+    fp = FiltrationProfile(tuple(map(tuple, data["entries"])))
     ok = cases.profile_feasible(fp)
-    report = RunReport(
-        command="profile-check",
-        inputs_echo={"entries": [list(e) for e in fp.entries]},
-        verdict="feasible" if ok else "infeasible",
-        results={"feasible": ok, "sum_r": fp.sum_r, "sum_s": fp.sum_s},
-    )
-    return report, EXIT_OK
+    results = {"feasible": ok, "sum_r": fp.sum_r, "sum_s": fp.sum_s}
+    return _report("profile-check", data, "feasible" if ok else "infeasible", results=results), EXIT_OK
 
 
 def _read(path: str) -> str:
@@ -425,22 +322,11 @@ def _read(path: str) -> str:
         raise InputError(f"{'stdin' if path == '-' else path}: not UTF-8 text ({exc})") from None
 
 
-_HANDLERS = {
-    "bn-check": _cmd_bn_check,
-    "decompose": _cmd_decompose,
-    "classify": _cmd_classify,
-    "verify-cases": _cmd_verify_cases,
-    "triples": _cmd_triples,
-    "reduce-fixed": _cmd_reduce_fixed,
-    "profile-check": _cmd_profile_check,
-}
-
-
-def run(args) -> tuple[RunReport, int]:
+def run(args) -> tuple[dict, int]:
     """Dispatch a parsed command line; reports echo their inputs and bounds."""
     started = time.perf_counter()
-    report, status = _HANDLERS[args.command](args)
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    report, status = _GRAMMAR[args.command][0](args)
+    report["elapsed_ms"] = (time.perf_counter() - started) * 1000.0
     return report, status
 
 
@@ -472,41 +358,41 @@ def _render_json(v, pad: str = "\n") -> str:
     return _scalar(v)
 
 
-def _render_human(report: RunReport) -> str:
-    lines = [f"{report.command}: {report.verdict}"]
-    for cert in report.certificates:
+def _render_human(report: dict) -> str:
+    lines = [f"{report['command']}: {report['verdict']}"]
+    for cert in report["certificates"]:
         lines.append(f"  certificate: {json.dumps(cert)}")
-    for w in report.warnings:
+    for w in report["warnings"]:
         lines.append(f"  warning: {w}")
-    if report.bounds:
-        lines.append(f"  bounds: {json.dumps(report.bounds)}")
-    lines.append(f"  elapsed: {report.elapsed_ms:.1f} ms")
+    if report["bounds"]:
+        lines.append(f"  bounds: {json.dumps(report['bounds'])}")
+    lines.append(f"  elapsed: {report['elapsed_ms']:.1f} ms")
     return "\n".join(lines)
 
 
-# The command-line grammar: each command's help line and its options in
+# The command set: each command's handler, its help line and its options in
 # order, as (option, kind, default, choices, help).  A kind of bool is a flag,
 # int and str take one value, and a default of _REQUIRED makes the option
-# required.  `build_parser` and `_parse_plain` both read it.
+# required.  `run`, `build_parser` and `_parse_plain` all read it.
 _REQUIRED = object()
 _GRAMMAR = {
     "bn-check": (
-        "search for a Brill-Noether violation certificate",
+        _cmd_bn_check, "search for a Brill-Noether violation certificate",
         (
             ("--surface", str, _REQUIRED, None, "surface spec JSON file ('-' for stdin)"),
             ("--degree-bound", int, 10, None, None),
         ),
     ),
     "decompose": (
-        "enumerate effective decompositions up to the bound",
+        _cmd_decompose, "enumerate effective decompositions up to the bound",
         (("--surface", str, _REQUIRED, None, None), ("--degree-bound", int, 10, None, None)),
     ),
     "classify": (
-        "match a decomposition profile against the case list",
+        _cmd_classify, "match a decomposition profile against the case list",
         (("--profile", str, _REQUIRED, None, "profile JSON file with 'sq' and 'x'"),),
     ),
     "verify-cases": (
-        "exhaustive box verification for n = 2, 3, 4",
+        _cmd_verify_cases, "exhaustive box verification for n = 2, 3, 4",
         (
             ("--n", int, _REQUIRED, (2, 3, 4), None),
             ("--default-box", bool, False, None, "force the default box"),
@@ -514,25 +400,25 @@ _GRAMMAR = {
         ),
     ),
     "triples": (
-        "enumerate exceptional triples of the determinant condition",
+        _cmd_triples, "enumerate exceptional triples of the determinant condition",
         (("--a-max", int, _REQUIRED, None, None),),
     ),
     "reduce-fixed": (
-        "absorb declared irreducible summands into parts",
+        _cmd_reduce_fixed, "absorb declared irreducible summands into parts",
         (
             ("--surface", str, _REQUIRED, None, None),
             ("--data", str, _REQUIRED, None, "JSON file with 'parts' and 'delta'"),
         ),
     ),
     "profile-check": (
-        "test filtration-profile feasibility",
+        _cmd_profile_check, "test filtration-profile feasibility",
         (("--profile", str, _REQUIRED, None, "profile JSON file with 'entries'"),),
     ),
 }
 # per command, each option's namespace attribute and its spec
 _OPTIONS = {
     command: {opt: (opt[2:].replace("-", "_"), *spec) for opt, *spec in options}
-    for command, (_, options) in _GRAMMAR.items()
+    for command, (_, _, options) in _GRAMMAR.items()
 }
 
 
@@ -558,7 +444,7 @@ def build_parser():
     )
     parser.add_argument("--human", action="store_true", help="render a text summary instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (command_help, options) in _GRAMMAR.items():
+    for command, (_, command_help, options) in _GRAMMAR.items():
         p = sub.add_parser(command, help=command_help)
         for opt, kind, default, choices, opt_help in options:
             kwargs = {"action": "store_true"} if kind is bool else {"type": int} if kind is int else {}
@@ -641,11 +527,10 @@ def main(argv: list[str] | None = None) -> int:
         report, status = run(args)
     except (InputError, PreconditionError, InconsistentGeometryError, OSError) as exc:
         warnings = exc.violations if isinstance(exc, InputError) else [str(exc)]
-        command = next((a for a in argv if a in _HANDLERS), "k3bn")
-        error_report = RunReport(command, inputs_echo={}, verdict="input error", warnings=warnings)
-        _write(_render_json(error_report.to_dict()))
+        command = next((a for a in argv if a in _GRAMMAR), "k3bn")
+        _write(_render_json(_report(command, {}, "input error", warnings=warnings)))
         return EXIT_INPUT_ERROR
-    _write(_render_human(report) if args.human else _render_json(report.to_dict()))
+    _write(_render_human(report) if args.human else _render_json(report))
     return status
 
 

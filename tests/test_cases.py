@@ -745,6 +745,63 @@ def test_two_part_box_never_reaches_the_later_layers(monkeypatch):
     assert report.stats == {"closed_row_sum": 85, "closed_product_max": 84, "swept": 0}
 
 
+# The three conditions of a two-part class with a survivor, for a = a1 a2, E = e1 + e2
+# and top = 4 r_max s_max - 1: each caps e2 for a fixed e1.
+_TWO_PART_CONDITIONS = {
+    "product": lambda box, a, e, top: a <= top,
+    "upper-genus": lambda box, a, e, top: a <= e + box.x_max + 1,
+    "lower-genus": lambda box, a, e, top: e + box.x_min + 1 <= top,
+}
+
+
+def _two_part_layer_count(box):
+    """The classes that `_two_part_lemma_layer` sends to the product layer."""
+    classes = itertools.product(range(box.eps_max + 1), repeat=2)
+    return sum(_two_part_lemma_layer(box, eps) == "closed_product_max" for eps in classes)
+
+
+def _two_part_condition_count(box, dropped=""):
+    """The classes that meet every condition but the one named ``dropped``."""
+    top = 4 * box.r_max * box.s_max - 1
+    kept = [ok for name, ok in _TWO_PART_CONDITIONS.items() if name != dropped]
+    return sum(
+        all(ok(box, (e1 + 2) * (e2 + 2), e1 + e2, top) for ok in kept)
+        for e1 in range(box.eps_max + 1)
+        for e2 in range(box.eps_max + 1)
+    )
+
+
+# eps_max in the hundreds, each box with one condition that binds and others far off
+_BINDING_BOXES = {
+    "product": Box(r_max=10, s_min=-10, s_max=10, eps_max=300, x_min=-1000, x_max=10_000),
+    "upper-genus": Box(r_max=100, s_min=-100, s_max=100, eps_max=300, x_min=-1000, x_max=100),
+    "lower-genus": Box(r_max=100, s_min=-100, s_max=100, eps_max=300, x_min=39_950, x_max=60_000),
+}
+
+
+@pytest.mark.parametrize("binding", list(_BINDING_BOXES))
+def test_two_part_count_matches_the_per_class_layer_where_each_cap_binds(binding):
+    box = _BINDING_BOXES[binding]
+    expected = _two_part_layer_count(box)
+    assert _two_part_condition_count(box) == expected
+    # the named condition binds: without it more classes would count
+    assert _two_part_condition_count(box, dropped=binding) > expected > 0
+    assert exhaustive_case_check(2, box).stats["closed_product_max"] == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    r_max=st.integers(1, 100),
+    s_max=st.integers(1, 100),
+    eps_max=st.integers(0, 300),
+    x_min=st.integers(-2000, 40_000),
+    width=st.integers(0, 40_000),
+)
+def test_two_part_count_matches_the_per_class_layer_on_wide_boxes(r_max, s_max, eps_max, x_min, width):
+    box = Box(r_max, -s_max, s_max, eps_max, x_min, x_min + width)
+    assert exhaustive_case_check(2, box).stats["closed_product_max"] == _two_part_layer_count(box)
+
+
 def test_three_part_open_classes_are_the_row_sum_survivors():
     # c > 0 exactly when the legs eps_i + 1 permute an exceptional triple
     survivors = [

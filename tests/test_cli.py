@@ -50,11 +50,15 @@ def write(tmp_path, name, payload):
 
 
 def test_parse_minimal_spec():
-    spec = parse_surface_spec(json.dumps(U_DOC))
-    assert spec.gram == [[0, 1], [1, 0]]
-    assert spec.H == [1, 1]
-    assert spec.roots == []
-    assert spec.asserts_nef
+    echo, pol, roots = parse_surface_spec(json.dumps(U_DOC))
+    assert echo["gram"] == [[0, 1], [1, 0]]
+    assert echo["H"] == [1, 1]
+    assert echo["roots"] == []
+    assert echo["asserts_nef"]
+    # every field in report order, absent ones at their defaults
+    assert list(echo) == ["name", "gram", "basis_names", "H", "roots", "asserts_nef"]
+    assert (echo["name"], echo["basis_names"]) == ("surface", None)
+    assert pol.h.coords == (1, 1) and roots.roots == ()
 
 
 def test_parse_rejects_odd_diagonal():
@@ -96,9 +100,11 @@ def test_spec_round_trip():
         "roots": [[0, 0, 1]],
         "asserts_nef": True,
     }
-    spec = parse_surface_spec(json.dumps(doc))
-    again = parse_surface_spec(json.dumps(spec.to_doc()))
-    assert spec == again
+    echo, pol, roots = parse_surface_spec(json.dumps(doc))
+    assert echo == doc
+    again = parse_surface_spec(json.dumps(echo))
+    assert again == (echo, pol, roots)
+    assert list(again[0]) == list(echo)
 
 
 @pytest.mark.parametrize(
@@ -314,7 +320,7 @@ def test_triples_labels_match_dynkin_label():
     # the handler labels by construction; dynkin_label checks each triple and labels it
     for a_max in range(1, 201):
         report, _ = cli._cmd_triples(SimpleNamespace(a_max=a_max))
-        assert report.results["labeled"] == [
+        assert report["results"]["labeled"] == [
             {"triple": list(t), "dynkin": dynkin_label(*t)} for t in enumerate_exceptional_triples(a_max)
         ], a_max
 
@@ -631,7 +637,7 @@ def _command_lines(draw):
     """A well-formed line of any command, and the same line after zero to two mutations."""
     command = draw(st.sampled_from(list(cli._GRAMMAR)))
     argv = ["--human"] * draw(st.integers(0, 1)) + [command]
-    options = [spec for spec in cli._GRAMMAR[command][1] if spec[2] is cli._REQUIRED or draw(st.booleans())]
+    options = [spec for spec in cli._GRAMMAR[command][2] if spec[2] is cli._REQUIRED or draw(st.booleans())]
     for opt, kind, _, choices, _ in draw(st.permutations(options)):
         argv.append(opt)
         if choices:
@@ -657,7 +663,7 @@ def test_odd_values_read_as_argparse_reads_them():
     # every odd value in place of every option's value, on each command's shortest
     # line, and that line without each of its required options
     parser = build_parser()
-    for command, (_, options) in cli._GRAMMAR.items():
+    for command, (_, _, options) in cli._GRAMMAR.items():
         required = [(opt, "2") for opt, _, default, _, _ in options if default is cli._REQUIRED]
         for k in range(len(required) + 1):
             line = required[:k] + required[k + 1 :]
@@ -940,6 +946,31 @@ def test_report_schema_fields(tmp_path):
     for key in ("command", "inputs_echo", "verdict", "certificates", "bounds", "warnings", "elapsed_ms", "results"):
         assert key in rep
     assert rep["inputs_echo"]["gram"] == U_DOC["gram"]
+
+
+def test_reports_share_no_container_and_keep_the_key_order():
+    bounds, warnings, results = {"b": 1}, ["w"], {"r": 1}
+    first = cli._report("triples", {"a_max": 1}, "v", bounds, warnings, results)
+    second = cli._report("triples", {"a_max": 1}, "v", bounds, warnings, results)
+    defaults = [cli._report("classify", {}) for _ in range(2)]
+    for report in (first, second, *defaults):
+        assert list(report) == [
+            "command", "inputs_echo", "verdict", "certificates", "bounds", "warnings", "elapsed_ms", "results",
+        ]
+    assert first == second
+    assert defaults[0] == defaults[1]
+    assert defaults[0]["elapsed_ms"] == 0.0 and defaults[0]["verdict"] == ""
+    for a, b in [(first, second), defaults, (first, defaults[0])]:
+        for key in ("certificates", "bounds", "warnings", "results"):
+            assert a[key] is not b[key], key
+    for key, given in (("bounds", bounds), ("warnings", warnings), ("results", results)):
+        assert first[key] == given and first[key] is not given, key
+    first["certificates"].append({})
+    first["warnings"].append("x")
+    first["bounds"]["c"] = 2
+    first["results"]["s"] = 3
+    assert [second[k] for k in ("certificates", "warnings", "bounds", "results")] == [[], ["w"], {"b": 1}, {"r": 1}]
+    assert (bounds, warnings, results) == ({"b": 1}, ["w"], {"r": 1})
 
 
 def test_human_rendering(tmp_path):

@@ -16,7 +16,6 @@ import pytest
 
 from k3bn.bn import DecompositionScan, PairRecord, ViolationCertificate
 from k3bn.cases import Box, BoxReport, FiltrationProfile
-from k3bn.cli import RunReport, SurfaceSpec
 from k3bn.divisors import Effectivity, EffectivityVerdict, RootSet
 from k3bn.errors import Frozen
 from k3bn.lattice import DivClass, GramLattice, QuasiPolarization
@@ -83,17 +82,6 @@ DECLARED = {
         ],
     ),
     MukaiVector: (True, [f("r"), f("c1"), f("s")]),
-    SurfaceSpec: (
-        False,
-        [f(name) for name in ("gram", "H", "name", "basis_names", "roots", "asserts_nef")]
-        + [f("pol", **HIDDEN), f("root_set", **HIDDEN)],
-    ),
-    RunReport: (
-        False,
-        [f("command"), f("inputs_echo"), f("verdict")]
-        + [f("certificates", factory=list), f("bounds", factory=dict), f("warnings", factory=list)]
-        + [f("elapsed_ms", 0.0), f("results", factory=dict)],
-    ),
 }
 
 
@@ -137,14 +125,6 @@ def _samples():
             "eps_classes_closed_form": 1, "profiles_enumerated": 0, "cross_checks": ["c"], "stats": {"swept": 0},
         },
         MukaiVector: {"r": 1, "c1": e, "s": 1},
-        SurfaceSpec: {
-            "gram": [list(row) for row in gram], "H": [1, 2, 0], "name": "s", "basis_names": None,
-            "roots": [[0, 0, 1]], "asserts_nef": True, "pol": pol, "root_set": roots,
-        },
-        RunReport: {
-            "command": "classify", "inputs_echo": {"sq": [2]}, "verdict": "v", "certificates": [{}],
-            "bounds": {"b": 1}, "warnings": ["w"], "elapsed_ms": 2.5, "results": {"r": 1},
-        },
     }
 
 
@@ -175,7 +155,7 @@ def _build(cls):
 
 def test_every_class_is_declared_and_sampled():
     assert set(SAMPLES) == set(DECLARED)
-    assert len(DECLARED) == 22
+    assert len(DECLARED) == 20
     assert set(Frozen.__subclasses__()) == set(FROZEN)
 
 
