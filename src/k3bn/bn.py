@@ -21,7 +21,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .divisors import DEFAULT_COEFF_BOUND, Effectivity, EffectivityVerdict, RootSet, effectivity_status
-from .divisors import _dot, _open_verdict, _peel, _verdict, h0_floor
+from .divisors import _dot, _h0_floor, _open_verdict, _peel, _verdict, h0_floor
 from .errors import Frozen, InputError, PreconditionError, check_search_size
 from .lattice import DivClass, QuasiPolarization
 
@@ -301,13 +301,13 @@ def _check_scan(pol: QuasiPolarization, roots: RootSet | None, degree_bound: int
     )
 
 
-def _record_pair(out: DecompositionScan, pol, d1: DivClass, d2: DivClass) -> bool:
+def _record_pair(out: DecompositionScan, d1: DivClass, d2: DivClass, lb1: int, lb2: int, genus: int) -> bool:
     """Record D1 and D2 = H - D1, both Effective, with their h^0 floors; True on a violation."""
-    lb1, lb2, violation = _pair_floors(pol, d1, d2)
-    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violation is not None))
-    if violation:
-        out.violations.append(violation)
-    return violation is not None
+    violates = lb1 * lb2 > genus
+    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
+    if violates:
+        out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, genus))
+    return violates
 
 
 def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
@@ -317,7 +317,7 @@ def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
     d2 = pol.h - d1
     if not out._settle(effectivity_status(pol, d2, roots)):
         return False
-    return _record_pair(out, pol, d1, d2)
+    return _record_pair(out, d1, d2, h0_floor(pol, d1), h0_floor(pol, d2), pol.genus)
 
 
 def _window_scan(pol, roots, degree_bound, first_violation=False) -> DecompositionScan:
@@ -344,60 +344,92 @@ def _shape_classes(pol, roots: RootSet, degree_bound) -> list[tuple[int, ...]]:
 
     Built one root at a time from X (``x_classes``) and 0, each shift kept
     where the later ones can bring it into the box.  H^perp must be negative
-    definite.
+    definite.  Every class met lies in the widened box X is taken from, and
+    is held there as one integer: its offsets from the box's lower corner in
+    mixed radix, the first coordinate most significant.  That code is a
+    bijection of the box onto an interval that adds as the vectors do while
+    the sum stays in the box, so the shifts of a class by one root form a
+    ``range`` of codes, and codes sort as their classes do.
     """
     rs, cb = [r.coords for r in roots.roots], DEFAULT_COEFF_BOUND
     h2, hc, rank = pol.degree(pol.h), pol.h_covector, pol.lattice.rank
     # [lo_i, hi_i]: where coordinate i must lie before the shifts by the roots still to come
     lo = [-degree_bound - cb * sum(max(r[i], 0) for r in rs) for i in range(rank)]
     hi = [degree_bound - cb * sum(min(r[i], 0) for r in rs) for i in range(rank)]
-    level = {(0,) * rank, *x_classes(pol, [range(a, b + 1) for a, b in zip(lo, hi)])}
+    corner, sizes, weights = lo, [b - a + 1 for a, b in zip(lo, hi)], [1] * rank
+    for i in range(rank - 1, 0, -1):
+        weights[i - 1] = weights[i] * sizes[i]
+    base = _dot(weights, corner)
+    level = {_dot(weights, v) - base for v in x_classes(pol, [range(a, b + 1) for a, b in zip(lo, hi)])}
+    level.add(-base)  # the zero class
     for r in rs:
         lo = [a + cb * max(x, 0) for a, x in zip(lo, r)]
         hi = [b + cb * min(x, 0) for b, x in zip(hi, r)]
         # on each coordinate x = R_i != 0, c runs from (p - v_i) / x to (q - v_i) / x
-        support = [(i, x, *((lo[i], hi[i]) if x > 0 else (hi[i], lo[i]))) for i, x in enumerate(r) if x]
-        steps = [tuple(c * x for x in r) for c in range(cb + 1)]
-        shifted = set()
-        for v in level:
+        support = [
+            (weights[i], sizes[i], corner[i], x, *((lo[i], hi[i]) if x > 0 else (hi[i], lo[i])))
+            for i, x in enumerate(r)
+            if x
+        ]
+        step, shifted = _dot(weights, r), set()
+        for code in level:
             first, last = 0, cb
-            for i, x, p, q in support:
-                first, last = max(first, -((v[i] - p) // x)), min(last, (q - v[i]) // x)
-            shifted.update(tuple(map(operator.add, v, steps[c])) for c in range(first, last + 1))
+            for w, n, a, x, p, q in support:
+                v = code // w % n + a
+                first, last = max(first, -((v - p) // x)), min(last, (q - v) // x)
+            shifted.update(range(code + first * step, code + (last + 1) * step, step))
         level = shifted
-    return sorted(v for v in level if 0 < _dot(hc, v) < h2)
+    codes = sorted(level)
+    cols = [[code // w % n + a for code in codes] for w, n, a in zip(weights, sizes, corner)]
+    return [v for v, d in zip(zip(*cols), _linear(cols, hc, len(codes))) if 0 < d < h2]
 
 
-def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> Iterator[tuple]:
-    """Each class v of S in order: (v, v.H, its root dots, its verdict, that of H - v or None).
+def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> tuple[list, ...]:
+    """The classes v of S in order, column by column: v, v.H, v^2, the root dots, the verdicts.
 
-    A verdict is a (status, rule) pair, and H - v is settled only when v is
-    Effective.  Under ``_certificate_scan``'s precondition a verdict depends
-    on three integers alone, the degree, the square and the root dots, and
-    is ``divisors._verdict`` of them with ``peel`` of the dots: a residual of
-    degree 0 is zero exactly when its square is 0, as H^perp is negative
-    definite.  H - v has degree H^2 - v.H, square H^2 - 2 v.H + v^2 and dots
-    H.R_j - v.R_j, so it needs no vector.  Verdicts are not cached: settled
-    classes rarely share all three integers (none do in the golden fixture
-    or the benchmark's inputs), so a cache would only grow.
+    The last two columns hold the verdict of v and that of H - v, or None
+    where v is not Effective, as H - v is settled only when v is.  A verdict
+    is a (status, rule) pair.  Under ``_certificate_scan``'s precondition a
+    verdict depends on three integers alone, the degree, the square and the
+    root dots, and is ``divisors._verdict`` of them with ``peel`` of the
+    dots: a residual of degree 0 is zero exactly when its square is 0, as
+    H^perp is negative definite.  H - v has degree H^2 - v.H, square
+    H^2 - 2 v.H + v^2 and dots H.R_j - v.R_j, so it needs no vector.
+    Settled classes often share those integers (on U + A1 + A1 with
+    H = e + 2f at bound 4, the 345 settled past Riemann-Roch have 278
+    distinct triples), so each verdict is reached once per key.  When every
+    root has degree 0, no peel or search step changes the degree, which then
+    only has to stay positive: the verdict reads the square and the dots
+    alone (168 distinct pairs there), and is keyed by that pair.
     """
-    h2 = pol.degree(pol.h)
-
-    def settle(deg: int, sq: int, dots: tuple[int, ...]) -> tuple[Effectivity, str]:
-        return _verdict(deg, sq, dots, peel(dots), roots, DEFAULT_COEFF_BOUND)[:2]
-
+    h2, flat = pol.degree(pol.h), not any(roots.degrees)
     classes = _shape_classes(pol, roots, degree_bound)
     cols, n = list(zip(*classes)), len(classes)
-    sqs = [0] * n
+    degs, sqs = _linear(cols, pol.h_covector, n), [0] * n
     for col, row in zip(cols, pol.lattice.gram):
         sqs = list(map(operator.add, sqs, map(operator.mul, col, _linear(cols, row, n))))
-    dots = zip(*(_linear(cols, cv, n) for cv in roots.covectors)) if roots else [()] * n
-    for v, deg, sq, ds in zip(classes, _linear(cols, pol.h_covector, n), sqs, dots):
-        first = settle(deg, sq, ds)
-        second = None
-        if first[0] is Effectivity.EFFECTIVE:
-            second = settle(h2 - deg, h2 - 2 * deg + sq, tuple(map(operator.sub, roots.degrees, ds)))
-        yield v, deg, ds, first, second
+    dots = list(zip(*(_linear(cols, cv, n) for cv in roots.covectors))) if roots else [()] * n
+    found = {}
+
+    def settle(rows: list[tuple]) -> list[tuple[Effectivity, str]]:
+        """The verdict of each (degree, square, dots) row, reached once per key."""
+        keys = [row[1:] for row in rows] if flat else rows
+        for key, (deg, sq, ds) in dict(zip(keys, rows)).items():
+            if key not in found:
+                found[key] = _verdict(deg, sq, ds, peel, roots, DEFAULT_COEFF_BOUND)[:2]
+        return list(map(found.__getitem__, keys))
+
+    firsts = settle(list(zip(degs, sqs, dots)))
+    on = [first[0] is Effectivity.EFFECTIVE for first in firsts]
+    seconds = iter(
+        settle(
+            [
+                (h2 - deg, h2 - 2 * deg + sq, tuple(map(operator.sub, roots.degrees, ds)))
+                for deg, sq, ds in itertools.compress(zip(degs, sqs, dots), on)
+            ]
+        )
+    )
+    return classes, degs, sqs, dots, firsts, [next(seconds) if e else None for e in on]
 
 
 def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
@@ -409,27 +441,38 @@ def _certificate_scan(pol, roots, degree_bound) -> DecompositionScan:
     the window classes of that shape, S (``_shape_classes``), can be
     Effective; each is settled from its degree, square and root dots
     (``_shape_verdicts``), and a class becomes a ``DivClass`` only when it
-    and H - D are both Effective.  Outside S the search fails, so the peel
-    decides by degree and root dots (``divisors._open_verdict``): below
-    t(dots) = sum mult_j (H.R_j) NotEffective, else Unknown.  The rest is
-    counted per dots and side of t.  Each value of the dots is peeled once.
+    and H - D are both Effective; the h^0 floors of the pair come from the
+    same integers (``divisors._h0_floor``).  Outside S the search fails, so
+    the peel decides by degree and root dots (``divisors._open_verdict``):
+    below t(dots) = sum mult_j (H.R_j) NotEffective, else Unknown.  When
+    every root has degree 0, t is 0 and no class of the window, all of
+    positive degree, lies below it, so the window is counted without that
+    cap.  The rest is counted per dots and side of t, then grouped by peel
+    and side, and each group gets one verdict.  Each value of the dots is
+    peeled at most once.
     """
     roots = roots or RootSet(pol)
-    peel = cache(lambda dots: _peel(list(dots), roots, DEFAULT_COEFF_BOUND))
-    cap = cache(lambda dots: -peel(dots)[1] if peel(dots) else 0)  # t(dots); 0 past coeff_bound
-    rest = _window_counts(pol.h_covector, degree_bound, pol.degree(pol.h), roots.covectors, cap)
-    out = DecompositionScan(candidates_scanned=sum(rest.values()))
-    settled = Counter()
-    for v, deg, dots, first, second in _shape_verdicts(pol, roots, degree_bound, peel):
-        rest[dots, deg < cap(dots)] -= 1
-        settled[first] += 1
-        if second is not None:
-            settled[second] += 1
-            if second[0] is Effectivity.EFFECTIVE:
-                d1 = DivClass(v)
-                _record_pair(out, pol, d1, pol.h - d1)
-    for (dots, below), n in rest.items():
-        settled[_open_verdict(peel(dots), below, roots.contracted)[:2]] += n
+    h2, hc, genus = pol.degree(pol.h), pol.h.coords, pol.genus
+    peel = cache(lambda dots: _peel(dots, roots, DEFAULT_COEFF_BOUND))
+    cap = None
+    if any(roots.degrees):
+        cap = cache(lambda dots: -peel(dots)[1] if peel(dots) else 0)  # t(dots); 0 past coeff_bound
+    rest = Counter(_window_counts(pol.h_covector, degree_bound, h2, roots.covectors, cap))
+    out = DecompositionScan(candidates_scanned=rest.total())
+    classes, degs, sqs, dots, firsts, seconds = _shape_verdicts(pol, roots, degree_bound, peel)
+    rest.subtract(Counter(zip(dots, map(operator.lt, degs, map(cap, dots)) if cap else itertools.repeat(False))))
+    settled = Counter(firsts)
+    settled.update(filter(None, seconds))  # the H - v that were settled
+    for v, deg, sq, second in zip(classes, degs, sqs, seconds):
+        if second and second[0] is Effectivity.EFFECTIVE:
+            d1, d2 = DivClass(v), DivClass(tuple(map(operator.sub, hc, v)))
+            lb1, lb2 = _h0_floor(sq, deg, d1.content()), _h0_floor(h2 - 2 * deg + sq, h2 - deg, d2.content())
+            _record_pair(out, d1, d2, lb1, lb2, genus)
+    groups = Counter()
+    for (ds, below), n in rest.items():
+        groups[peel(ds), below] += n
+    for (peeled, below), n in groups.items():
+        settled[_open_verdict(peeled, below, roots.contracted)[:2]] += n
     for (status, rule), n in settled.items():
         out.count(status, rule, n)
     return out

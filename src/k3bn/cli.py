@@ -175,14 +175,22 @@ def _report(command: str, inputs_echo: dict, verdict: str = "", bounds=(), warni
     }
 
 
-def _reverify_violation(pol, roots, cert: ViolationCertificate) -> None:
-    # independent recomputation pass; emitting an unverified certificate is a bug
-    lb1 = h0_lower_bound(pol, cert.d1, roots)
-    lb2 = h0_lower_bound(pol, cert.d2, roots)
-    if (lb1, lb2, pol.genus) != (cert.lb1, cert.lb2, cert.genus) or lb1 * lb2 <= pol.genus:
-        raise RuntimeError("certificate failed re-verification; refusing to emit")
-    if cert.d1 + cert.d2 != pol.h:
-        raise RuntimeError("certificate parts do not sum to the polarization")
+def _reverify(pol, roots, certs: list[ViolationCertificate]) -> None:
+    """Check every certificate against bounds recomputed independently, once per distinct class.
+
+    Emitting an unverified certificate is a bug, so a mismatch raises.
+    """
+    bounds, genus = {}, pol.genus
+    for cert in certs:
+        for d in (cert.d1, cert.d2):
+            if d.coords not in bounds:
+                bounds[d.coords] = h0_lower_bound(pol, d, roots)
+    for cert in certs:
+        lb1, lb2 = bounds[cert.d1.coords], bounds[cert.d2.coords]
+        if (lb1, lb2, genus) != (cert.lb1, cert.lb2, cert.genus) or lb1 * lb2 <= genus:
+            raise RuntimeError("certificate failed re-verification; refusing to emit")
+        if cert.d1 + cert.d2 != pol.h:
+            raise RuntimeError("certificate parts do not sum to the polarization")
 
 
 def _scan_report(args, command: str) -> tuple[dict, QuasiPolarization, RootSet]:
@@ -211,10 +219,9 @@ def _cmd_bn_check(args) -> tuple[dict, int]:
     _unknown_warning(report, scan)
     report["results"]["stats"] = scan.stats()
     if scan.violations:
-        cert = scan.violations[0]
-        _reverify_violation(pol, roots, cert)
+        _reverify(pol, roots, scan.violations)  # the first one, the only one kept
         report["verdict"] = "violation"
-        report["certificates"].append(cert.to_dict())
+        report["certificates"].append(scan.violations[0].to_dict())
         return report, EXIT_VIOLATION
     report["verdict"] = "no violation found within bounds (not a proof of generality)"
     return report, EXIT_OK
@@ -230,9 +237,8 @@ def _cmd_decompose(args) -> tuple[dict, int]:
     report["results"].update(
         decompositions=[rec.to_dict() for rec in pairs], count=len(pairs), stats=scan.stats()
     )
-    for cert in scan.violations:
-        _reverify_violation(pol, roots, cert)
-        report["certificates"].append(cert.to_dict())
+    _reverify(pol, roots, scan.violations)
+    report["certificates"] += [cert.to_dict() for cert in scan.violations]
     if scan.violations:
         report["verdict"] = f"{len(pairs)} effective decompositions, violations present"
         return report, EXIT_VIOLATION
@@ -332,6 +338,7 @@ def run(args) -> tuple[dict, int]:
 
 _ascii = json.encoder.encode_basestring_ascii
 _scalar = json.JSONEncoder().encode
+_INF = float("inf")
 
 
 def _render_json(v, pad: str = "\n") -> str:
@@ -340,14 +347,24 @@ def _render_json(v, pad: str = "\n") -> str:
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; this
     joins the same pieces directly.  Dicts, lists and tuples open one level
     deeper per call; exact ints go through ``int.__repr__`` (inline for list
-    items, which are mostly ints), strs through the ASCII escaper, and every
-    other scalar (bool, None, floats including NaN and the infinities)
-    through one ``JSONEncoder`` with the default settings.
+    items, which are mostly ints), strs through the ASCII escaper, and
+    finite floats through ``float.__repr__``; true, false and null are
+    written as they are.  Every other scalar (NaN, the infinities, a
+    subclass of int or float) goes through one ``JSONEncoder`` with the
+    default settings.
     """
     if isinstance(v, str):
         return _ascii(v)
     if type(v) is int:
         return int.__repr__(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if type(v) is float and -_INF < v < _INF:
+        return float.__repr__(v)
     inner = pad + "  "
     if isinstance(v, dict):
         items = [_ascii(k) + ": " + _render_json(x, inner) for k, x in v.items()]

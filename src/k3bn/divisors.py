@@ -117,6 +117,10 @@ class Effectivity(Enum):
     NOT_EFFECTIVE = "NotEffective"
     UNKNOWN = "Unknown"
 
+    # members are singletons, so identity hashes agree with equality; Enum's
+    # own hash is a Python-level call, paid on every verdict a scan counts
+    __hash__ = object.__hash__
+
 
 class EffectivityVerdict(Frozen):
     """Outcome of an effectivity test together with its certificate.
@@ -228,25 +232,31 @@ def _open_verdict(peeled, below: bool, contracted: bool) -> tuple[Effectivity, s
 
 
 def _verdict(
-    deg: int, sq: int, dots: Sequence[int], peeled, roots: RootSet | None, bound: int, is_zero: Callable | None = None
+    deg: int,
+    sq: int,
+    dots: Sequence[int],
+    peel: Callable,
+    roots: RootSet | None,
+    bound: int,
+    is_zero: Callable | None = None,
 ) -> tuple[Effectivity, str, tuple[int, ...] | None]:
     """The verdict of a class D of positive degree from integers alone: (status, rule, multiplicities).
 
     ``deg``, ``sq`` and ``dots`` are D.H, D^2 and every D.R_j, and
-    ``peeled`` is ``_peel`` of the dots within ``bound``.  The order is the
-    module docstring's: Riemann-Roch, Effective by peeling, the root-nef
-    residual under contracted roots, the bounded root search, and then
-    ``_open_verdict``.  The multiplicities are the peel's or the search's,
-    or None.  ``is_zero(mult)`` tells whether a residual D - sum mult_j R_j
-    of degree 0 and square 0 is the zero class; without it that is taken to
-    hold, as it does where H^perp is negative definite.  This is the one
-    copy of the rule: ``effectivity_status`` adds witness texts to it, and
-    ``bn._certificate_scan`` applies it to the integers of classes it never
-    builds.
+    ``peel(dots)`` is ``_peel`` of the dots within ``bound``, asked for only
+    past Riemann-Roch.  The order is the module docstring's: Riemann-Roch,
+    Effective by peeling, the root-nef residual under contracted roots, the
+    bounded root search, and then ``_open_verdict``.  The multiplicities are
+    the peel's or the search's, or None.  ``is_zero(mult)`` tells whether a
+    residual D - sum mult_j R_j of degree 0 and square 0 is the zero class;
+    without it that is taken to hold, as it does where H^perp is negative
+    definite.  This is the one copy of the rule: ``effectivity_status`` adds
+    witness texts to it, and ``bn._certificate_scan`` applies it to the
+    integers of classes it never builds.
     """
     if sq >= -2:
         return Effectivity.EFFECTIVE, "riemann_roch", None
-    below = False
+    below, peeled = False, peel(dots)
     if peeled is not None:
         mult, rdeg, rsq = peeled[0], deg + peeled[1], sq + peeled[2]
         if (rdeg > 0 and rsq >= -2) or (rdeg == rsq == 0 and (is_zero is None or is_zero(mult))):
@@ -320,8 +330,11 @@ def effectivity_status(
             f"degree 0 and not a combination of degree-zero roots with coefficients <= {coeff_bound}",
             rule="degree_zero_roots",
         )
-    peeled = _peel(dots, roots, coeff_bound)
-    status, rule, mult = _verdict(deg, sq, dots, peeled, roots, coeff_bound, is_zero)
+
+    def peel(dots: list[int]):
+        return _peel(dots, roots, coeff_bound)
+
+    status, rule, mult = _verdict(deg, sq, dots, peel, roots, coeff_bound, is_zero)
     effective = status is Effectivity.EFFECTIVE
     if rule == "riemann_roch":
         witness = f"chi = {sq // 2 + 2} >= 1 and degree {deg} > 0"
@@ -330,30 +343,33 @@ def effectivity_status(
         tail = "zero remainder" if not any(rem) else f"remainder {rem} carries its own certificate"
         witness = f"root multiplicities {mult}, {tail}"
     elif rule == "root_nef_residual":
-        witness = f"root-nef residual with square < -2 (square {sq + peeled[2]} after peeling multiplicities {mult})"
+        rsq = sq + peel(dots)[2]
+        witness = f"root-nef residual with square < -2 (square {rsq} after peeling multiplicities {mult})"
     elif rule == "peeling":
-        witness = f"peeling root multiplicities {mult} leaves a residual of degree {deg + peeled[1]} < 0"
+        witness = f"peeling root multiplicities {mult} leaves a residual of degree {deg + peel(dots)[1]} < 0"
     else:
         witness = f"no certificate within coefficient bound {coeff_bound}"
     return EffectivityVerdict(status, witness, combination=mult if effective else None, rule=rule)
 
 
-def h0_floor(pol: QuasiPolarization, d: DivClass) -> int:
-    """The h^0 lower bound of a class the caller already certified Effective.
+def _h0_floor(sq: int, deg: int, content: int) -> int:
+    """The h^0 floor of a nonzero class certified Effective, from D^2, D.H and its content.
 
-    Base bound max(chi, 0); for a multiple k*P of a primitive isotropic class
-    of positive degree the pencil count k + 1 is used instead when larger.
-    With k the content, D^2 = k^2 P^2 and D.H = k P.H, so D's own square and
-    degree decide.
+    Base bound max(chi, 0) = max(D^2/2 + 2, 0).  A class of square 0 and
+    positive degree is k*P, P primitive isotropic of positive degree and k
+    the content (D^2 = k^2 P^2, D.H = k P.H); its floor is the pencil count
+    k + 1, never below chi = 2.  This is the one copy of the rule:
+    ``h0_floor`` applies it to a class, and ``bn._certificate_scan`` to the
+    integers it already holds.
     """
-    k = d.content()
-    if k == 0:
+    return content + 1 if sq == 0 and deg > 0 else max(sq // 2 + 2, 0)
+
+
+def h0_floor(pol: QuasiPolarization, d: DivClass) -> int:
+    """The h^0 lower bound of a class the caller already certified Effective (``_h0_floor``)."""
+    if d.is_zero:
         raise InputError("the zero class has no primitive part")
-    sq = pol.lattice.square(d)
-    lb = max(sq // 2 + 2, 0)
-    if sq == 0 and pol.degree(d) > 0:
-        lb = max(lb, k + 1)
-    return lb
+    return _h0_floor(pol.lattice.square(d), pol.degree(d), d.content())
 
 
 def h0_lower_bound(

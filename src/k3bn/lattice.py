@@ -43,7 +43,7 @@ class DivClass(Frozen):
 
     def content(self) -> int:
         """gcd of the coordinates (0 for the zero class)."""
-        return reduce(gcd, (abs(c) for c in self.coords), 0)
+        return gcd(*self.coords)
 
     def _match(self, other: "DivClass") -> None:
         if not isinstance(other, DivClass):

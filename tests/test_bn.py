@@ -962,9 +962,11 @@ def test_shape_verdicts_match_effectivity_status(surface):
     pol, roots, bound = surface
     peel = cache(lambda dots: _peel(list(dots), roots, DEFAULT_COEFF_BOUND))
     rules = Counter()
-    for v, deg, dots, first, second in bn._shape_verdicts(pol, roots, bound, peel):
+    for v, deg, sq, dots, first, second in zip(*bn._shape_verdicts(pol, roots, bound, peel)):
         d = DivClass(v)
-        assert (deg, dots) == (pol.degree(d), tuple(pol.lattice.intersect(d, r) for r in roots.roots))
+        assert (deg, sq, dots) == (
+            pol.degree(d), pol.lattice.square(d), tuple(pol.lattice.intersect(d, r) for r in roots.roots)
+        )
         want = effectivity_status(pol, d, roots)
         assert first == (want.status, want.rule)
         if want.status is Effectivity.EFFECTIVE:

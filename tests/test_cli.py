@@ -9,12 +9,12 @@ from contextlib import redirect_stdout
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import k3bn
 from k3bn import cli, lattice
-from k3bn.bn import SCAN_VERDICT_KEYS
+from k3bn.bn import SCAN_VERDICT_KEYS, ViolationCertificate
 from k3bn.cases import default_box, enumerate_exceptional_triples
 from k3bn.cli import (
     EXIT_EXCEPTIONAL,
@@ -1009,8 +1009,31 @@ _ANY_JSON = st.recursive(
 
 @settings(max_examples=500, deadline=None)
 @given(_ANY_JSON)
+@example(-0.0)
+@example(5e-324)
+@example(1e16)
+@example(math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example({"a": [True, False, None, {"b": (False, [True])}], "c": 0.1})
 def test_reports_render_as_json_dumps_with_indent_2(value):
     assert cli._render_json(value) == json.dumps(value, indent=2)
+
+
+def test_reverify_checks_every_certificate_against_bounds_shared_per_class():
+    # U with H = e + 2f, genus 3: f has h0 floor 2 (a pencil), e + f floor 3
+    # and H floor 4; decompose emits both orientations of (f, e + f), and the
+    # bound of each distinct class is computed once for all certificates
+    _, pol, roots = parse_surface_spec(json.dumps({"gram": [[0, 1], [1, 0]], "H": [1, 2]}))
+    f, ef, h = lattice.DivClass((0, 1)), lattice.DivClass((1, 1)), lattice.DivClass((1, 2))
+    good = [ViolationCertificate(f, ef, 2, 3, 3), ViolationCertificate(ef, f, 3, 2, 3)]
+    cli._reverify(pol, roots, good)
+    off = ViolationCertificate(f, ef, 3, 3, 3)  # lb1 one too high, still a violation
+    with pytest.raises(RuntimeError, match="failed re-verification"):
+        cli._reverify(pol, roots, [*good, off])
+    loose = ViolationCertificate(f, h, 2, 4, 3)  # both bounds right, but f + H != H
+    with pytest.raises(RuntimeError, match="do not sum"):
+        cli._reverify(pol, roots, [*good, loose])
 
 
 def _ints(size, lo=-2, hi=2):

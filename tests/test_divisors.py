@@ -1,7 +1,8 @@
 import random
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from k3bn import (
@@ -18,7 +19,7 @@ from k3bn import (
     h0_lower_bound,
     reduce_fixed_components,
 )
-from k3bn.divisors import h0_floor
+from k3bn.divisors import _h0_floor, _residual, h0_floor
 from conftest import u_plus_root
 from library_reference import (
     IncompatiblePair,
@@ -431,3 +432,57 @@ def test_h0_floor_matches_h0_lower_bound(U, ef):
     pol = QuasiPolarization(U, e + 3 * f)
     for d in (e, 3 * f, e + f, 2 * e + f):
         assert h0_floor(pol, d) == h0_lower_bound(pol, d)
+
+
+def test_degree_zero_search_tells_a_null_remainder_from_zero():
+    # U + U + A1 with H = e1 + f1: H^perp holds the second U, so a remainder
+    # of degree 0 and square 0 need not be the zero class
+    gram = _direct_sum(_UB, _UB, _A1B)
+    pol = QuasiPolarization(GramLattice(gram), DivClass((1, 1, 0, 0, 0)))
+    r, e2 = DivClass(_unit(5, 4)), DivClass(_unit(5, 2))
+    roots = RootSet(pol, (r,))
+    d = r + e2  # degree 0, square -2; D - r = e2 is null and nonzero
+    assert (pol.degree(d), pol.lattice.square(d)) == (0, -2)
+    rem = DivClass(_residual(d, roots.roots, (1,)))
+    assert rem == e2 and (pol.degree(rem), pol.lattice.square(rem)) == (0, 0)
+    v = effectivity_status(pol, d, roots)
+    assert (v.status, v.rule, v.combination) == (Effectivity.NOT_EFFECTIVE, "degree_zero_roots", None)
+    v = effectivity_status(pol, 2 * r, roots)  # D - 2r is the zero class
+    assert (v.status, v.rule, v.combination) == (Effectivity.EFFECTIVE, "degree_zero_roots", (2,))
+
+
+@st.composite
+def floor_classes(draw):
+    """U + A1 with H = a e + b f, and a nonzero class: drawn at random, or a
+    multiple k P of the primitive isotropic P = p^2 e + q^2 f +- p q r."""
+    lat = GramLattice(_direct_sum(_UB, _A1B))
+    pol = QuasiPolarization(lat, DivClass((draw(st.integers(1, 5)), draw(st.integers(1, 5)), 0)))
+    if draw(st.booleans()):
+        p, q = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        assume(gcd(p, q) == 1)
+        k = draw(st.integers(1, 6))
+        return pol, DivClass((k * p * p, k * q * q, k * p * q * draw(st.sampled_from((1, -1))))), k
+    coords = draw(st.tuples(*[st.integers(-6, 6)] * 3))
+    assume(any(coords))
+    return pol, DivClass(coords), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_classes())
+def test_integer_floor_rule_is_h0_floor(drawn):
+    # the rule the certificate scan applies to D and to H - D from their
+    # squares, degrees and contents gives h0_floor, whose reference is
+    # max(chi, 0), raised to the pencil count content + 1 on a multiple of a
+    # primitive isotropic class of positive degree
+    pol, d, k = drawn
+    lat, h2 = pol.lattice, pol.degree(pol.h)
+    sq, deg = lat.square(d), pol.degree(d)
+    want = max(sq // 2 + 2, 0)
+    if sq == 0 and deg > 0:
+        want = max(want, d.content() + 1)
+    if k is not None:
+        assert sq == 0 and deg > 0 and want == k + 1  # the pencil count wins
+    assert _h0_floor(sq, deg, d.content()) == h0_floor(pol, d) == want
+    w = pol.h - d
+    if not w.is_zero:
+        assert _h0_floor(h2 - 2 * deg + sq, h2 - deg, w.content()) == h0_floor(pol, w)
