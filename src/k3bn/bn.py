@@ -53,10 +53,15 @@ class ViolationCertificate(Frozen):
         }
 
 
+def _violation(d1: DivClass, d2: DivClass, lb1: int, lb2: int, genus: int) -> ViolationCertificate | None:
+    """The violation D1 and D2 make with h^0 floors lb1 and lb2, or None when lb1 * lb2 <= genus."""
+    return ViolationCertificate(d1, d2, lb1, lb2, genus) if lb1 * lb2 > genus else None
+
+
 def _pair_floors(pol: QuasiPolarization, d1: DivClass, d2: DivClass) -> tuple[int, int, ViolationCertificate | None]:
     """The h^0 floors of D1 and D2 = H - D1, both Effective, and the violation they make, if any."""
-    lb1, lb2, g = h0_floor(pol, d1), h0_floor(pol, d2), pol.genus
-    return lb1, lb2, ViolationCertificate(d1, d2, lb1, lb2, g) if lb1 * lb2 > g else None
+    lb1, lb2 = h0_floor(pol, d1), h0_floor(pol, d2)
+    return lb1, lb2, _violation(d1, d2, lb1, lb2, pol.genus)
 
 
 class PairRecord(Frozen):
@@ -303,11 +308,11 @@ def _check_scan(pol: QuasiPolarization, roots: RootSet | None, degree_bound: int
 
 def _record_pair(out: DecompositionScan, d1: DivClass, d2: DivClass, lb1: int, lb2: int, genus: int) -> bool:
     """Record D1 and D2 = H - D1, both Effective, with their h^0 floors; True on a violation."""
-    violates = lb1 * lb2 > genus
-    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violates))
-    if violates:
-        out.violations.append(ViolationCertificate(d1, d2, lb1, lb2, genus))
-    return violates
+    violation = _violation(d1, d2, lb1, lb2, genus)
+    out.pairs.append(PairRecord(d1, d2, lb1, lb2, violation is not None))
+    if violation is not None:
+        out.violations.append(violation)
+    return violation is not None
 
 
 def _decide(out: DecompositionScan, pol, roots, d1: DivClass) -> bool:
@@ -395,12 +400,12 @@ def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> tuple[list, ...]
     dots: a residual of degree 0 is zero exactly when its square is 0, as
     H^perp is negative definite.  H - v has degree H^2 - v.H, square
     H^2 - 2 v.H + v^2 and dots H.R_j - v.R_j, so it needs no vector.
-    Settled classes often share those integers (on U + A1 + A1 with
-    H = e + 2f at bound 4, the 345 settled past Riemann-Roch have 278
-    distinct triples), so each verdict is reached once per key.  When every
-    root has degree 0, no peel or search step changes the degree, which then
-    only has to stay positive: the verdict reads the square and the dots
-    alone (168 distinct pairs there), and is keyed by that pair.
+    When every root has degree 0, no peel or search step changes the
+    degree, which then only has to stay positive: the verdict reads the
+    square and the dots alone, and is reached once per such pair (on
+    U + A1 + A1 with H = e + 2f at bound 4, the 345 classes settled past
+    Riemann-Roch have 168 distinct pairs).  Otherwise each row gets its own
+    verdict.
     """
     h2, flat = pol.degree(pol.h), not any(roots.degrees)
     classes = _shape_classes(pol, roots, degree_bound)
@@ -412,8 +417,10 @@ def _shape_verdicts(pol, roots: RootSet, degree_bound, peel) -> tuple[list, ...]
     found = {}
 
     def settle(rows: list[tuple]) -> list[tuple[Effectivity, str]]:
-        """The verdict of each (degree, square, dots) row, reached once per key."""
-        keys = [row[1:] for row in rows] if flat else rows
+        """The verdict of each (degree, square, dots) row, once per (square, dots) when every root has degree 0."""
+        if not flat:
+            return [_verdict(deg, sq, ds, peel, roots, DEFAULT_COEFF_BOUND)[:2] for deg, sq, ds in rows]
+        keys = [row[1:] for row in rows]
         for key, (deg, sq, ds) in dict(zip(keys, rows)).items():
             if key not in found:
                 found[key] = _verdict(deg, sq, ds, peel, roots, DEFAULT_COEFF_BOUND)[:2]

@@ -331,8 +331,13 @@ def effectivity_status(
             rule="degree_zero_roots",
         )
 
+    peeled = []
+
     def peel(dots: list[int]):
-        return _peel(dots, roots, coeff_bound)
+        """``_peel`` of D's dots, computed once: the witness texts read it again."""
+        if not peeled:
+            peeled.append(_peel(dots, roots, coeff_bound))
+        return peeled[0]
 
     status, rule, mult = _verdict(deg, sq, dots, peel, roots, coeff_bound, is_zero)
     effective = status is Effectivity.EFFECTIVE
